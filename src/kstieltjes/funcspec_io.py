@@ -18,6 +18,9 @@ function:
 ``coeffs`` is indexed ``[component][power]`` for vector functions and
 ``[row][column][power]`` for operator functions.  Piece intervals must
 tile the domain; every ``nodes`` entry must sit on a piece boundary.
+Every number must be finite: ``json`` accepts ``NaN`` and ``Infinity``
+tokens, and the loader rejects them in the domain, the piece intervals,
+the coefficients and the node values.
 Grid points without an explicit node default to continuity (the value of
 the polynomial to the right; to the left at ``b``).  Numbers are decimal
 text parsed once into IEEE doubles, and serialisation uses shortest
@@ -49,6 +52,7 @@ def function_from_dict(doc: dict) -> PiecewiseFunction:
     _require(isinstance(domain, list) and len(domain) == 2,
              "'domain' must be [a, b]")
     a, b = float(domain[0]), float(domain[1])
+    _require(np.isfinite([a, b]).all(), "'domain' must be finite")
     _require(a < b, "'domain' must satisfy a < b")
 
     codomain = doc["codomain"]
@@ -69,6 +73,7 @@ def function_from_dict(doc: dict) -> PiecewiseFunction:
         _require(isinstance(piece, dict) and "interval" in piece and "coeffs" in piece,
                  f"piece {idx} needs 'interval' and 'coeffs'")
         lo, hi = (float(x) for x in piece["interval"])
+        _require(np.isfinite([lo, hi]).all(), f"piece {idx}: interval must be finite")
         _require(lo == grid[-1],
                  f"piece {idx} starts at {lo}, expected {grid[-1]} (pieces must tile the domain)")
         _require(hi > lo, f"piece {idx} has nonpositive width")
@@ -80,6 +85,7 @@ def function_from_dict(doc: dict) -> PiecewiseFunction:
         _require(raw.ndim == len(vshape) + 1 and raw.shape[:len(vshape)] == vshape,
                  f"piece {idx}: coeffs shape {raw.shape} does not match "
                  f"{kind} of dimension {dim}")
+        _require(np.isfinite(raw).all(), f"piece {idx}: coeffs must be finite")
         c = np.moveaxis(raw, -1, 0)  # [..., power] -> [power, ...]
         max_degree = max(max_degree, c.shape[0] - 1)
         coeffs.append(c)
@@ -103,6 +109,7 @@ def function_from_dict(doc: dict) -> PiecewiseFunction:
             raise FunctionSpecError(f"node {idx}: non-numeric value") from exc
         _require(value.shape == vshape,
                  f"node {idx}: value shape {value.shape} does not match {vshape}")
+        _require(np.isfinite(value).all(), f"node {idx}: value must be finite")
         nodes[position[t]] = value
     try:
         return PiecewiseFunction(grid, coeffs, nodes,

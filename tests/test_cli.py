@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -260,6 +261,13 @@ class TestExitCodes:
 
     def test_missing_file(self, specs):
         assert main(["variation", "nope.json"]) == 2
+
+    def test_non_finite_spec(self, specs, capsys):
+        doc = json.loads((specs / "f_hat.json").read_text())
+        doc["pieces"][0]["coeffs"] = [[float("nan")]]
+        (specs / "f_nan.json").write_text(json.dumps(doc))
+        assert main(["variation", "f_nan.json"]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_domain_error(self, specs):
         assert main(["integrate", "F_ramp.json", "g_one.json", "--set", "[0,2]"]) == 3

@@ -81,6 +81,29 @@ class TestValidation:
         with pytest.raises(FunctionSpecError):
             function_from_dict(doc)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("where", ["domain", "interval", "coeffs", "node"])
+    def test_non_finite_numbers(self, where, bad):
+        doc = self.base()
+        if where == "domain":
+            doc["domain"] = [0.0, bad]
+        elif where == "interval":
+            doc["pieces"] = [{"interval": [0.0, bad], "coeffs": [[0.0]]}]
+        elif where == "coeffs":
+            doc["pieces"][0]["coeffs"] = [[0.0, bad]]
+        else:
+            doc["nodes"] = [{"t": 1.0, "value": [bad]}]
+        with pytest.raises(FunctionSpecError, match="finite"):
+            function_from_dict(doc)
+
+    def test_non_finite_json_tokens(self, tmp_path):
+        # json.loads accepts NaN and Infinity, so the loader must reject them
+        path = tmp_path / "nan.json"
+        path.write_text('{"domain": [0.0, 1.0], "codomain": {"kind": "vector", "dim": 1},'
+                        ' "pieces": [{"interval": [0.0, 1.0], "coeffs": [[NaN]]}]}')
+        with pytest.raises(FunctionSpecError, match="finite"):
+            load_function(path)
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -7,6 +7,7 @@ from kstieltjes import (Gauge, GaugeTooSmallError, OracleFailureError,
                         is_delta_fine, ks_dFg, ks_Fdg, oracle_integral,
                         polynomial, rs_sum_Fdg, rs_sum_dFg, scaled_identity,
                         step)
+from kstieltjes.gauges import _forced_fine_division
 from kstieltjes.intervals import Interval
 
 
@@ -179,3 +180,100 @@ class TestOracle:
                                  - ks_dFg(F, g).value)) < 1e-8
             assert np.max(np.abs(oracle_integral(F, g, "Fdg", 1e-8)
                                  - ks_Fdg(F, g).value)) < 1e-8
+
+
+def _rescan_division(a, b, forced, level, gauge, max_points):
+    """Reference builder: re-tag and re-test the whole division on every
+    pass, splitting each interval that is not fine at its midpoint."""
+    pts = np.unique(np.concatenate([np.linspace(a, b, 2**level + 1), forced]))
+    for _ in range(200):
+        u, v = pts[:-1], pts[1:]
+        at_u = np.isin(u, forced)
+        at_v = np.isin(v, forced)
+        tags = np.where(at_u, u, np.where(at_v, v, 0.5 * (u + v)))
+        fine = np.maximum(v - tags, tags - u) < gauge(tags)
+        if fine.all():
+            return TaggedDivision(pts, tags)
+        if pts.size > max_points:
+            raise OracleFailureError("fine division exceeded the point budget")
+        mids = 0.5 * (u[~fine] + v[~fine])
+        refined = np.unique(np.concatenate([pts, mids]))
+        if refined.size == pts.size:
+            raise OracleFailureError("refinement stalled at float resolution")
+        pts = refined
+    raise OracleFailureError("fine division did not stabilise")
+
+
+def _oracle_gauge(a, b, forced, level):
+    """The gauge ``oracle_integral`` uses at ``level``."""
+    span = b - a
+    return Gauge.minimum(Gauge.forcing(forced, base=span * 4.0**-level),
+                         Gauge.constant(span * 2.0**-level))
+
+
+class TestForcedFineDivision:
+    def check(self, a, b, forced, level):
+        forced = np.asarray(forced, dtype=float)
+        gauge = _oracle_gauge(a, b, forced, level)
+        division = _forced_fine_division(a, b, forced, level, gauge, 1 << 21)
+        reference = _rescan_division(a, b, forced, level, gauge, 1 << 21)
+        assert division.points.tobytes() == reference.points.tobytes()
+        assert division.tags.tobytes() == reference.tags.tobytes()
+        assert is_delta_fine(division, gauge)
+
+    def test_random_forced_sets(self, rng):
+        for level in range(11):
+            for a, b in ((0.0, 1.0), (-2.0, 3.5)):
+                interior = rng.uniform(a, b, size=rng.integers(0, 6))
+                # unsorted on purpose: the builder must not rely on order
+                forced = rng.permutation(np.concatenate([[a, b], interior]))
+                self.check(a, b, forced, level)
+
+    def test_forced_points_on_mesh_nodes(self):
+        for level in (2, 5, 8):
+            self.check(0.0, 1.0, [0.0, 0.25, 0.5, 0.75, 1.0], level)
+            self.check(0.0, 1.0, [0.0, 3.0 / 2**level, 1.0], level)
+
+    def test_forced_points_at_the_ends(self):
+        for level in (0, 3, 6):
+            self.check(0.0, 1.0, [0.0, 1.0], level)
+            self.check(-1.0, 1.0, [-1.0, 1.0 / 3.0, 1.0], level)
+
+    def test_forced_cluster_with_tiny_gaps(self):
+        cluster = 0.3 + 1e-9 * np.arange(5)
+        for level in (3, 6):
+            self.check(0.0, 1.0, np.concatenate([[0.0], cluster, [1.0]]), level)
+
+    def test_empty_interior_forced_set(self):
+        for level in (0, 4, 9):
+            self.check(0.0, 1.0, np.empty(0), level)
+            self.check(0.0, 1.0, [0.0, 1.0], level)
+
+    def test_point_budget(self):
+        forced = [0.0, 0.3, 1.0]
+        gauge = _oracle_gauge(0.0, 1.0, forced, 8)
+        with pytest.raises(OracleFailureError, match="point budget"):
+            _forced_fine_division(0.0, 1.0, forced, 8, gauge, 64)
+
+    def test_point_budget_matches_reference(self):
+        # the budget counts the points of the whole division in use, as the
+        # reference does: both builders succeed or fail at the same budgets
+        forced = [0.0, 0.3, 1.0]
+        gauge = _oracle_gauge(0.0, 1.0, forced, 3)
+        for max_points in range(8, 160):
+            outcomes = []
+            for build in (_forced_fine_division, _rescan_division):
+                try:
+                    outcomes.append(build(0.0, 1.0, forced, 3, gauge, max_points).count)
+                except OracleFailureError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], max_points
+        assert outcomes[0] != "fine division exceeded the point budget"
+
+    def test_stall_at_float_resolution(self):
+        # no point lies strictly between the two adjacent forced floats,
+        # so the interval they bound can never be split
+        forced = [0.0, 0.5, np.nextafter(0.5, 1.0), 1.0]
+        gauge = _oracle_gauge(0.0, 1.0, forced, 3)
+        with pytest.raises(OracleFailureError, match="stalled"):
+            _forced_fine_division(0.0, 1.0, forced, 3, gauge, 1 << 21)
