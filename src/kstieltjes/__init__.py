@@ -20,10 +20,9 @@ from .intervals import (ElementarySet, Interval, elementary_diff,
                         elementary_intersect, elementary_union, indicator,
                         minimal_decomposition)
 from .norms import norm_of, op_norm, sup_norm
-from .piecewise import (DEFAULT_DEGREE_CAP, JumpRecord, PiecewiseFunction,
-                        break_truncate, constant, jordan_decompose, lincomb,
-                        polynomial, restrict, scaled_identity, step,
-                        zero_function)
+from .piecewise import (JumpRecord, PiecewiseFunction, break_truncate,
+                        constant, jordan_decompose, lincomb, polynomial,
+                        restrict, scaled_identity, step, zero_function)
 from .variation import (VariationResult, contracting_variation, var_compact,
                         var_elementary, var_interval)
 from .integrate import (IntegralResult, SaksCorrections, estimate_bound,
@@ -43,7 +42,6 @@ from .errors import (DimensionMismatchError, DomainError, FunctionSpecError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_DEGREE_CAP",
     "ConvergenceEntry",
     "ConvergenceReport",
     "DimensionMismatchError",

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .norms import norm_of
+
 #: Relative tolerance used to merge nearby root candidates.
 _ROOT_MERGE = 1e-13
 
@@ -253,17 +255,6 @@ def integral_of_norm(c: np.ndarray, lo: float, hi: float) -> float:
             i = int(np.argmax([float(polyval(r, mid)) for r in rows]))
             total += float(defint(rows[i], uu, vv))
     return total
-
-
-def norm_of(value: np.ndarray) -> float:
-    """Norm of a single value: max norm for vectors, max row sum for
-    operators, absolute value for scalars."""
-    value = np.asarray(value, dtype=float)
-    if value.ndim == 0:
-        return abs(float(value))
-    if value.ndim == 1:
-        return float(np.max(np.abs(value))) if value.size else 0.0
-    return float(np.max(np.sum(np.abs(value), axis=1)))
 
 
 def matvec_conv(ca: np.ndarray, cx: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ through the closed-form engine and reports the error curve.
 Built-in families:
 
 ``power``
-    ``g_n(t) = t**n`` on ``[0, 1]`` (the degree cap is lifted per member),
+    ``g_n(t) = t**n`` on ``[0, 1]``,
     converging pointwise to the indicator of ``{1}`` with bound 1.  The
     canonical non-uniform example: against the integrator ``t * I`` the
     errors are exactly ``1 / (n + 1)``.
@@ -37,11 +37,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _poly
 from .errors import HypothesisViolationError
 from .integrate import check_pair, ks_dFg
 from .intervals import Interval
-from .norms import sup_norm
+from .norms import norm_of, sup_norm
 from .piecewise import (PiecewiseFunction, break_truncate, jordan_decompose,
                         polynomial, step)
 
@@ -92,7 +91,7 @@ class SequenceFamily:
             for t in order:
                 if t not in known:
                     raise ValueError(f"{t} is not a jump of the break function")
-        bound = sum(_poly.norm_of(rec.jump_minus) + _poly.norm_of(rec.jump_plus)
+        bound = sum(norm_of(rec.jump_minus) + norm_of(rec.jump_plus)
                     for rec in records)
         # partial sums can round a hair above the exact tail bound
         bound = bound * (1.0 + 1e-12)
@@ -115,7 +114,7 @@ def realize(family: SequenceFamily, n: int) -> PiecewiseFunction:
     if family.kind == "power":
         coeffs = np.zeros((n + 1, 1))
         coeffs[n, 0] = 1.0
-        return polynomial((0.0, 1.0), coeffs, degree_cap=n)
+        return polynomial((0.0, 1.0), coeffs)
     if family.kind == "spike":
         a, b = family.limit.a, family.limit.b
         hi = min(family.center + 1.0 / n, b)

@@ -20,7 +20,8 @@ function:
 tile the domain; every ``nodes`` entry must sit on a piece boundary.
 Every number must be finite: ``json`` accepts ``NaN`` and ``Infinity``
 tokens, and the loader rejects them in the domain, the piece intervals,
-the coefficients and the node values.
+the coefficients and the node values.  ``dim`` must be an integer of at
+least 1 (an integral float such as ``2.0`` counts).
 Grid points without an explicit node default to continuity (the value of
 the polynomial to the right; to the left at ``b``).  Numbers are decimal
 text parsed once into IEEE doubles, and serialisation uses shortest
@@ -44,15 +45,31 @@ def _require(condition: bool, message: str):
         raise FunctionSpecError(message)
 
 
+def _finite(value, what: str, shape=None) -> np.ndarray:
+    """``value`` as an array of finite floats, of ``shape`` when given."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FunctionSpecError(f"{what} must be numeric") from exc
+    _require(shape is None or arr.shape == shape,
+             f"{what} must have shape {shape}, got {arr.shape}")
+    _require(np.isfinite(arr).all(), f"{what} must be finite")
+    return arr
+
+
+def _dimension(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+             f"'dim' must be an integer of at least 1, got {value!r}")
+    return value
+
+
 def function_from_dict(doc: dict) -> PiecewiseFunction:
     _require(isinstance(doc, dict), "top level must be a JSON object")
     for key in ("domain", "codomain", "pieces"):
         _require(key in doc, f"missing required key {key!r}")
-    domain = doc["domain"]
-    _require(isinstance(domain, list) and len(domain) == 2,
-             "'domain' must be [a, b]")
-    a, b = float(domain[0]), float(domain[1])
-    _require(np.isfinite([a, b]).all(), "'domain' must be finite")
+    a, b = _finite(doc["domain"], "'domain'", (2,)).tolist()
     _require(a < b, "'domain' must satisfy a < b")
 
     codomain = doc["codomain"]
@@ -60,35 +77,26 @@ def function_from_dict(doc: dict) -> PiecewiseFunction:
              "'codomain' must carry 'kind' and 'dim'")
     kind = codomain["kind"]
     _require(kind in ("vector", "operator"), f"unknown codomain kind {kind!r}")
-    dim = int(codomain["dim"])
-    _require(dim >= 1, "'dim' must be at least 1")
+    dim = _dimension(codomain["dim"])
     vshape = (dim,) if kind == "vector" else (dim, dim)
 
     pieces = doc["pieces"]
     _require(isinstance(pieces, list) and pieces, "'pieces' must be a nonempty list")
     grid = [a]
     coeffs = []
-    max_degree = 0
     for idx, piece in enumerate(pieces):
         _require(isinstance(piece, dict) and "interval" in piece and "coeffs" in piece,
                  f"piece {idx} needs 'interval' and 'coeffs'")
-        lo, hi = (float(x) for x in piece["interval"])
-        _require(np.isfinite([lo, hi]).all(), f"piece {idx}: interval must be finite")
+        lo, hi = _finite(piece["interval"], f"piece {idx}: interval", (2,)).tolist()
         _require(lo == grid[-1],
                  f"piece {idx} starts at {lo}, expected {grid[-1]} (pieces must tile the domain)")
         _require(hi > lo, f"piece {idx} has nonpositive width")
         grid.append(hi)
-        try:
-            raw = np.asarray(piece["coeffs"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise FunctionSpecError(f"piece {idx}: ragged or non-numeric coeffs") from exc
+        raw = _finite(piece["coeffs"], f"piece {idx}: coeffs")
         _require(raw.ndim == len(vshape) + 1 and raw.shape[:len(vshape)] == vshape,
                  f"piece {idx}: coeffs shape {raw.shape} does not match "
                  f"{kind} of dimension {dim}")
-        _require(np.isfinite(raw).all(), f"piece {idx}: coeffs must be finite")
-        c = np.moveaxis(raw, -1, 0)  # [..., power] -> [power, ...]
-        max_degree = max(max_degree, c.shape[0] - 1)
-        coeffs.append(c)
+        coeffs.append(np.moveaxis(raw, -1, 0))  # [..., power] -> [power, ...]
     _require(grid[-1] == b, f"pieces end at {grid[-1]}, expected {b}")
 
     # default nodes: continuity against the right piece (left piece at b)
@@ -97,23 +105,17 @@ def function_from_dict(doc: dict) -> PiecewiseFunction:
         ref = coeffs[k] if k < len(coeffs) else coeffs[-1]
         nodes[k] = _poly.polyval(ref, t)
     position = {t: k for k, t in enumerate(grid)}
-    for idx, entry in enumerate(doc.get("nodes", [])):
+    entries = doc.get("nodes", [])
+    _require(isinstance(entries, list), "'nodes' must be a list")
+    for idx, entry in enumerate(entries):
         _require(isinstance(entry, dict) and "t" in entry and "value" in entry,
                  f"node {idx} needs 't' and 'value'")
-        t = float(entry["t"])
+        t = float(_finite(entry["t"], f"node {idx}: t", ()))
         _require(t in position,
                  f"node {idx}: t={t} is not a grid point of the pieces")
-        try:
-            value = np.asarray(entry["value"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise FunctionSpecError(f"node {idx}: non-numeric value") from exc
-        _require(value.shape == vshape,
-                 f"node {idx}: value shape {value.shape} does not match {vshape}")
-        _require(np.isfinite(value).all(), f"node {idx}: value must be finite")
-        nodes[position[t]] = value
+        nodes[position[t]] = _finite(entry["value"], f"node {idx}: value", vshape)
     try:
-        return PiecewiseFunction(grid, coeffs, nodes,
-                                 degree_cap=max(8, max_degree))
+        return PiecewiseFunction(grid, coeffs, nodes)
     except ValueError as exc:
         raise FunctionSpecError(str(exc)) from exc
 

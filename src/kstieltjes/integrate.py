@@ -33,6 +33,7 @@ import numpy as np
 from . import _poly
 from .errors import DimensionMismatchError, DomainError
 from .intervals import ElementarySet, Interval
+from .norms import norm_of
 from .piecewise import PiecewiseFunction
 from .variation import var_elementary, var_interval
 
@@ -82,18 +83,6 @@ def _merged_pieces(f: PiecewiseFunction, g: PiecewiseFunction):
         yield float(u), float(v), f.coeffs[f._piece_of(mid)], g.coeffs[g._piece_of(mid)]
 
 
-def _jump_minus(f: PiecewiseFunction, t: float) -> np.ndarray:
-    if t == f.a:
-        return np.zeros(f.vshape)
-    return f(t) - f.limit_left(t)
-
-
-def _jump_plus(f: PiecewiseFunction, t: float) -> np.ndarray:
-    if t == f.b:
-        return np.zeros(f.vshape)
-    return f.limit_right(t) - f(t)
-
-
 def ks_dFg(F: PiecewiseFunction, g: PiecewiseFunction) -> IntegralResult:
     """``integral_a^b d[F] g`` for an operator integrator and vector
     integrand on a common domain."""
@@ -131,7 +120,7 @@ def integral_over_point(F: PiecewiseFunction, g: PiecewiseFunction,
     t = float(t)
     if t < F.a or t > F.b:
         raise DomainError(f"{t} outside the domain [{F.a}, {F.b}]")
-    return (_jump_minus(F, t) + _jump_plus(F, t)) @ g(t)
+    return F.jump_at(t).jump_full @ g(t)
 
 
 def _interval_result(F: PiecewiseFunction, g: PiecewiseFunction,
@@ -147,13 +136,13 @@ def _interval_result(F: PiecewiseFunction, g: PiecewiseFunction,
     base = ks_dFg(F.clip(c, d), g.clip(c, d))
     corr = np.zeros(g.vshape)
     if interval.lo_closed:
-        corr = corr + _jump_minus(F, c) @ g(c)
+        corr = corr + F.jump_at(c).jump_minus @ g(c)
     else:
-        corr = corr - _jump_plus(F, c) @ g(c)
+        corr = corr - F.jump_at(c).jump_plus @ g(c)
     if interval.hi_closed:
-        corr = corr + _jump_plus(F, d) @ g(d)
+        corr = corr + F.jump_at(d).jump_plus @ g(d)
     else:
-        corr = corr - _jump_minus(F, d) @ g(d)
+        corr = corr - F.jump_at(d).jump_minus @ g(d)
     jump = base.jump_contribution + corr
     return IntegralResult(base.continuous_contribution + jump,
                           base.continuous_contribution, jump)
@@ -199,9 +188,9 @@ def estimate_bound(F: PiecewiseFunction, g: PiecewiseFunction,
         raise DomainError(f"{interval} is not inside [{F.a}, {F.b}]")
     bound = var_interval(F, interval).total * g.sup_norm(interval)
     if interval.lo_closed:
-        bound += _poly.norm_of(_jump_minus(F, interval.lo)) * _poly.norm_of(g(interval.lo))
+        bound += norm_of(F.jump_at(interval.lo).jump_minus) * norm_of(g(interval.lo))
     if interval.hi_closed:
-        bound += _poly.norm_of(_jump_plus(F, interval.hi)) * _poly.norm_of(g(interval.hi))
+        bound += norm_of(F.jump_at(interval.hi).jump_plus) * norm_of(g(interval.hi))
     return bound
 
 
@@ -226,5 +215,5 @@ def saks_identity_report(F: PiecewiseFunction, g: PiecewiseFunction,
     c, d = float(c), float(d)
     if c < F.a or d > F.b or c > d:
         raise DomainError(f"[{c}, {d}] is not a subinterval of [{F.a}, {F.b}]")
-    return SaksCorrections(at_lower=_jump_minus(F, c) @ g(c),
-                           at_upper=_jump_plus(F, d) @ g(d))
+    return SaksCorrections(at_lower=F.jump_at(c).jump_minus @ g(c),
+                           at_upper=F.jump_at(d).jump_plus @ g(d))

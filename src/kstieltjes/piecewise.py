@@ -28,11 +28,7 @@ import numpy as np
 from . import _poly
 from .errors import DimensionMismatchError, DomainError
 from .intervals import ElementarySet, Interval
-
-#: Default bound on piece polynomial degree.  Keeps the root isolation in
-#: the variation machinery cheap; pass an explicit ``degree_cap`` to lift
-#: it (the power family of the convergence harness does).
-DEFAULT_DEGREE_CAP = 8
+from .norms import norm_of
 
 
 @dataclass(frozen=True)
@@ -71,8 +67,7 @@ def _domain_pair(domain) -> tuple[float, float]:
 class PiecewiseFunction:
     """Regulated function on a compact interval, piecewise polynomial."""
 
-    def __init__(self, grid, coeffs: Sequence, node_values,
-                 degree_cap: int = DEFAULT_DEGREE_CAP):
+    def __init__(self, grid, coeffs: Sequence, node_values):
         grid = np.array(grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid needs at least the two domain endpoints")
@@ -93,10 +88,6 @@ class PiecewiseFunction:
             c = np.array(c, dtype=float)
             if c.shape[1:] != vshape:
                 raise ValueError("piece coefficients must share the node value shape")
-            if c.shape[0] - 1 > degree_cap and np.any(c[degree_cap + 1:]):
-                raise ValueError(
-                    f"piece degree {c.shape[0] - 1} exceeds the cap {degree_cap}; "
-                    "pass degree_cap explicitly to lift it")
             c.setflags(write=False)
             coeff_arrays.append(c)
         if len(coeff_arrays) != grid.size - 1:
@@ -108,7 +99,6 @@ class PiecewiseFunction:
         self.nodes = nodes
         self.kind = kind
         self.dim = int(vshape[0])
-        self.degree_cap = int(degree_cap)
 
     # -- basic queries -------------------------------------------------
 
@@ -205,23 +195,32 @@ class PiecewiseFunction:
 
     # -- jumps -------------------------------------------------------------
 
+    def _jump_record(self, k: int) -> JumpRecord:
+        """One-sided jumps at grid point ``k``, with the conventions
+        ``jump_minus = 0`` at ``a`` and ``jump_plus = 0`` at ``b``."""
+        t = float(self.grid[k])
+        zeros = np.zeros(self.vshape)
+        jm = self.nodes[k] - _poly.polyval(self.coeffs[k - 1], t) if k > 0 else zeros
+        jp = _poly.polyval(self.coeffs[k], t) - self.nodes[k] if k < self.npieces else zeros
+        return JumpRecord(t, jm, jp)
+
+    def jump_at(self, t: float) -> JumpRecord:
+        """One-sided jumps at any ``t`` in the domain: zero off the grid,
+        where the function is a polynomial on both sides."""
+        t = float(t)
+        self._check_inside(t)
+        i = int(np.searchsorted(self.grid, t, side="left"))
+        if self.grid[i] == t:
+            return self._jump_record(i)
+        zeros = np.zeros(self.vshape)
+        return JumpRecord(t, zeros, zeros)
+
     def jumps(self, tol: float = 0.0) -> list[JumpRecord]:
         """Jump records at every grid point with a one-sided jump above
-        ``tol`` (default: exactly nonzero).
-
-        The conventions ``jump_minus = 0`` at ``a`` and ``jump_plus = 0``
-        at ``b`` are enforced.
-        """
-        zeros = np.zeros(self.vshape)
-        records = []
-        m = self.npieces
-        for k in range(m + 1):
-            t = float(self.grid[k])
-            jm = self.nodes[k] - _poly.polyval(self.coeffs[k - 1], t) if k > 0 else zeros
-            jp = _poly.polyval(self.coeffs[k], t) - self.nodes[k] if k < m else zeros
-            if _poly.norm_of(jm) > tol or _poly.norm_of(jp) > tol:
-                records.append(JumpRecord(t, jm, jp))
-        return records
+        ``tol`` (default: exactly nonzero)."""
+        records = (self._jump_record(k) for k in range(self.grid.size))
+        return [rec for rec in records
+                if norm_of(rec.jump_minus) > tol or norm_of(rec.jump_plus) > tol]
 
     def is_continuous(self, tol: float = 0.0) -> bool:
         return not self.jumps(tol)
@@ -251,7 +250,7 @@ class PiecewiseFunction:
                 nodes[k] = _poly.polyval(self.coeffs[self._piece_of(t)], t)
         for u, v in zip(new_grid[:-1], new_grid[1:]):
             coeffs.append(self.coeffs[self._piece_of(0.5 * (u + v))])
-        return PiecewiseFunction(new_grid, coeffs, nodes, self.degree_cap)
+        return PiecewiseFunction(new_grid, coeffs, nodes)
 
     def clip(self, c: float, d: float) -> "PiecewiseFunction":
         """The function restricted to the subdomain ``[c, d]`` (values kept
@@ -265,7 +264,7 @@ class PiecewiseFunction:
         nodes = np.stack([self(t) for t in new_grid])
         coeffs = [self.coeffs[self._piece_of(0.5 * (u + v))]
                   for u, v in zip(new_grid[:-1], new_grid[1:])]
-        return PiecewiseFunction(new_grid, coeffs, nodes, self.degree_cap)
+        return PiecewiseFunction(new_grid, coeffs, nodes)
 
     def restrict(self, region: ElementarySet | Interval) -> "PiecewiseFunction":
         """Multiply by the indicator of ``region``: equal to this function
@@ -283,7 +282,7 @@ class PiecewiseFunction:
         keep = region.contains_many(refined.grid)
         nodes = np.where(keep.reshape((-1,) + (1,) * len(self.vshape)),
                          refined.nodes, 0.0)
-        return PiecewiseFunction(refined.grid, coeffs, nodes, self.degree_cap)
+        return PiecewiseFunction(refined.grid, coeffs, nodes)
 
     # -- suprema ---------------------------------------------------------
 
@@ -305,11 +304,11 @@ class PiecewiseFunction:
             if part.lo < self.a or part.hi > self.b:
                 raise DomainError(f"part {part} is not inside [{self.a}, {self.b}]")
             if part.is_degenerate:
-                best = max(best, _poly.norm_of(self(part.lo)))
+                best = max(best, norm_of(self(part.lo)))
                 continue
             for k, t in enumerate(self.grid):
                 if part.contains(float(t)):
-                    best = max(best, _poly.norm_of(self.nodes[k]))
+                    best = max(best, norm_of(self.nodes[k]))
             for u, v, c in self.piece_spans():
                 lo, hi = max(u, part.lo), min(v, part.hi)
                 if hi > lo:
@@ -326,8 +325,7 @@ class PiecewiseFunction:
 
     def __mul__(self, scalar: float) -> "PiecewiseFunction":
         coeffs = [scalar * c for c in self.coeffs]
-        return PiecewiseFunction(self.grid, coeffs, scalar * self.nodes,
-                                 self.degree_cap)
+        return PiecewiseFunction(self.grid, coeffs, scalar * self.nodes)
 
     __rmul__ = __mul__
 
@@ -345,15 +343,13 @@ def _lift_coeffs(coeffs) -> np.ndarray:
     return c
 
 
-def polynomial(domain, coeffs, degree_cap: int | None = None) -> PiecewiseFunction:
+def polynomial(domain, coeffs) -> PiecewiseFunction:
     """Single-piece polynomial function.  ``coeffs[j]`` multiplies ``t**j``
     and may be scalar (lifted to a 1-vector), vector or matrix valued."""
     a, b = _domain_pair(domain)
     c = _lift_coeffs(coeffs)
-    if degree_cap is None:
-        degree_cap = max(DEFAULT_DEGREE_CAP, c.shape[0] - 1)
     nodes = np.stack([_poly.polyval(c, a), _poly.polyval(c, b)])
-    return PiecewiseFunction([a, b], [c], nodes, degree_cap)
+    return PiecewiseFunction([a, b], [c], nodes)
 
 
 def constant(domain, value) -> PiecewiseFunction:
@@ -375,12 +371,11 @@ def step(domain, region: ElementarySet | Interval, value=1.0) -> PiecewiseFuncti
     return constant(domain, value).restrict(region)
 
 
-def scaled_identity(domain, scalar_coeffs, dim: int = 1,
-                    degree_cap: int | None = None) -> PiecewiseFunction:
+def scaled_identity(domain, scalar_coeffs, dim: int = 1) -> PiecewiseFunction:
     """Operator-valued polynomial ``p(t) I`` from scalar coefficients."""
     sc = np.asarray(scalar_coeffs, dtype=float).reshape(-1)
     coeffs = sc[:, np.newaxis, np.newaxis] * np.eye(dim)
-    return polynomial(domain, coeffs, degree_cap)
+    return polynomial(domain, coeffs)
 
 
 # -- linear-space operations ---------------------------------------------------
@@ -404,20 +399,26 @@ def lincomb(c1: float, f1: PiecewiseFunction,
         out[:q.shape[0]] += c2 * q
         coeffs.append(out)
     nodes = c1 * r1.nodes + c2 * r2.nodes
-    return PiecewiseFunction(r1.grid, coeffs, nodes,
-                             max(f1.degree_cap, f2.degree_cap))
+    return PiecewiseFunction(r1.grid, coeffs, nodes)
 
 
-def _jump_table(f: PiecewiseFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Per-grid-point one-sided jumps (zero rows where continuous)."""
-    jm = np.zeros((f.grid.size,) + f.vshape)
-    jp = np.zeros((f.grid.size,) + f.vshape)
-    index = {float(t): k for k, t in enumerate(f.grid)}
-    for rec in f.jumps():
-        k = index[rec.t]
-        jm[k] = rec.jump_minus
-        jp[k] = rec.jump_plus
-    return jm, jp
+def _break_function(grid, records: Iterable[JumpRecord],
+                    vshape: tuple[int, ...]) -> PiecewiseFunction:
+    """The break function on ``grid`` with the jumps in ``records``, each
+    at a grid point (the other grid points carry none): at ``t`` it sums
+    the right jumps before ``t`` and the left jumps up to ``t``, so it
+    vanishes at ``a`` and is constant on every open piece."""
+    grid = np.asarray(grid, dtype=float)
+    steps = np.zeros((grid.size, 2) + vshape)
+    for rec in records:
+        k = int(np.searchsorted(grid, rec.t))
+        steps[k, 0] = rec.jump_minus
+        steps[k, 1] = rec.jump_plus
+    # cumsum adds strictly in sequence (left jump at t_0, right jump at t_0,
+    # left jump at t_1, ...), so every value is the running loop's float sum
+    running = np.cumsum(steps.reshape((-1,) + vshape), axis=0)
+    return PiecewiseFunction(grid, [p[np.newaxis] for p in running[1:-1:2]],
+                             running[0::2])
 
 
 def jordan_decompose(f: PiecewiseFunction) -> tuple[PiecewiseFunction, PiecewiseFunction]:
@@ -433,25 +434,13 @@ def jordan_decompose(f: PiecewiseFunction) -> tuple[PiecewiseFunction, Piecewise
     records = f.jumps()
     if not records:
         return f, zero_function((f.a, f.b), f.kind, f.dim)
-    jm, jp = _jump_table(f)
-    m = f.npieces
-    b_nodes = np.zeros_like(f.nodes)
-    piece_vals = np.zeros((m,) + f.vshape)
-    running = np.zeros(f.vshape)
-    for k in range(m + 1):
-        running = running + jm[k]
-        b_nodes[k] = running
-        if k < m:
-            running = running + jp[k]
-            piece_vals[k] = running
-    fb = PiecewiseFunction(f.grid, [piece_vals[j][np.newaxis] for j in range(m)],
-                           b_nodes)
+    fb = _break_function(f.grid, records, f.vshape)
     c_coeffs = []
-    for j, c in enumerate(f.coeffs):
+    for c, level in zip(f.coeffs, fb.coeffs):
         cc = np.array(c)
-        cc[0] = cc[0] - piece_vals[j]
+        cc[0] = cc[0] - level[0]
         c_coeffs.append(cc)
-    fc = PiecewiseFunction(f.grid, c_coeffs, f.nodes - b_nodes, f.degree_cap)
+    fc = PiecewiseFunction(f.grid, c_coeffs, f.nodes - fb.nodes)
     return fc, fb
 
 
@@ -477,26 +466,9 @@ def break_truncate(f_b: PiecewiseFunction, jump_points: Iterable[float]) -> Piec
         p = float(p)
         if p not in records:
             raise ValueError(f"{p} is not a jump point of the break function")
-        kept.append(p)
-    grid = np.unique(np.asarray([f_b.a, f_b.b] + kept, dtype=float))
-    vshape = f_b.vshape
-    jm = np.zeros((grid.size,) + vshape)
-    jp = np.zeros((grid.size,) + vshape)
-    for p in kept:
-        k = int(np.searchsorted(grid, p))
-        jm[k] = records[p].jump_minus
-        jp[k] = records[p].jump_plus
-    m = grid.size - 1
-    nodes = np.zeros((grid.size,) + vshape)
-    pieces = np.zeros((m,) + vshape)
-    running = np.zeros(vshape)
-    for k in range(m + 1):
-        running = running + jm[k]
-        nodes[k] = running
-        if k < m:
-            running = running + jp[k]
-            pieces[k] = running
-    return PiecewiseFunction(grid, [pieces[j][np.newaxis] for j in range(m)], nodes)
+        kept.append(records[p])
+    grid = np.unique(np.asarray([f_b.a, f_b.b] + [rec.t for rec in kept], dtype=float))
+    return _break_function(grid, kept, f_b.vshape)
 
 
 def restrict(f: PiecewiseFunction, region: ElementarySet | Interval) -> PiecewiseFunction:

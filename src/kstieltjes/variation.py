@@ -33,6 +33,7 @@ from typing import Sequence
 from . import _poly
 from .errors import DomainError
 from .intervals import ElementarySet, Interval
+from .norms import norm_of
 from .piecewise import PiecewiseFunction
 
 
@@ -74,9 +75,9 @@ def _jump_part(f: PiecewiseFunction, c: float, d: float,
         take_plus = (c <= rec.t < d) if include_lo else (c < rec.t < d)
         take_minus = (c < rec.t <= d) if include_hi else (c < rec.t < d)
         if take_plus:
-            plus += _poly.norm_of(rec.jump_plus)
+            plus += norm_of(rec.jump_plus)
         if take_minus:
-            minus += _poly.norm_of(rec.jump_minus)
+            minus += norm_of(rec.jump_minus)
     return plus + minus
 
 

@@ -269,6 +269,13 @@ class TestExitCodes:
         assert main(["variation", "f_nan.json"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_malformed_dim(self, specs, capsys):
+        doc = json.loads((specs / "f_hat.json").read_text())
+        doc["codomain"]["dim"] = 1.7
+        (specs / "f_dim.json").write_text(json.dumps(doc))
+        assert main(["variation", "f_dim.json"]) == 2
+        assert "'dim'" in capsys.readouterr().err
+
     def test_domain_error(self, specs):
         assert main(["integrate", "F_ramp.json", "g_one.json", "--set", "[0,2]"]) == 3
 

@@ -96,6 +96,36 @@ class TestValidation:
         with pytest.raises(FunctionSpecError, match="finite"):
             function_from_dict(doc)
 
+    @pytest.mark.parametrize("path, bad", [
+        (("codomain", "dim"), float("nan")),
+        (("codomain", "dim"), 1.7),
+        (("codomain", "dim"), "1"),
+        (("codomain", "dim"), None),
+        (("codomain", "dim"), True),
+        (("codomain", "dim"), 0),
+        (("domain",), [None, 1.0]),
+        (("domain",), [0.0, 10**400]),
+        (("pieces", 0, "interval"), None),
+        (("pieces", 0, "interval"), [0.0, 0.5, 1.0]),
+        (("pieces", 0, "coeffs"), [["x"]]),
+        (("nodes",), 5),
+        (("nodes",), [{"t": None, "value": [1.0]}]),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v)[:24])
+    def test_malformed_scalars(self, path, bad):
+        doc = self.base()
+        *outer, last = path
+        target = doc
+        for key in outer:
+            target = target[key]
+        target[last] = bad
+        with pytest.raises(FunctionSpecError):
+            function_from_dict(doc)
+
+    def test_integral_float_dim(self):
+        doc = self.base()
+        doc["codomain"]["dim"] = 1.0
+        assert function_from_dict(doc).dim == 1
+
     def test_non_finite_json_tokens(self, tmp_path):
         # json.loads accepts NaN and Infinity, so the loader must reject them
         path = tmp_path / "nan.json"

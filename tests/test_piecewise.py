@@ -109,6 +109,41 @@ class TestJumps:
             assert [(r.t,) for r in g.jumps()] == [(r.t,) for r in f.jumps()]
 
 
+class TestJumpAt:
+    @staticmethod
+    def one_sided(f, t):
+        """The jumps from the one-sided limits, endpoint conventions applied."""
+        zeros = np.zeros(f.vshape)
+        jm = zeros if t == f.a else f(t) - f.limit_left(t)
+        jp = zeros if t == f.b else f.limit_right(t) - f(t)
+        return jm, jp
+
+    def test_matches_one_sided_limits(self, rng):
+        for i in range(40):
+            kind = "operator" if i % 2 else "vector"
+            a = float(rng.choice([0.0, -3.5, 1e3]))
+            f = corpus.random_piecewise(rng, kind, int(rng.integers(1, 4)),
+                                        domain=(a, a + 2.0))
+            off = rng.uniform(f.a, f.b, size=5)
+            for t in np.concatenate([f.grid, off]):
+                rec = f.jump_at(t)
+                jm, jp = self.one_sided(f, float(t))
+                assert rec.t == t
+                assert np.array_equal(rec.jump_minus, jm)
+                assert np.array_equal(rec.jump_plus, jp)
+
+    def test_endpoint_conventions(self):
+        f = PiecewiseFunction([0.0, 1.0], [np.array([[1.0]])], [[3.0], [5.0]])
+        at_a, at_b = f.jump_at(0.0), f.jump_at(1.0)
+        assert at_a.jump_minus[0] == 0.0 and at_a.jump_plus[0] == -2.0
+        assert at_b.jump_minus[0] == 4.0 and at_b.jump_plus[0] == 0.0
+
+    def test_outside_domain(self, ramp):
+        for t in (-0.1, 1.5):
+            with pytest.raises(DomainError):
+                ramp.jump_at(t)
+
+
 class TestJordan:
     def test_pure_step(self, chi_half):
         fc, fb = jordan_decompose(chi_half)
@@ -179,6 +214,48 @@ class TestJordan:
         fc2, fb2 = jordan_decompose(f)
         assert np.array_equal(fb1.nodes, fb2.nodes)
         assert np.array_equal(fc1.nodes, fc2.nodes)
+
+
+def _jumps_by_index(grid, records, vshape):
+    jm = np.zeros((len(grid),) + vshape)
+    jp = np.zeros((len(grid),) + vshape)
+    for rec in records:
+        k = int(np.searchsorted(grid, rec.t))
+        jm[k], jp[k] = rec.jump_minus, rec.jump_plus
+    return jm, jp
+
+
+def _assert_same_function(f, g):
+    assert np.array_equal(f.grid, g.grid)
+    assert np.array_equal(f.nodes, g.nodes)
+    assert len(f.coeffs) == len(g.coeffs)
+    for p, q in zip(f.coeffs, g.coeffs):
+        assert np.array_equal(p, q)
+
+
+class TestBreakBuilderReference:
+    """Both library break functions equal, array for array, the running
+    sum that ``corpus._break_from_jumps`` builds from the same jumps."""
+
+    def test_against_corpus_loop(self, rng):
+        for i in range(60):
+            kind = "operator" if i % 2 else "vector"
+            a = float(rng.choice([0.0, -7.25, 1e4]))
+            f = corpus.random_piecewise(rng, kind, int(rng.integers(1, 4)),
+                                        domain=(a, a + 3.0), max_jumps=6)
+            records = f.jumps()
+            if not records:
+                continue
+            _, fb = jordan_decompose(f)
+            jm, jp = _jumps_by_index(f.grid, records, f.vshape)
+            _assert_same_function(fb, corpus._break_from_jumps(f.grid, jm, jp))
+
+            every = fb.jumps()
+            for kept in (every, [r for r in every if rng.random() < 0.5]):
+                grid = np.unique(np.asarray([f.a, f.b] + [r.t for r in kept]))
+                jm, jp = _jumps_by_index(grid, kept, f.vshape)
+                _assert_same_function(break_truncate(fb, [r.t for r in kept]),
+                                      corpus._break_from_jumps(grid, jm, jp))
 
 
 class TestBreakTruncate:
@@ -277,12 +354,11 @@ class TestLincomb:
 
 
 class TestDegreeCap:
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            PiecewiseFunction([0.0, 1.0], [np.zeros((12, 1)) + 1.0], [[0.0], [0.0]])
-
     def test_cap_liftable(self):
+        """There is no degree cap: any piece degree is accepted."""
         c = np.zeros((12, 1))
         c[11, 0] = 1.0
-        f = polynomial((0.0, 1.0), c, degree_cap=11)
+        f = polynomial((0.0, 1.0), c)
         assert f(0.5)[0] == 0.5**11
+        g = PiecewiseFunction([0.0, 1.0], [np.zeros((12, 1)) + 1.0], [[0.0], [0.0]])
+        assert g.limit_left(1.0)[0] == 12.0
