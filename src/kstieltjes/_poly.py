@@ -48,9 +48,11 @@ def polyval(c: np.ndarray, t) -> np.ndarray:
             out += c[j][..., np.newaxis] * ts**j
     else:
         top = int(nz[-1])
-        out = np.zeros(vshape + ts.shape) + c[top][..., np.newaxis]
+        out = np.zeros(vshape + ts.shape)
+        out += c[top][..., np.newaxis]
         for j in range(top - 1, -1, -1):
-            out = out * ts + c[j][..., np.newaxis]
+            out *= ts
+            out += c[j][..., np.newaxis]
     return out[..., 0] if scalar else out
 
 

@@ -18,9 +18,10 @@ function:
 ``coeffs`` is indexed ``[component][power]`` for vector functions and
 ``[row][column][power]`` for operator functions.  Piece intervals must
 tile the domain; every ``nodes`` entry must sit on a piece boundary.
-Every number must be finite: ``json`` accepts ``NaN`` and ``Infinity``
-tokens, and the loader rejects them in the domain, the piece intervals,
-the coefficients and the node values.  ``dim`` must be an integer of at
+Every number must be a finite JSON number: ``json`` accepts ``NaN`` and
+``Infinity`` tokens, and the loader rejects them, as it rejects strings
+and booleans, in the domain, the piece intervals, the coefficients, the
+node times and the node values.  ``dim`` must be an integer of at
 least 1 (an integral float such as ``2.0`` counts).
 Grid points without an explicit node default to continuity (the value of
 the polynomial to the right; to the left at ``b``).  Numbers are decimal
@@ -46,11 +47,16 @@ def _require(condition: bool, message: str):
 
 
 def _finite(value, what: str, shape=None) -> np.ndarray:
-    """``value`` as an array of finite floats, of ``shape`` when given."""
+    """``value`` as an array of finite floats, of ``shape`` when given.
+    Strings and booleans are refused even where they would convert."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FunctionSpecError(f"{what} must be numeric") from exc
+    # checked leaf by leaf: np.asarray([True, 1]) is an integer array
+    _require(not any(isinstance(x, (str, bool, np.bool_))
+                     for x in np.asarray(value, dtype=object).flat),
+             f"{what} must be numeric, not a string or a boolean")
     _require(shape is None or arr.shape == shape,
              f"{what} must have shape {shape}, got {arr.shape}")
     _require(np.isfinite(arr).all(), f"{what} must be finite")

@@ -289,7 +289,7 @@ def oracle_integral(F: PiecewiseFunction, g: PiecewiseFunction,
     functions only through pointwise evaluation.
     """
     check_pair(F, g)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if orientation not in ("dFg", "Fdg"):
         raise ValueError(f"unknown orientation {orientation!r}")

@@ -132,7 +132,7 @@ class PiecewiseFunction:
                 f"domain=[{self.a}, {self.b}], pieces={self.npieces})")
 
     def _check_inside(self, t: float):
-        if t < self.a or t > self.b:
+        if not (self.a <= t <= self.b):
             raise DomainError(f"t={t} outside the domain [{self.a}, {self.b}]")
 
     def _piece_of(self, t: float) -> int:
@@ -154,24 +154,21 @@ class PiecewiseFunction:
     def eval_many(self, ts) -> np.ndarray:
         """Vectorised evaluation; returns shape ``vshape + ts.shape``."""
         ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < self.a or ts.max() > self.b):
+        if ts.size and not (ts.min() >= self.a and ts.max() <= self.b):  # NaN fails too
             raise DomainError("evaluation points outside the domain")
-        idx = np.searchsorted(self.grid, ts, side="left")
-        on_grid = self.grid[np.minimum(idx, self.grid.size - 1)] == ts
-        out = np.empty(self.vshape + ts.shape)
-        if np.any(on_grid):
-            nodes_t = np.moveaxis(self.nodes, 0, -1)
-            out[..., on_grid] = nodes_t[..., idx[on_grid]]
-        off = ~on_grid
-        if np.any(off):
-            pidx = idx[off] - 1
-            toff = ts[off]
-            sub = np.empty(self.vshape + toff.shape)
-            for j in np.unique(pidx):
-                sel = pidx == j
-                sub[..., sel] = _poly.polyval(self.coeffs[j], toff[sel])
-            out[..., off] = sub
-        return out
+        order = np.argsort(ts, axis=None, kind="stable")  # linear on sorted input
+        srt = ts.reshape(-1)[order]
+        # grid point k owns srt[lo[k]:hi[k]], piece j owns srt[hi[j]:lo[j + 1]]
+        lo = np.searchsorted(srt, self.grid, side="left")
+        hi = np.searchsorted(srt, self.grid, side="right")
+        vals = np.empty(self.vshape + srt.shape)
+        for k in np.flatnonzero(hi > lo):
+            vals[..., lo[k]:hi[k]] = self.nodes[k][..., np.newaxis]
+        for j in np.flatnonzero(lo[1:] > hi[:-1]):
+            vals[..., hi[j]:lo[j + 1]] = _poly.polyval(self.coeffs[j], srt[hi[j]:lo[j + 1]])
+        out = np.empty_like(vals)
+        out[..., order] = vals
+        return out.reshape(self.vshape + ts.shape)
 
     def limit_right(self, t: float) -> np.ndarray:
         """One-sided limit ``f(t+)``; defined for ``t`` in ``[a, b)``."""

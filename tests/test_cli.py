@@ -269,6 +269,13 @@ class TestExitCodes:
         assert main(["variation", "f_nan.json"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_string_number_in_spec(self, specs, capsys):
+        doc = json.loads((specs / "f_hat.json").read_text())
+        doc["domain"] = ["0", 1]
+        (specs / "f_str.json").write_text(json.dumps(doc))
+        assert main(["variation", "f_str.json"]) == 2
+        assert "string or a boolean" in capsys.readouterr().err
+
     def test_malformed_dim(self, specs, capsys):
         doc = json.loads((specs / "f_hat.json").read_text())
         doc["codomain"]["dim"] = 1.7
@@ -296,6 +303,11 @@ class TestExitCodes:
                          "F_quad.json")
         rc = main(["oracle", "F_quad.json", "g_ramp.json", "--tol", "1e-300"])
         assert rc == 5
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    def test_non_positive_tol(self, specs, capsys, tol):
+        assert main(["oracle", "F_ramp.json", "g_ramp.json", "--tol", tol]) == 3
+        assert "tol must be positive" in capsys.readouterr().err
 
     def test_bad_flags(self, specs):
         assert main(["converge", "F_ramp.json", "--family", "power",

@@ -108,6 +108,13 @@ class TestValidation:
         (("pieces", 0, "interval"), None),
         (("pieces", 0, "interval"), [0.0, 0.5, 1.0]),
         (("pieces", 0, "coeffs"), [["x"]]),
+        (("domain",), ["0", 1]),
+        (("domain",), [False, 1.0]),
+        (("pieces", 0, "interval"), [0.0, "1"]),
+        (("pieces", 0, "coeffs"), [["1"]]),
+        (("pieces", 0, "coeffs"), [[True, 1]]),
+        (("nodes",), [{"t": "1.0", "value": [1.0]}]),
+        (("nodes",), [{"t": 1.0, "value": [True]}]),
         (("nodes",), 5),
         (("nodes",), [{"t": None, "value": [1.0]}]),
     ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v)[:24])
@@ -120,6 +127,17 @@ class TestValidation:
         target[last] = bad
         with pytest.raises(FunctionSpecError):
             function_from_dict(doc)
+
+    def test_integers_beyond_int64(self, tmp_path):
+        # json.loads gives Python ints of any size; they are numbers
+        big = 10**30
+        doc = self.base()
+        doc["domain"] = [0, big]
+        doc["pieces"] = [{"interval": [0, big], "coeffs": [[big]]}]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        f = load_function(path)
+        assert (f.a, f.b) == (0.0, 1e30) and f(0.5)[0] == 1e30
 
     def test_integral_float_dim(self):
         doc = self.base()

@@ -168,8 +168,9 @@ class TestOracle:
         g = polynomial((0.0, 1.0), [0.0, 1.0])
         with pytest.raises(ValueError):
             oracle_integral(F, g, "sideways", 1e-8)
-        with pytest.raises(ValueError):
-            oracle_integral(F, g, "dFg", tol=-1.0)
+        for tol in (-1.0, 0.0, float("nan")):
+            with pytest.raises(ValueError):
+                oracle_integral(F, g, "dFg", tol=tol)
 
     def test_matches_engine_both_orientations(self, rng):
         for _ in range(25):

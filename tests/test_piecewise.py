@@ -6,6 +6,7 @@ from kstieltjes import (DomainError, ElementarySet, Interval,
                         PiecewiseFunction, break_truncate, constant,
                         jordan_decompose, lincomb, polynomial, step,
                         var_compact)
+from kstieltjes import _poly
 
 
 @pytest.fixture
@@ -48,6 +49,117 @@ class TestEval:
         many = f.eval_many(ts)
         for i, t in enumerate(ts):
             assert np.array_equal(many[..., i], f(t))
+
+    @pytest.mark.parametrize("entry", ["eval_many", "__call__", "limit_left",
+                                       "limit_right", "jump_at"])
+    def test_nan_is_outside_domain(self, chi_half, entry):
+        t = [0.5, np.nan] if entry == "eval_many" else np.nan
+        with pytest.raises(DomainError):
+            getattr(chi_half, entry)(t)
+
+
+def _step_horner(c, t):
+    """Reference ``_poly.polyval`` that allocates two new arrays on every
+    Horner step; the library updates one buffer in place."""
+    c = np.asarray(c, dtype=float)
+    tarr = np.asarray(t, dtype=float)
+    scalar = tarr.ndim == 0
+    ts = tarr.reshape(1) if scalar else tarr
+    vshape = c.shape[1:]
+    nz = np.flatnonzero(c.reshape(c.shape[0], -1).any(axis=1))
+    if nz.size == 0:
+        out = np.zeros(vshape + ts.shape)
+    elif nz.size <= 2:
+        out = np.zeros(vshape + ts.shape)
+        for j in nz:
+            out += c[j][..., np.newaxis] * ts**j
+    else:
+        top = int(nz[-1])
+        out = np.zeros(vshape + ts.shape) + c[top][..., np.newaxis]
+        for j in range(top - 1, -1, -1):
+            out = out * ts + c[j][..., np.newaxis]
+    return out[..., 0] if scalar else out
+
+
+def _masked_eval_many(f, ts):
+    """Reference ``eval_many``: one boolean mask per touched piece over all
+    points, with masked writes; the library sorts the points once and
+    evaluates each piece on one contiguous slice."""
+    ts = np.asarray(ts, dtype=float)
+    idx = np.searchsorted(f.grid, ts, side="left")
+    on_grid = f.grid[np.minimum(idx, f.grid.size - 1)] == ts
+    out = np.empty(f.vshape + ts.shape)
+    if np.any(on_grid):
+        nodes_t = np.moveaxis(f.nodes, 0, -1)
+        out[..., on_grid] = nodes_t[..., idx[on_grid]]
+    off = ~on_grid
+    if np.any(off):
+        pidx = idx[off] - 1
+        toff = ts[off]
+        sub = np.empty(f.vshape + toff.shape)
+        for j in np.unique(pidx):
+            sel = pidx == j
+            sub[..., sel] = _step_horner(f.coeffs[j], toff[sel])
+        out[..., off] = sub
+    return out
+
+
+def _random_coeffs(rng, vshape):
+    """Dense, sparse-monomial (one or two nonzero degrees) or zero
+    coefficients, some entries negative zero."""
+    style = rng.integers(3)
+    if style == 0:
+        c = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 7)),) + vshape)
+    elif style == 1:
+        c = np.zeros((int(rng.integers(2, 14)),) + vshape)
+        c[-1] = rng.uniform(-1.0, 1.0, size=vshape)
+        if rng.random() < 0.5:
+            c[int(rng.integers(0, c.shape[0] - 1))] = rng.uniform(-1.0, 1.0, size=vshape)
+    else:
+        c = np.zeros((int(rng.integers(1, 4)),) + vshape)
+    return np.where(rng.random(c.shape) < 0.1, -0.0, c)
+
+
+class TestEvalReference:
+    """``eval_many`` and ``polyval`` equal the reference loops byte for byte."""
+
+    def random_function(self, rng, kind, dim, pieces, a, b):
+        vshape = (dim,) if kind == "vector" else (dim, dim)
+        grid = np.unique(np.concatenate([[a], rng.uniform(a, b, pieces - 1), [b]]))
+        coeffs = [_random_coeffs(rng, vshape) for _ in range(grid.size - 1)]
+        return PiecewiseFunction(grid, coeffs,
+                                 rng.uniform(-1.0, 1.0, size=(grid.size,) + vshape))
+
+    @staticmethod
+    def same(got, ref):
+        got = np.asarray(got)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    def test_eval_many(self, rng):
+        for kind in ("vector", "operator"):
+            for dim in (1, 2, 3):
+                for pieces in (1, 7, 200):
+                    a = float(rng.choice([0.0, -2.5, 1e3]))
+                    b = a + float(rng.choice([1.0, 4.0]))
+                    f = self.random_function(rng, kind, dim, pieces, a, b)
+                    inside = rng.uniform(a, b, size=60)
+                    hits = rng.choice(f.grid, size=10)
+                    # unsorted, with duplicates, grid hits and both ends
+                    ts = rng.permutation(np.concatenate(
+                        [inside, inside[:6], hits, hits[:3], [a, b, a]]))
+                    for pts in (ts, np.sort(ts), ts[:36].reshape(6, 6),
+                                np.array([]), np.array(ts[0]), np.array(hits[0])):
+                        self.same(f.eval_many(pts), _masked_eval_many(f, pts))
+
+    def test_polyval(self, rng):
+        for _ in range(300):
+            vshape = [(), (1,), (3,), (2, 2), (3, 3)][int(rng.integers(5))]
+            c = _random_coeffs(rng, vshape)
+            ts = rng.uniform(-3.0, 3.0, size=int(rng.integers(0, 40)))
+            self.same(_poly.polyval(c, ts), _step_horner(c, ts))
+            t = float(rng.uniform(-3.0, 3.0))
+            self.same(_poly.polyval(c, t), _step_horner(c, t))
 
 
 class TestLimits:
