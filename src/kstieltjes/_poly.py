@@ -83,14 +83,6 @@ def defint(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return out
 
 
-def _trim_high(c: np.ndarray) -> np.ndarray:
-    """Drop exactly-zero leading (high-degree) coefficients."""
-    top = c.shape[0]
-    while top > 1 and not np.any(c[top - 1]):
-        top -= 1
-    return c[:top]
-
-
 def is_zero_poly(c: np.ndarray) -> bool:
     return not np.any(np.asarray(c))
 

@@ -22,11 +22,16 @@ divisions are built by frontier bisection: starting from a dyadic mesh
 that contains the forced points, each pass tests only the intervals that
 the previous pass split.  Fineness of an interval depends on its two
 endpoints alone, so the division is the same as re-testing every interval
-on every pass would give, at a fraction of the gauge evaluations.
+on every pass would give, at a fraction of the gauge evaluations.  Only
+the first pass runs on arrays; the narrow frontier it leaves is bisected
+on Python floats, through the float twins of the factory gauges, which
+round exactly as their array evaluators do.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from math import isfinite
 from typing import Callable
 
 import numpy as np
@@ -39,12 +44,18 @@ from .intervals import Interval
 
 
 class Gauge:
-    """Positive width-control function, evaluated on scalars or arrays."""
+    """Positive width-control function, evaluated on scalars or arrays.
+    ``at_float``, if given, must equal ``fn`` bit for bit on finite floats;
+    a call with a Python float then skips numpy."""
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray],
+                 at_float: Callable[[float], float] | None = None):
         self._fn = fn
+        self._at_float = at_float
 
     def __call__(self, t):
+        if self._at_float is not None and type(t) is float and isfinite(t):
+            return self._at_float(t)
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         vals = np.asarray(self._fn(arr.reshape(1) if scalar else arr), dtype=float)
@@ -53,9 +64,9 @@ class Gauge:
     @classmethod
     def constant(cls, delta: float) -> "Gauge":
         delta = float(delta)
-        if delta <= 0.0:
+        if not delta > 0.0:
             raise ValueError("a gauge must be strictly positive")
-        return cls(lambda t: np.full(t.shape, delta))
+        return cls(lambda t: np.full(t.shape, delta), lambda t: delta)
 
     @classmethod
     def forcing(cls, points, base: float = 1.0) -> "Gauge":
@@ -66,31 +77,37 @@ class Gauge:
         point (so that no fine interval can contain two forced points).
         """
         base = float(base)
-        if base <= 0.0:
+        if not base > 0.0:
             raise ValueError("a gauge must be strictly positive")
         pts = np.unique(np.asarray(points, dtype=float))
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("forced points must be finite")
         if pts.size == 0:
             return cls.constant(base)
-        if pts.size == 1:
-            caps = np.array([base])
-        else:
-            gaps = np.diff(pts)
-            nearest = np.minimum(np.concatenate([[np.inf], gaps]),
-                                 np.concatenate([gaps, [np.inf]]))
-            caps = np.minimum(base, nearest / 2.0)
+        gaps = np.diff(pts)
+        nearest = np.minimum(np.concatenate([[np.inf], gaps]),
+                             np.concatenate([gaps, [np.inf]]))
+        caps = np.minimum(base, nearest / 2.0)
+        # with sentinels, point i has neighbours ends[i] (left) and ends[i + 1]
+        ends = np.concatenate([[-np.inf], pts, [np.inf]])
+        pts_list, ends_list, caps_list = pts.tolist(), ends.tolist(), caps.tolist()
 
         def evaluate(t: np.ndarray) -> np.ndarray:
             i = np.searchsorted(pts, t)
-            left = np.where(i > 0, t - pts[np.maximum(i - 1, 0)], np.inf)
-            right = np.where(i < pts.size, pts[np.minimum(i, pts.size - 1)] - t, np.inf)
-            dist = np.minimum(left, right)
+            dist = np.minimum(t - ends[i], ends[i + 1] - t)
             out = dist / 2.0
             hit = dist == 0.0
             if np.any(hit):
-                out = np.where(hit, caps[np.minimum(i, pts.size - 1)], out)
+                out[hit] = caps[i[hit]]
             return out
 
-        return cls(evaluate)
+        def at_float(t: float) -> float:
+            i = bisect_left(pts_list, t)
+            left, right = t - ends_list[i], ends_list[i + 1] - t
+            dist = left if left < right else right
+            return caps_list[i] if dist == 0.0 else dist / 2.0
+
+        return cls(evaluate, at_float)
 
     @classmethod
     def minimum(cls, *gauges: "Gauge") -> "Gauge":
@@ -104,7 +121,16 @@ class Gauge:
                 out = np.minimum(out, g._fn(t))
             return out
 
-        return cls(evaluate)
+        twins = [g._at_float for g in gauges]
+
+        def at_float(t: float) -> float:
+            out = twins[0](t)
+            for twin in twins[1:]:
+                value = twin(t)
+                out = value if value < out else out
+            return out
+
+        return cls(evaluate, None if None in twins else at_float)
 
 
 class TaggedDivision:
@@ -210,16 +236,17 @@ def _check_spans(f: PiecewiseFunction, division: TaggedDivision):
         raise ValueError("division does not span the functions' domain")
 
 
-def _forced_tags(u: np.ndarray, v: np.ndarray,
-                 forced: np.ndarray) -> np.ndarray:
-    """Tags of the oracle's intervals ``[u, v]``: a forced left end, else a
-    forced right end, else the midpoint.  ``forced`` must be sorted."""
-    if forced.size == 0:
-        return 0.5 * (u + v)
-    last = forced.size - 1
-    at_u = forced[np.minimum(np.searchsorted(forced, u), last)] == u
-    at_v = forced[np.minimum(np.searchsorted(forced, v), last)] == v
-    return np.where(at_u, u, np.where(at_v, v, 0.5 * (u + v)))
+def _forced_tags(points: np.ndarray, forced: np.ndarray) -> np.ndarray:
+    """Tags of the intervals between consecutive ``points``: a forced left
+    end, else a forced right end, else the midpoint.  ``forced`` must be a
+    sorted subset of the sorted ``points``."""
+    tags = 0.5 * (points[:-1] + points[1:])
+    k = np.searchsorted(points, forced)
+    right = k[k > 0]
+    tags[right - 1] = points[right]
+    left = k[k < tags.size]
+    tags[left] = points[left]
+    return tags
 
 
 def _forced_fine_division(a: float, b: float, forced: np.ndarray,
@@ -228,47 +255,65 @@ def _forced_fine_division(a: float, b: float, forced: np.ndarray,
     """Fine division for the oracle: uniform dyadic seed plus the forced
     points, refined by midpoint splitting until every interval is fine.
 
-    Tags prefer a forced endpoint (so jump terms are exact) and fall back
-    to the midpoint, whose symmetry gives quadratic convergence of the
-    sums on the smooth parts.
+    Tags prefer a forced left end, then a forced right end (so jump terms
+    are exact), and fall back to the midpoint, whose symmetry gives
+    quadratic convergence of the sums on the smooth parts.
 
     The refinement is a frontier bisection: each pass tests only the
     intervals the previous pass split, sets the fine ones aside and
     replaces every other one by its two halves.  Whether an interval is
     fine depends on its endpoints alone, so this yields the same points
     and tags as re-testing the whole division on every pass, at one gauge
-    evaluation per final interval plus one per split.  The division in use
-    (the intervals set aside and those on the frontier) may not have more
-    than ``max_points`` points; a pass in which no interval can be split,
-    or more than 200 passes, raise :class:`OracleFailureError`.
+    evaluation per final interval plus one per split.
+
+    The first pass tests the seed as arrays; the few intervals it leaves
+    are bisected as Python floats, in the same order, where the arithmetic,
+    the comparisons and the gauge's float twin round as the numpy code
+    does, so the points equal an all-array bisection's bit for bit.  The
+    division in use (the seed included) may not have more than
+    ``max_points`` points; a pass in which no interval can be split, or
+    more than 200 passes, raise :class:`OracleFailureError`.
     """
     forced = np.unique(np.asarray(forced, dtype=float))
     seed = np.unique(np.concatenate(
         [np.linspace(a, b, 2**level + 1), forced]))
+    if seed.size > max_points:
+        raise OracleFailureError("fine division exceeded the point budget")
     u, v = seed[:-1], seed[1:]
-    accepted: list[np.ndarray] = []
-    n_accepted = 0
-    for _ in range(200):
-        tags = _forced_tags(u, v, forced)
-        fine = np.maximum(v - tags, tags - u) < gauge(tags)
-        accepted.append(u[fine])
-        n_accepted += accepted[-1].size
-        if fine.all():
-            points = np.concatenate(accepted + [seed[-1:]])
-            points[:-1].sort()
-            return TaggedDivision(
-                points, _forced_tags(points[:-1], points[1:], forced))
-        u, v = u[~fine], v[~fine]
-        if n_accepted + u.size + 1 > max_points:
+    tags = _forced_tags(seed, forced)
+    fine = np.maximum(v - tags, tags - u) < gauge(tags)
+    kept = u[fine]
+    frontier = list(zip(u[~fine].tolist(), v[~fine].tolist()))
+    forced_set = set(forced.tolist())
+    added: list[float] = []
+    passes = 1
+    while frontier:
+        if kept.size + len(added) + len(frontier) + 1 > max_points:
             raise OracleFailureError("fine division exceeded the point budget")
-        mids = 0.5 * (u + v)
-        split = (u < mids) & (mids < v)
-        if not split.any():
+        lefts, rights = [], []
+        for lo, hi in frontier:
+            mid = 0.5 * (lo + hi)
+            if lo < mid < hi:
+                lefts.append((lo, mid))
+                rights.append((mid, hi))
+            else:  # too narrow to split: stays on the frontier as it is
+                lefts.append((lo, hi))
+        if not rights:
             raise OracleFailureError("refinement stalled at float resolution")
-        # an interval too narrow to split stays on the frontier as it is
-        u, v = (np.concatenate([u, mids[split]]),
-                np.concatenate([np.where(split, mids, v), v[split]]))
-    raise OracleFailureError("fine division did not stabilise")
+        if passes == 200:
+            raise OracleFailureError("fine division did not stabilise")
+        passes += 1
+        frontier = []
+        for lo, hi in lefts + rights:
+            tag = (lo if lo in forced_set else hi if hi in forced_set
+                   else 0.5 * (lo + hi))
+            if max(hi - tag, tag - lo) < gauge(tag):
+                added.append(lo)
+            else:
+                frontier.append((lo, hi))
+    points = np.concatenate([kept, added, seed[-1:]])
+    points[:-1].sort(kind="stable")
+    return TaggedDivision(points, _forced_tags(points, forced))
 
 
 def oracle_integral(F: PiecewiseFunction, g: PiecewiseFunction,

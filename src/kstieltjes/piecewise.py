@@ -156,8 +156,11 @@ class PiecewiseFunction:
         ts = np.asarray(ts, dtype=float)
         if ts.size and not (ts.min() >= self.a and ts.max() <= self.b):  # NaN fails too
             raise DomainError("evaluation points outside the domain")
-        order = np.argsort(ts, axis=None, kind="stable")  # linear on sorted input
-        srt = ts.reshape(-1)[order]
+        srt = ts.reshape(-1)
+        order = None
+        if not np.all(srt[1:] >= srt[:-1]):
+            order = np.argsort(srt, kind="stable")
+            srt = srt[order]
         # grid point k owns srt[lo[k]:hi[k]], piece j owns srt[hi[j]:lo[j + 1]]
         lo = np.searchsorted(srt, self.grid, side="left")
         hi = np.searchsorted(srt, self.grid, side="right")
@@ -166,9 +169,11 @@ class PiecewiseFunction:
             vals[..., lo[k]:hi[k]] = self.nodes[k][..., np.newaxis]
         for j in np.flatnonzero(lo[1:] > hi[:-1]):
             vals[..., hi[j]:lo[j + 1]] = _poly.polyval(self.coeffs[j], srt[hi[j]:lo[j + 1]])
-        out = np.empty_like(vals)
-        out[..., order] = vals
-        return out.reshape(self.vshape + ts.shape)
+        if order is not None:
+            out = np.empty_like(vals)
+            out[..., order] = vals
+            vals = out
+        return vals.reshape(self.vshape + ts.shape)
 
     def limit_right(self, t: float) -> np.ndarray:
         """One-sided limit ``f(t+)``; defined for ``t`` in ``[a, b)``."""
@@ -219,9 +224,6 @@ class PiecewiseFunction:
         return [rec for rec in records
                 if norm_of(rec.jump_minus) > tol or norm_of(rec.jump_plus) > tol]
 
-    def is_continuous(self, tol: float = 0.0) -> bool:
-        return not self.jumps(tol)
-
     # -- structural operations ----------------------------------------------
 
     def refine(self, points: Iterable[float]) -> "PiecewiseFunction":
@@ -230,7 +232,7 @@ class PiecewiseFunction:
         extra = []
         for p in points:
             p = float(p)
-            if p < self.a or p > self.b:
+            if not (self.a <= p <= self.b):
                 raise DomainError(f"refinement point {p} outside the domain")
             extra.append(p)
         new_grid = np.unique(np.concatenate([self.grid, np.asarray(extra, dtype=float)]))

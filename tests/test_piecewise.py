@@ -51,9 +51,9 @@ class TestEval:
             assert np.array_equal(many[..., i], f(t))
 
     @pytest.mark.parametrize("entry", ["eval_many", "__call__", "limit_left",
-                                       "limit_right", "jump_at"])
+                                       "limit_right", "jump_at", "refine"])
     def test_nan_is_outside_domain(self, chi_half, entry):
-        t = [0.5, np.nan] if entry == "eval_many" else np.nan
+        t = [0.5, np.nan] if entry in ("eval_many", "refine") else np.nan
         with pytest.raises(DomainError):
             getattr(chi_half, entry)(t)
 
@@ -148,7 +148,13 @@ class TestEvalReference:
                     # unsorted, with duplicates, grid hits and both ends
                     ts = rng.permutation(np.concatenate(
                         [inside, inside[:6], hits, hits[:3], [a, b, a]]))
-                    for pts in (ts, np.sort(ts), ts[:36].reshape(6, 6),
+                    # sorted input skips the permutation: non-decreasing
+                    # with duplicates, ending in an interior grid point,
+                    # 2-D, and sorted but for the last element
+                    srt = np.sort(ts)
+                    to_grid = srt[:np.searchsorted(srt, np.sort(hits)[5], "right")]
+                    for pts in (ts, srt, to_grid, srt[:36].reshape(6, 6),
+                                np.append(srt, 0.5 * (a + b)), ts[:36].reshape(6, 6),
                                 np.array([]), np.array(ts[0]), np.array(hits[0])):
                         self.same(f.eval_many(pts), _masked_eval_many(f, pts))
 
