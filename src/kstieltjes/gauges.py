@@ -17,20 +17,16 @@ makes jump terms of Riemann-Stieltjes sums exact.
 
 ``oracle_integral`` estimates the integral purely from such sums over a
 shrinking family of gauges, independently of the closed-form engine; the
-two are cross-checked on a randomised corpus by the test suite.  Its fine
-divisions are built by frontier bisection: starting from a dyadic mesh
-that contains the forced points, each pass tests only the intervals that
-the previous pass split.  Fineness of an interval depends on its two
-endpoints alone, so the division is the same as re-testing every interval
-on every pass would give, at a fraction of the gauge evaluations.  Only
-the first pass runs on arrays; the narrow frontier it leaves is bisected
-on Python floats, through the float twins of the factory gauges, which
-round exactly as their array evaluators do.
+two are cross-checked on a randomised corpus by the test suite.  Its
+gauges are known in closed form, so each fine division is written down
+directly, with no gauge test while it is built: a uniform dyadic mesh,
+the forced points, and points graded geometrically toward each forced
+point down to its cap.  One fineness check against the level's gauge
+then guards the construction.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import isfinite
 from typing import Callable
 
@@ -44,18 +40,12 @@ from .intervals import Interval
 
 
 class Gauge:
-    """Positive width-control function, evaluated on scalars or arrays.
-    ``at_float``, if given, must equal ``fn`` bit for bit on finite floats;
-    a call with a Python float then skips numpy."""
+    """Positive width-control function, evaluated on scalars or arrays."""
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray],
-                 at_float: Callable[[float], float] | None = None):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self._fn = fn
-        self._at_float = at_float
 
     def __call__(self, t):
-        if self._at_float is not None and type(t) is float and isfinite(t):
-            return self._at_float(t)
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         vals = np.asarray(self._fn(arr.reshape(1) if scalar else arr), dtype=float)
@@ -66,7 +56,7 @@ class Gauge:
         delta = float(delta)
         if not delta > 0.0:
             raise ValueError("a gauge must be strictly positive")
-        return cls(lambda t: np.full(t.shape, delta), lambda t: delta)
+        return cls(lambda t: np.full(t.shape, delta))
 
     @classmethod
     def forcing(cls, points, base: float = 1.0) -> "Gauge":
@@ -90,7 +80,6 @@ class Gauge:
         caps = np.minimum(base, nearest / 2.0)
         # with sentinels, point i has neighbours ends[i] (left) and ends[i + 1]
         ends = np.concatenate([[-np.inf], pts, [np.inf]])
-        pts_list, ends_list, caps_list = pts.tolist(), ends.tolist(), caps.tolist()
 
         def evaluate(t: np.ndarray) -> np.ndarray:
             i = np.searchsorted(pts, t)
@@ -101,13 +90,7 @@ class Gauge:
                 out[hit] = caps[i[hit]]
             return out
 
-        def at_float(t: float) -> float:
-            i = bisect_left(pts_list, t)
-            left, right = t - ends_list[i], ends_list[i + 1] - t
-            dist = left if left < right else right
-            return caps_list[i] if dist == 0.0 else dist / 2.0
-
-        return cls(evaluate, at_float)
+        return cls(evaluate)
 
     @classmethod
     def minimum(cls, *gauges: "Gauge") -> "Gauge":
@@ -121,16 +104,7 @@ class Gauge:
                 out = np.minimum(out, g._fn(t))
             return out
 
-        twins = [g._at_float for g in gauges]
-
-        def at_float(t: float) -> float:
-            out = twins[0](t)
-            for twin in twins[1:]:
-                value = twin(t)
-                out = value if value < out else out
-            return out
-
-        return cls(evaluate, None if None in twins else at_float)
+        return cls(evaluate)
 
 
 class TaggedDivision:
@@ -142,11 +116,13 @@ class TaggedDivision:
         tags = np.asarray(tags, dtype=float)
         if points.ndim != 1 or points.size < 2:
             raise ValueError("a division needs at least one subinterval")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("division points must be finite")
         if not np.all(np.diff(points) > 0):
             raise ValueError("division points must be strictly increasing")
         if tags.shape != (points.size - 1,):
             raise ValueError("need exactly one tag per subinterval")
-        if np.any(tags < points[:-1]) or np.any(tags > points[1:]):
+        if not np.all((points[:-1] <= tags) & (tags <= points[1:])):
             raise ValueError("tags must lie inside their subintervals")
         points.setflags(write=False)
         tags.setflags(write=False)
@@ -185,6 +161,8 @@ def cousin_partition(gauge: Gauge, a: float, b: float,
     the depth cap raises :class:`GaugeTooSmallError`.
     """
     a, b = float(a), float(b)
+    if not (isfinite(a) and isfinite(b)):
+        raise ValueError("the ends of a division must be finite")
     if not a < b:
         raise ValueError("need a < b")
     points = [a]
@@ -250,70 +228,77 @@ def _forced_tags(points: np.ndarray, forced: np.ndarray) -> np.ndarray:
 
 
 def _forced_fine_division(a: float, b: float, forced: np.ndarray,
-                          level: int, gauge: Gauge,
-                          max_points: int) -> TaggedDivision:
-    """Fine division for the oracle: uniform dyadic seed plus the forced
-    points, refined by midpoint splitting until every interval is fine.
+                          level: int, max_points: int) -> TaggedDivision:
+    """Fine division of ``[a, b]`` for the oracle's gauge at ``level``,
+    written down without testing the gauge (Cousin's lemma made
+    constructive for this gauge).  The ends ``a`` and ``b`` are always
+    forced.
+
+    With ``h = span 2**-level``, ``base = span 4**-level`` and, at each
+    forced point ``p``, ``cap(p) = min(base, half the gap to its nearest
+    forced neighbour)``, the division holds the ``2**level + 1`` mesh, the
+    forced points and, on each side of ``p``, the graded points
+    ``p +- r 2**-j`` for ``j = 0..J``: ``r = min(h, half the gap to the
+    neighbour on that side)`` and ``J`` is the first ``j`` whose float
+    distance to ``p`` is below ``cap(p)``.  Mesh nodes strictly inside an
+    innermost interval ``(p - r 2**-J, p + r 2**-J)`` are dropped, so both
+    intervals at ``p`` are tagged by ``p`` and fine.  Every other interval
+    lies inside a graded interval ``p +- [s, 2s]``, or at least ``h`` away
+    from every forced point and at most about ``h`` wide; with its midpoint
+    as tag it is fine with a margin of at least 1.5.
 
     Tags prefer a forced left end, then a forced right end (so jump terms
     are exact), and fall back to the midpoint, whose symmetry gives
-    quadratic convergence of the sums on the smooth parts.
-
-    The refinement is a frontier bisection: each pass tests only the
-    intervals the previous pass split, sets the fine ones aside and
-    replaces every other one by its two halves.  Whether an interval is
-    fine depends on its endpoints alone, so this yields the same points
-    and tags as re-testing the whole division on every pass, at one gauge
-    evaluation per final interval plus one per split.
-
-    The first pass tests the seed as arrays; the few intervals it leaves
-    are bisected as Python floats, in the same order, where the arithmetic,
-    the comparisons and the gauge's float twin round as the numpy code
-    does, so the points equal an all-array bisection's bit for bit.  The
-    division in use (the seed included) may not have more than
-    ``max_points`` points; a pass in which no interval can be split, or
-    more than 200 passes, raise :class:`OracleFailureError`.
+    quadratic convergence of the sums on the smooth parts.  A division of
+    more than ``max_points`` points, a graded point that rounds onto its
+    forced point, or a division that fails the fineness check raise
+    :class:`OracleFailureError`.
     """
-    forced = np.unique(np.asarray(forced, dtype=float))
-    seed = np.unique(np.concatenate(
-        [np.linspace(a, b, 2**level + 1), forced]))
-    if seed.size > max_points:
+    if 2**level + 1 > max_points:
         raise OracleFailureError("fine division exceeded the point budget")
-    u, v = seed[:-1], seed[1:]
-    tags = _forced_tags(seed, forced)
-    fine = np.maximum(v - tags, tags - u) < gauge(tags)
-    kept = u[fine]
-    frontier = list(zip(u[~fine].tolist(), v[~fine].tolist()))
-    forced_set = set(forced.tolist())
-    added: list[float] = []
-    passes = 1
-    while frontier:
-        if kept.size + len(added) + len(frontier) + 1 > max_points:
-            raise OracleFailureError("fine division exceeded the point budget")
-        lefts, rights = [], []
-        for lo, hi in frontier:
-            mid = 0.5 * (lo + hi)
-            if lo < mid < hi:
-                lefts.append((lo, mid))
-                rights.append((mid, hi))
-            else:  # too narrow to split: stays on the frontier as it is
-                lefts.append((lo, hi))
-        if not rights:
+    span = b - a
+    h, base = span * 2.0**-level, span * 4.0**-level
+    forced = np.unique(np.concatenate([[a, b], forced]))
+    gaps = np.diff(forced)
+    nearest = np.minimum(np.concatenate([[np.inf], gaps]),
+                         np.concatenate([gaps, [np.inf]]))
+    cap = np.minimum(base, nearest / 2.0)  # as Gauge.forcing rounds it
+    # gap i is shared by the right side of forced[i] and the left side of
+    # forced[i + 1]; with the ends forced, every graded point is inside (a, b)
+    r = np.minimum(h, gaps / 2.0)
+    # an exact offset is below cap after floor(log2(r / cap)) + 1 halvings;
+    # one more covers the rounding of the float distance
+    ratio = np.max(r / np.minimum(cap[:-1], cap[1:]))
+    halvings = 2.0 ** -np.arange(int(np.log2(ratio)) + 3)
+    graded, innermost = [forced], []
+    for p, step, c in ((forced[:-1], r, cap[:-1]), (forced[1:], -r, cap[1:])):
+        pts = p[:, None] + step[:, None] * halvings
+        dist = np.abs(pts - p[:, None])
+        last = np.argmax(dist < c[:, None], axis=1)
+        rows = np.arange(p.size)
+        if np.any(dist[rows, last] == 0.0):
             raise OracleFailureError("refinement stalled at float resolution")
-        if passes == 200:
-            raise OracleFailureError("fine division did not stabilise")
-        passes += 1
-        frontier = []
-        for lo, hi in lefts + rights:
-            tag = (lo if lo in forced_set else hi if hi in forced_set
-                   else 0.5 * (lo + hi))
-            if max(hi - tag, tag - lo) < gauge(tag):
-                added.append(lo)
-            else:
-                frontier.append((lo, hi))
-    points = np.concatenate([kept, added, seed[-1:]])
-    points[:-1].sort(kind="stable")
-    return TaggedDivision(points, _forced_tags(points, forced))
+        graded.append(pts[np.arange(halvings.size) <= last[:, None]])
+        innermost.append(pts[rows, last])
+    hi = np.append(innermost[0], b)
+    lo = np.insert(innermost[1], 0, a)
+    mesh = np.linspace(a, b, 2**level + 1)
+    # a window (lo, hi) is narrower than 2 base <= h: at most one mesh node
+    node = np.searchsorted(mesh, lo, side="right")
+    inside = mesh[node] < hi
+    if inside.any():
+        mesh = np.delete(mesh, node[inside])
+    extra = np.unique(np.concatenate(graded))
+    at = np.searchsorted(mesh, extra)
+    new = mesh[np.minimum(at, mesh.size - 1)] != extra
+    if mesh.size + np.count_nonzero(new) > max_points:
+        raise OracleFailureError("fine division exceeded the point budget")
+    points = np.insert(mesh, at[new], extra[new])
+    division = TaggedDivision(points, _forced_tags(points, forced))
+    gauge = Gauge.minimum(Gauge.forcing(forced, base=base), Gauge.constant(h))
+    if not is_delta_fine(division, gauge):
+        raise OracleFailureError(f"the division built at level {level} is not fine")
+    return division
 
 
 def oracle_integral(F: PiecewiseFunction, g: PiecewiseFunction,
@@ -322,8 +307,9 @@ def oracle_integral(F: PiecewiseFunction, g: PiecewiseFunction,
                     max_points: int = 1 << 21) -> np.ndarray:
     """Estimate the integral as a limit of Riemann-Stieltjes sums.
 
-    Level ``k`` uses the gauge ``min(forcing gauge of the functions' grid
-    points, constant 2**-k (b - a))``; the forcing base shrinks like
+    Level ``k`` sums over a division fine for the gauge ``min(forcing
+    gauge of the functions' grid points, constant 2**-k (b - a))``, built
+    by ``_forced_fine_division``; the forcing base shrinks like
     ``4**-k`` so the intervals hugging a forced point contract at the same
     quadratic rate as the midpoint-tagged sums converge on the smooth
     parts.  The first level ``k >= start_level + 2`` whose last three sums
@@ -338,15 +324,17 @@ def oracle_integral(F: PiecewiseFunction, g: PiecewiseFunction,
         raise ValueError("tol must be positive")
     if orientation not in ("dFg", "Fdg"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    a, b = F.a, F.b
-    span = b - a
-    forced = np.unique(np.concatenate([F.grid, g.grid]))
+    for name, level in (("start_level", start_level), ("max_level", max_level)):
+        if not (isinstance(level, (int, np.integer)) and level >= 0):
+            raise ValueError(f"{name} must be an integer >= 0, not {level!r}")
+    if max_level < start_level:
+        raise ValueError("max_level must not be below start_level")
+    if not max_points >= 2:
+        raise ValueError("max_points must be at least 2")
+    forced = np.concatenate([F.grid, g.grid])
     history: list[np.ndarray] = []
     for level in range(start_level, max_level + 1):
-        gauge = Gauge.minimum(
-            Gauge.forcing(forced, base=span * 4.0**-level),
-            Gauge.constant(span * 2.0**-level))
-        division = _forced_fine_division(a, b, forced, level, gauge, max_points)
+        division = _forced_fine_division(F.a, F.b, forced, level, max_points)
         if orientation == "dFg":
             current = rs_sum_dFg(F, g, division)
         else:

@@ -30,6 +30,11 @@ class TestGauge:
         # at a forced point the gauge is at most half the gap to the next
         assert g(0.25) <= 0.025 + 1e-15
         assert g(0.3) <= 0.025 + 1e-15
+        g = Gauge.forcing([0.25, 0.375, 0.875], base=1.0)
+        assert g(0.25) == g(np.array([0.25]))[0] == 0.0625
+        assert g(0.875) == 0.25
+        # outside the hull: half the distance to the nearest end point
+        assert g(-0.75) == 0.5 and g(1.5) == 0.3125
 
     def test_minimum(self):
         g = Gauge.minimum(Gauge.constant(0.5), Gauge.forcing([0.5], base=1.0))
@@ -45,67 +50,6 @@ class TestGauge:
         for points in ([0.5, np.nan], [np.inf]):
             with pytest.raises(ValueError):
                 Gauge.forcing(points)
-
-
-def _float_cases(rng):
-    """Factory gauges with float twins, each with floats to call it at: on,
-    just beside and near its forced points, at random, at the ends of
-    ``[0, 1]`` and ``[-1, 2]``, and outside the hull of the points."""
-    six = np.sort(rng.uniform(-1.0, 2.0, size=6))
-    cluster = 0.3 + 1e-9 * np.arange(5)
-    half = Gauge.forcing([0.5], base=0.3)
-    cases = [(Gauge.constant(0.37), []),
-             (Gauge.forcing([], base=0.2), []),
-             (half, [0.5]),
-             (Gauge.forcing(six, base=0.7), six),
-             (Gauge.forcing(cluster, base=0.1), cluster),
-             (Gauge.minimum(Gauge.forcing(six, base=0.7), Gauge.constant(0.05)), six),
-             (Gauge.minimum(Gauge.forcing(cluster, base=0.1), Gauge.constant(1e-3), half),
-              np.append(cluster, 0.5))]
-    for g, pts in cases:
-        pts = np.asarray(pts, dtype=float)
-        yield g, np.concatenate([pts, pts + 1e-10, pts - 5e-10, pts + 0.01,
-                                 rng.uniform(-3.0, 4.0, size=40),
-                                 [0.0, 1.0, -1.0, 2.0, -7.5, 9.0, -0.0]])
-
-
-class TestGaugeFloatTwin:
-    """A Python float goes through the gauge's float twin, which must equal
-    the array evaluator bit for bit."""
-
-    def test_matches_array_path(self, rng):
-        for g, ts in _float_cases(rng):
-            assert g._at_float is not None
-            array = g(ts)
-            for t, expected in zip(ts.tolist(), array):
-                got = g(t)
-                assert type(got) is float
-                assert np.float64(got).tobytes() == expected.tobytes(), (t, got, expected)
-
-    def test_forced_point_takes_its_cap(self):
-        g = Gauge.forcing([0.25, 0.375, 0.875], base=1.0)
-        assert g(0.25) == g(np.array([0.25]))[0] == 0.0625
-        assert g(0.875) == 0.25
-        # outside the hull: half the distance to the nearest end point
-        assert g(-0.75) == 0.5 and g(1.5) == 0.3125
-
-    def test_user_gauge_has_no_twin(self):
-        calls = []
-
-        def fn(t):
-            calls.append(t.shape)
-            return np.full(t.shape, 0.5)
-
-        g = Gauge(fn)
-        assert g(0.25) == 0.5
-        assert calls == [(1,)]
-        assert Gauge.minimum(g, Gauge.constant(0.1))._at_float is None
-
-    def test_non_finite_float_takes_array_path(self):
-        g = Gauge.minimum(Gauge.forcing([0.5]), Gauge.constant(0.2))
-        with np.errstate(invalid="ignore"):  # inf - inf at the sentinels
-            for t in (float("nan"), float("inf"), float("-inf")):
-                assert np.float64(g(t)).tobytes() == g(np.array([t]))[0].tobytes()
 
 
 def _corpus_gauge(rng):
@@ -157,15 +101,11 @@ class TestCousin:
             p = cousin_partition(g, 0.0, 1.0)
             assert is_delta_fine(p, g)
 
-    def test_float_twin_matches_array_gauge(self, rng):
-        """cousin_partition calls the gauge on Python floats; the same gauge
-        without its float twin gives the same division bit for bit."""
-        for _ in range(200):
-            g = _corpus_gauge(rng)
-            p = cousin_partition(g, 0.0, 1.0)
-            q = cousin_partition(Gauge(g._fn), 0.0, 1.0)
-            assert p.points.tobytes() == q.points.tobytes()
-            assert p.tags.tobytes() == q.tags.tobytes()
+    def test_non_finite_ends_rejected(self):
+        g = Gauge.constant(0.3)
+        for a, b in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                cousin_partition(g, a, b)
 
     def test_forcing_property_on_corpus(self, rng):
         """Every fine division tags each forced point with itself."""
@@ -195,6 +135,18 @@ class TestIsDeltaFine:
             TaggedDivision([0.0, 1.0], [1.5])
         with pytest.raises(ValueError):
             TaggedDivision([0.0, 0.0, 1.0], [0.0, 0.5])
+
+    def test_nan_tag_rejected(self):
+        with pytest.raises(ValueError, match="tags must lie inside"):
+            TaggedDivision([0.0, 1.0], [np.nan])
+        with pytest.raises(ValueError, match="tags must lie inside"):
+            TaggedDivision([0.0, 0.5, 1.0], [0.25, np.nan])
+
+    def test_non_finite_points_rejected(self):
+        for points, tags in (([0.0, np.inf], [0.0]), ([-np.inf, 0.0], [0.0]),
+                             ([0.0, np.nan], [0.0]), ([np.nan, 0.0, 1.0], [0.0, 0.5])):
+            with pytest.raises(ValueError, match="finite"):
+                TaggedDivision(points, tags)
 
 
 class TestRsSums:
@@ -258,6 +210,24 @@ class TestOracle:
             with pytest.raises(ValueError):
                 oracle_integral(F, g, "dFg", tol=tol)
 
+    def test_bad_levels_and_budget(self):
+        F = scaled_identity((0.0, 1.0), [0.0, 1.0], dim=1)
+        g = polynomial((0.0, 1.0), [0.0, 1.0])
+        for kwargs, match in (({"start_level": -1}, "start_level"),
+                              ({"start_level": 2.0}, "start_level"),
+                              ({"start_level": "3"}, "start_level"),
+                              ({"max_level": -1}, "max_level"),
+                              ({"max_level": 12.5}, "max_level"),
+                              ({"start_level": 5, "max_level": 4}, "below start_level"),
+                              ({"max_points": 1}, "max_points"),
+                              ({"max_points": float("nan")}, "max_points")):
+            with pytest.raises(ValueError, match=match):
+                oracle_integral(F, g, "dFg", 1e-8, **kwargs)
+        # a level whose mesh alone breaks the budget fails before allocating it
+        with pytest.raises(OracleFailureError, match="point budget"):
+            oracle_integral(F, g, "dFg", 1e-8, start_level=60, max_level=62)
+        assert oracle_integral(F, g, "dFg", 1e-8, start_level=0)[0] == pytest.approx(0.5)
+
     def test_matches_engine_both_orientations(self, rng):
         for _ in range(25):
             dim = int(rng.integers(1, 4))
@@ -293,43 +263,6 @@ def _rescan_division(a, b, forced, level, gauge, max_points):
     raise OracleFailureError("fine division did not stabilise")
 
 
-def _frontier_division(a, b, forced, level, gauge, max_points):
-    """Reference builder: the frontier bisection with every pass as whole
-    arrays, each tag found by two ``searchsorted`` into the forced points."""
-
-    def tags_of(u, v):
-        if forced.size == 0:
-            return 0.5 * (u + v)
-        last = forced.size - 1
-        at_u = forced[np.minimum(np.searchsorted(forced, u), last)] == u
-        at_v = forced[np.minimum(np.searchsorted(forced, v), last)] == v
-        return np.where(at_u, u, np.where(at_v, v, 0.5 * (u + v)))
-
-    forced = np.unique(np.asarray(forced, dtype=float))
-    seed = np.unique(np.concatenate([np.linspace(a, b, 2**level + 1), forced]))
-    u, v = seed[:-1], seed[1:]
-    accepted, n_accepted = [], 0
-    for _ in range(200):
-        tags = tags_of(u, v)
-        fine = np.maximum(v - tags, tags - u) < gauge(tags)
-        accepted.append(u[fine])
-        n_accepted += accepted[-1].size
-        if fine.all():
-            points = np.concatenate(accepted + [seed[-1:]])
-            points[:-1].sort()
-            return TaggedDivision(points, tags_of(points[:-1], points[1:]))
-        u, v = u[~fine], v[~fine]
-        if n_accepted + u.size + 1 > max_points:
-            raise OracleFailureError("fine division exceeded the point budget")
-        mids = 0.5 * (u + v)
-        split = (u < mids) & (mids < v)
-        if not split.any():
-            raise OracleFailureError("refinement stalled at float resolution")
-        u, v = (np.concatenate([u, mids[split]]),
-                np.concatenate([np.where(split, mids, v), v[split]]))
-    raise OracleFailureError("fine division did not stabilise")
-
-
 def _oracle_gauge(a, b, forced, level):
     """The gauge ``oracle_integral`` uses at ``level``."""
     span = b - a
@@ -337,24 +270,48 @@ def _oracle_gauge(a, b, forced, level):
                          Gauge.constant(span * 2.0**-level))
 
 
+def _rescan_builder(a, b, forced, level, max_points):
+    """``_rescan_division`` behind the oracle builder's signature, on the
+    level's gauge with the ends forced as the builder forces them."""
+    forced = np.unique(np.concatenate([[a, b], forced]))
+    return _rescan_division(a, b, forced, level, _oracle_gauge(a, b, forced, level),
+                            max_points)
+
+
+def _forced_sets(rng, a, b, level):
+    """Forced sets for the builder: random, on mesh nodes, at the ends only
+    and a cluster with 1e-9 gaps, each with the ends."""
+    span = b - a
+    nodes = a + span * rng.integers(1, 2**level, size=3) / 2**level if level else []
+    cluster = a + span * rng.uniform(0.1, 0.9) + 1e-9 * np.arange(5)
+    interior = (rng.uniform(a, b, size=rng.integers(1, 7)), nodes, [], cluster,
+                np.concatenate([cluster, rng.uniform(a, b, size=3)]))
+    for points in interior:
+        # unsorted on purpose: the builder must not rely on order
+        yield rng.permutation(np.concatenate([[a, b], points]))
+
+
 class TestForcedFineDivision:
     def check(self, a, b, forced, level):
         forced = np.asarray(forced, dtype=float)
-        gauge = _oracle_gauge(a, b, forced, level)
-        division = _forced_fine_division(a, b, forced, level, gauge, 1 << 21)
-        for build in (_rescan_division, _frontier_division):
-            reference = build(a, b, forced, level, gauge, 1 << 21)
-            assert division.points.tobytes() == reference.points.tobytes()
-            assert division.tags.tobytes() == reference.tags.tobytes()
-        assert is_delta_fine(division, gauge)
+        division = _forced_fine_division(a, b, forced, level, 1 << 21)
+        assert is_delta_fine(division, _oracle_gauge(a, b, np.append(forced, [a, b]), level))
+        points = division.points
+        assert points[0] == a and points[-1] == b
+        # every forced point is a division point and tags both its intervals
+        forced = np.unique(forced)
+        k = np.searchsorted(points, forced)
+        assert np.array_equal(points[k], forced)
+        inner = k < division.count
+        assert np.array_equal(division.tags[k[inner]], forced[inner])
+        assert np.array_equal(division.tags[k[k > 0] - 1], forced[k > 0])
+        return division
 
     def test_random_forced_sets(self, rng):
-        for level in range(11):
-            for a, b in ((0.0, 1.0), (-2.0, 3.5)):
-                interior = rng.uniform(a, b, size=rng.integers(0, 6))
-                # unsorted on purpose: the builder must not rely on order
-                forced = rng.permutation(np.concatenate([[a, b], interior]))
-                self.check(a, b, forced, level)
+        for level in range(15):
+            for a, b in ((0.0, 1.0), (-2.0, 3.5), (1e4, 1e4 + 0.5)):
+                for forced in _forced_sets(rng, a, b, level):
+                    self.check(a, b, forced, level)
 
     def test_forced_points_on_mesh_nodes(self):
         for level in (2, 5, 8):
@@ -376,74 +333,68 @@ class TestForcedFineDivision:
             self.check(0.0, 1.0, np.empty(0), level)
             self.check(0.0, 1.0, [0.0, 1.0], level)
 
+    def test_mesh_node_inside_the_innermost_interval_is_dropped(self):
+        # at level 3 the mesh node 0.375 lies inside (p - 2**-7, p + 2**-7)
+        # for both points; kept at 0.374, it would split the interval tagged
+        # by p and leave next to p a midpoint-tagged sliver too wide for the
+        # gauge at its tag
+        level = 3
+        for p in (0.3717279, 0.374):
+            forced = np.array([0.0, p, 1.0])
+            division = self.check(0.0, 1.0, forced, level)
+            assert 0.375 not in division.points
+        points = np.insert(division.points, np.searchsorted(division.points, 0.375), 0.375)
+        kept = TaggedDivision(points, gauges._forced_tags(points, forced))
+        assert not is_delta_fine(kept, _oracle_gauge(0.0, 1.0, forced, level))
+
     def test_point_budget(self):
         forced = [0.0, 0.3, 1.0]
-        gauge = _oracle_gauge(0.0, 1.0, forced, 8)
         with pytest.raises(OracleFailureError, match="point budget"):
-            _forced_fine_division(0.0, 1.0, forced, 8, gauge, 64)
+            _forced_fine_division(0.0, 1.0, forced, 8, 64)
 
-    def test_point_budget_matches_reference(self):
-        # the budget counts the points of the whole division in use, as the
-        # reference does: both builders succeed or fail at the same budgets
-        forced = [0.0, 0.3, 1.0]
-        gauge = _oracle_gauge(0.0, 1.0, forced, 3)
-        for max_points in range(8, 160):
-            outcomes = []
-            for build in (_forced_fine_division, _rescan_division):
-                try:
-                    outcomes.append(build(0.0, 1.0, forced, 3, gauge, max_points).count)
-                except OracleFailureError as exc:
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1], max_points
-        assert outcomes[0] != "fine division exceeded the point budget"
+    def test_point_budget_is_the_division_size(self):
+        # the budget bounds the points of the division returned, exactly
+        for forced, level in (([0.0, 0.3, 1.0], 3), ([0.0, 0.5, 1.0], 5),
+                              ([0.0, 0.25, 0.25 + 1e-9, 1.0], 2)):
+            size = _forced_fine_division(0.0, 1.0, forced, level, 1 << 21).points.size
+            assert _forced_fine_division(0.0, 1.0, forced, level, size).points.size == size
+            with pytest.raises(OracleFailureError, match="point budget"):
+                _forced_fine_division(0.0, 1.0, forced, level, size - 1)
 
     def test_point_budget_counts_the_seed(self):
-        # a constant gauge wider than the domain makes the 33-point seed of
-        # level 5 fine at once; its size alone breaks a budget of 8
-        for build in (_forced_fine_division, _rescan_division):
+        # the 2**level + 1 mesh alone breaks the budget: checked before the
+        # mesh is allocated, so a level of 60 fails at once
+        for level, max_points in ((5, 32), (60, 1 << 21)):
             with pytest.raises(OracleFailureError, match="point budget"):
-                build(0.0, 1.0, np.empty(0), 5, Gauge.constant(1.0), 8)
-            assert build(0.0, 1.0, np.empty(0), 5, Gauge.constant(1.0), 33).count == 32
+                _forced_fine_division(0.0, 1.0, np.empty(0), level, max_points)
 
     def test_both_ends_forced_tags_the_left_end(self):
-        forced = np.array([0.0, 0.5, 1.0])
-        for build in (_forced_fine_division, _rescan_division, _frontier_division):
-            division = build(0.0, 1.0, forced, 0, Gauge.constant(1.0), 8)
-            assert division.tags.tolist() == [0.0, 0.5]
-        # this gauge admits [0.5, n] only if tagged at its right end n; the
-        # interval is too narrow to split, so the first pass and the later
-        # ones must both tag it at 0.5 and stall on it
-        n = np.nextafter(0.5, 1.0)
-        gauge = Gauge(lambda t: np.where(t == 0.5, 1e-17, np.where(t == n, 0.3, 1.0)))
-        for build in (_forced_fine_division, _rescan_division, _frontier_division):
-            with pytest.raises(OracleFailureError, match="stalled"):
-                build(0.0, 1.0, [0.0, 0.5, n, 1.0], 1, gauge, 1 << 21)
-
-    def test_pass_limit(self):
-        # the two intervals at the forced point 0 halve once per pass: a base
-        # of 2**-198 is reached on the 200th pass, 2**-199 is not
-        for j, outcome in ((198, 400), (199, "fine division did not stabilise")):
-            gauge = Gauge.forcing([0.0], base=2.0**-j)
-            for build in (_forced_fine_division, _rescan_division, _frontier_division):
-                try:
-                    got = build(-1.0, 1.0, [0.0], 0, gauge, 1 << 21).count
-                except OracleFailureError as exc:
-                    got = str(exc)
-                assert got == outcome, build.__name__
+        points = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        tags = gauges._forced_tags(points, np.array([0.0, 0.25, 1.0]))
+        assert tags.tolist() == [0.0, 0.25, 0.625, 1.0]
+        tags = gauges._forced_tags(points, np.array([0.5, 0.75]))
+        assert tags.tolist() == [0.125, 0.5, 0.5, 0.75]
+        assert gauges._forced_tags(points, np.empty(0)).tolist() == [0.125, 0.375, 0.625, 0.875]
 
     def test_stall_at_float_resolution(self):
         # no point lies strictly between the two adjacent forced floats,
         # so the interval they bound can never be split
         forced = [0.0, 0.5, np.nextafter(0.5, 1.0), 1.0]
-        gauge = _oracle_gauge(0.0, 1.0, forced, 3)
         with pytest.raises(OracleFailureError, match="stalled"):
-            _forced_fine_division(0.0, 1.0, forced, 3, gauge, 1 << 21)
+            _forced_fine_division(0.0, 1.0, forced, 3, 1 << 21)
+
+    def test_rescan_reference_is_fine(self, rng):
+        # the reference builder the oracle is compared with below
+        for level in (0, 3, 6):
+            for forced in _forced_sets(rng, 0.0, 1.0, level):
+                division = _rescan_builder(0.0, 1.0, forced, level, 1 << 21)
+                assert is_delta_fine(division, _oracle_gauge(0.0, 1.0, forced, level))
 
 
-class TestFloatReplay:
-    def test_oracle_matches_array_frontier(self, rng, monkeypatch):
-        """oracle_integral is byte for byte the same with the reference
-        builder that runs every pass as whole arrays."""
+class TestOracleAgainstRescan:
+    def test_oracle_with_rescan_builder(self, rng, monkeypatch):
+        """With the re-test-everything bisection swapped in, the oracle
+        agrees within 2e-8 and needs at most one more level per call."""
         pairs = []
         for _ in range(20):
             dim = int(rng.integers(1, 4))
@@ -451,9 +402,23 @@ class TestFloatReplay:
                                                   max_degree=3, max_jumps=4),
                           corpus.random_piecewise(rng, "vector", dim, max_pieces=5,
                                                   max_degree=3, max_jumps=4)))
-        values = [[oracle_integral(F, g, o, 1e-8) for o in ("dFg", "Fdg")]
-                  for F, g in pairs]
-        monkeypatch.setattr(gauges, "_forced_fine_division", _frontier_division)
-        for (F, g), got in zip(pairs, values):
-            for o, value in zip(("dFg", "Fdg"), got):
-                assert value.tobytes() == oracle_integral(F, g, o, 1e-8).tobytes()
+
+        def run(build):
+            levels, values = [], []
+
+            def counting(*args):
+                levels[-1] += 1
+                return build(*args)
+
+            monkeypatch.setattr(gauges, "_forced_fine_division", counting)
+            for F, g in pairs:
+                for orientation in ("dFg", "Fdg"):
+                    levels.append(0)
+                    values.append(oracle_integral(F, g, orientation, 1e-8))
+            return levels, values
+
+        levels, values = run(gauges._forced_fine_division)
+        ref_levels, ref_values = run(_rescan_builder)
+        for got, expected in zip(values, ref_values):
+            assert np.max(np.abs(got - expected)) < 2e-8
+        assert all(n <= ref + 1 for n, ref in zip(levels, ref_levels))

@@ -36,3 +36,33 @@ def test_methods_resolve(short, cls_name, methods):
     cls = getattr(importlib.import_module(f"{ks.__name__}.{short}"), cls_name)
     missing = [meth for meth in methods if meth not in cls.__dict__]
     assert not missing, f"{short}.{cls_name}: {missing}"
+
+
+def test_oracle_levels_go_through_the_traced_builder(monkeypatch):
+    """``gauges.oracle.levels``, ``gauges.oracle.points`` and
+    ``gauges.division.self_s`` come from the tracer's wrapper on
+    ``gauges._forced_fine_division``: the oracle must look the builder up
+    as a module global, call it once per level and use the division."""
+    from kstieltjes import gauges
+
+    build, levels, divisions = gauges._forced_fine_division, [], []
+
+    def counting(a, b, forced, level, max_points):
+        levels.append(level)
+        divisions.append(build(a, b, forced, level, max_points))
+        return divisions[-1]
+
+    monkeypatch.setattr(gauges, "_forced_fine_division", counting)
+    F = ks.scaled_identity((0.0, 1.0), [0.0, 0.0, 1.0], dim=1)
+    g = ks.polynomial((0.0, 1.0), [0.0, 1.0])
+    traced = tracer.Tracer().install(ks)
+    try:
+        value = ks.oracle_integral(F, g, "dFg", 1e-8, start_level=2)
+    finally:
+        traced.uninstall()
+    assert len(levels) >= 3 and levels == list(range(2, 2 + len(levels)))
+    assert all(type(d) is gauges.TaggedDivision for d in divisions)
+    assert value.tobytes() == ks.rs_sum_dFg(F, g, divisions[-1]).tobytes()
+    assert traced.counts["gauges.division.calls"] == len(levels)
+    assert traced.counts["gauges.oracle.points"] == sum(d.points.size for d in divisions)
+    assert "gauges.division" in traced.self_times()
