@@ -30,11 +30,6 @@ class TestGauge:
         # at a forced point the gauge is at most half the gap to the next
         assert g(0.25) <= 0.025 + 1e-15
         assert g(0.3) <= 0.025 + 1e-15
-        g = Gauge.forcing([0.25, 0.375, 0.875], base=1.0)
-        assert g(0.25) == g(np.array([0.25]))[0] == 0.0625
-        assert g(0.875) == 0.25
-        # outside the hull: half the distance to the nearest end point
-        assert g(-0.75) == 0.5 and g(1.5) == 0.3125
 
     def test_minimum(self):
         g = Gauge.minimum(Gauge.constant(0.5), Gauge.forcing([0.5], base=1.0))
@@ -50,6 +45,19 @@ class TestGauge:
         for points in ([0.5, np.nan], [np.inf]):
             with pytest.raises(ValueError):
                 Gauge.forcing(points)
+
+
+class TestGaugeFloatTwin:
+    """A Python float goes through the same array evaluator as a
+    one-element array and comes back as a float with the same value."""
+
+    def test_forced_point_takes_its_cap(self):
+        g = Gauge.forcing([0.25, 0.375, 0.875], base=1.0)
+        assert g(0.25) == g(np.array([0.25]))[0] == 0.0625
+        assert type(g(0.25)) is float
+        assert g(0.875) == 0.25
+        # outside the hull: half the distance to the nearest end point
+        assert g(-0.75) == 0.5 and g(1.5) == 0.3125
 
 
 def _corpus_gauge(rng):
