@@ -40,7 +40,7 @@ import numpy as np
 from .errors import HypothesisViolationError
 from .integrate import check_pair, ks_dFg
 from .intervals import Interval
-from .norms import norm_of, sup_norm
+from .norms import sup_norm
 from .piecewise import (PiecewiseFunction, break_truncate, jordan_decompose,
                         polynomial, step)
 
@@ -91,8 +91,7 @@ class SequenceFamily:
             for t in order:
                 if t not in known:
                     raise ValueError(f"{t} is not a jump of the break function")
-        bound = sum(norm_of(rec.jump_minus) + norm_of(rec.jump_plus)
-                    for rec in records)
+        bound = sum(rec.norm_minus + rec.norm_plus for rec in records)
         # partial sums can round a hair above the exact tail bound
         bound = bound * (1.0 + 1e-12)
         return cls(kind="truncation", limit=break_function, bound=bound,

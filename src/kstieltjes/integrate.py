@@ -78,9 +78,10 @@ def check_pair(f_op: PiecewiseFunction, g_vec: PiecewiseFunction):
 
 def _merged_pieces(f: PiecewiseFunction, g: PiecewiseFunction):
     grid = np.unique(np.concatenate([f.grid, g.grid]))
-    for u, v in zip(grid[:-1], grid[1:]):
-        mid = 0.5 * (u + v)
-        yield float(u), float(v), f.coeffs[f._piece_of(mid)], g.coeffs[g._piece_of(mid)]
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    for u, v, i, j in zip(grid[:-1].tolist(), grid[1:].tolist(),
+                          f._pieces_of(mids), g._pieces_of(mids)):
+        yield u, v, f.coeffs[i], g.coeffs[j]
 
 
 def ks_dFg(F: PiecewiseFunction, g: PiecewiseFunction) -> IntegralResult:
@@ -188,9 +189,9 @@ def estimate_bound(F: PiecewiseFunction, g: PiecewiseFunction,
         raise DomainError(f"{interval} is not inside [{F.a}, {F.b}]")
     bound = var_interval(F, interval).total * g.sup_norm(interval)
     if interval.lo_closed:
-        bound += norm_of(F.jump_at(interval.lo).jump_minus) * norm_of(g(interval.lo))
+        bound += F.jump_at(interval.lo).norm_minus * norm_of(g(interval.lo))
     if interval.hi_closed:
-        bound += norm_of(F.jump_at(interval.hi).jump_plus) * norm_of(g(interval.hi))
+        bound += F.jump_at(interval.hi).norm_plus * norm_of(g(interval.hi))
     return bound
 
 

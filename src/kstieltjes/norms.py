@@ -32,3 +32,12 @@ def norm_of(value) -> float:
     if value.ndim <= 1:
         return sup_norm(value)
     return op_norm(value)
+
+
+def row_norms(values) -> np.ndarray:
+    """``norm_of(values[k])`` for every ``k``, as one vector: rows of a
+    rank-2 array are vectors, slices of a rank-3 array are operators."""
+    a = np.abs(np.asarray(values, dtype=float))
+    if a.ndim == 3:
+        a = np.sum(a, axis=2)
+    return np.max(a, axis=1)

@@ -21,14 +21,14 @@ identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _poly
 from .errors import DimensionMismatchError, DomainError
 from .intervals import ElementarySet, Interval
-from .norms import norm_of
+from .norms import norm_of, row_norms
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,34 @@ class JumpRecord:
     ``f(t+) - f(t)``; by convention the left jump at ``a`` and the right
     jump at ``b`` are zero.  ``jump_full`` is ``f(t+) - f(t-)`` (with the
     same endpoint conventions), the quantity that drives pure-jump
-    integrals.
+    integrals.  ``norm_minus`` and ``norm_plus`` are the norms of the two
+    one-sided jumps.  The arrays are read-only views of the function's
+    cached jump table.
     """
 
     t: float
     jump_minus: np.ndarray
     jump_plus: np.ndarray
+    norm_minus: float
+    norm_plus: float
 
     @property
     def jump_full(self) -> np.ndarray:
         return self.jump_minus + self.jump_plus
+
+
+class _JumpTable(NamedTuple):
+    """Both one-sided jumps at every grid point, ``(m+1, *vshape)`` each,
+    with their norms; row ``k`` belongs to grid point ``t_k``."""
+
+    minus: np.ndarray
+    plus: np.ndarray
+    norm_minus: np.ndarray
+    norm_plus: np.ndarray
+
+    def record(self, t: float, k: int) -> JumpRecord:
+        return JumpRecord(t, self.minus[k], self.plus[k],
+                          float(self.norm_minus[k]), float(self.norm_plus[k]))
 
 
 def _domain_pair(domain) -> tuple[float, float]:
@@ -99,6 +117,7 @@ class PiecewiseFunction:
         self.nodes = nodes
         self.kind = kind
         self.dim = int(vshape[0])
+        self._table: _JumpTable | None = None
 
     # -- basic queries -------------------------------------------------
 
@@ -135,9 +154,9 @@ class PiecewiseFunction:
         if not (self.a <= t <= self.b):
             raise DomainError(f"t={t} outside the domain [{self.a}, {self.b}]")
 
-    def _piece_of(self, t: float) -> int:
-        """Index of the piece whose open interval contains ``t``."""
-        return int(np.searchsorted(self.grid, t, side="left")) - 1
+    def _pieces_of(self, ts) -> list[int]:
+        """Index of the piece whose open interval contains each of ``ts``."""
+        return (np.searchsorted(self.grid, ts, side="left") - 1).tolist()
 
     # -- evaluation ------------------------------------------------------
 
@@ -197,14 +216,27 @@ class PiecewiseFunction:
 
     # -- jumps -------------------------------------------------------------
 
-    def _jump_record(self, k: int) -> JumpRecord:
-        """One-sided jumps at grid point ``k``, with the conventions
-        ``jump_minus = 0`` at ``a`` and ``jump_plus = 0`` at ``b``."""
-        t = float(self.grid[k])
-        zeros = np.zeros(self.vshape)
-        jm = self.nodes[k] - _poly.polyval(self.coeffs[k - 1], t) if k > 0 else zeros
-        jp = _poly.polyval(self.coeffs[k], t) - self.nodes[k] if k < self.npieces else zeros
-        return JumpRecord(t, jm, jp)
+    def _jump_table(self) -> _JumpTable:
+        """The jump table, built on first use and kept: the function is
+        immutable, so rebuilding it in a race is harmless.  Each piece's
+        polynomial is evaluated once at both of its ends, by the same
+        ``polyval`` as the one-sided limits, so every row equals the jumps
+        taken from ``limit_left``/``limit_right`` bit for bit."""
+        table = self._table
+        if table is None:
+            ends = np.empty(self.vshape + (self.npieces, 2))
+            for j, c in enumerate(self.coeffs):
+                ends[..., j, :] = _poly.polyval(c, self.grid[j:j + 2])
+            right, left = np.moveaxis(ends, (-1, -2), (0, 1))
+            minus = np.zeros(self.nodes.shape)
+            plus = np.zeros(self.nodes.shape)
+            minus[1:] = self.nodes[1:] - left
+            plus[:-1] = right - self.nodes[:-1]
+            arrays = (minus, plus, row_norms(minus), row_norms(plus))
+            for arr in arrays:
+                arr.setflags(write=False)
+            table = self._table = _JumpTable(*arrays)
+        return table
 
     def jump_at(self, t: float) -> JumpRecord:
         """One-sided jumps at any ``t`` in the domain: zero off the grid,
@@ -213,43 +245,48 @@ class PiecewiseFunction:
         self._check_inside(t)
         i = int(np.searchsorted(self.grid, t, side="left"))
         if self.grid[i] == t:
-            return self._jump_record(i)
+            return self._jump_table().record(float(self.grid[i]), i)
         zeros = np.zeros(self.vshape)
-        return JumpRecord(t, zeros, zeros)
+        zeros.setflags(write=False)
+        return JumpRecord(t, zeros, zeros, 0.0, 0.0)
 
     def jumps(self, tol: float = 0.0) -> list[JumpRecord]:
-        """Jump records at every grid point with a one-sided jump above
-        ``tol`` (default: exactly nonzero)."""
-        records = (self._jump_record(k) for k in range(self.grid.size))
-        return [rec for rec in records
-                if norm_of(rec.jump_minus) > tol or norm_of(rec.jump_plus) > tol]
+        """Jump records, in grid order, at every grid point with a
+        one-sided jump whose norm exceeds ``tol >= 0`` (default: exactly
+        nonzero).  The left jump at ``a`` and the right jump at ``b`` are
+        zero by convention."""
+        if not tol >= 0:
+            raise ValueError(f"jump tolerance must be >= 0, got {tol}")
+        table = self._jump_table()
+        rows = np.flatnonzero((table.norm_minus > tol) | (table.norm_plus > tol))
+        return [table.record(t, k) for t, k in zip(self.grid[rows].tolist(), rows.tolist())]
 
     # -- structural operations ----------------------------------------------
 
     def refine(self, points: Iterable[float]) -> "PiecewiseFunction":
         """Insert grid points; new node values equal the polynomial value,
         so the function is unchanged pointwise."""
-        extra = []
-        for p in points:
-            p = float(p)
-            if not (self.a <= p <= self.b):
-                raise DomainError(f"refinement point {p} outside the domain")
-            extra.append(p)
-        new_grid = np.unique(np.concatenate([self.grid, np.asarray(extra, dtype=float)]))
+        extra = np.fromiter(points, dtype=float)
+        outside = ~((extra >= self.a) & (extra <= self.b))  # NaN is outside too
+        if outside.any():
+            p = float(extra[np.argmax(outside)])
+            raise DomainError(f"refinement point {p} outside the domain")
+        new_grid = np.unique(np.concatenate([self.grid, extra]))
         if new_grid.size == self.grid.size:
             return self
-        old = {float(t): k for k, t in enumerate(self.grid)}
-        nodes = np.empty((new_grid.size,) + self.vshape)
-        coeffs = []
-        for k, t in enumerate(new_grid):
-            t = float(t)
-            if t in old:
-                nodes[k] = self.nodes[old[t]]
-            else:
-                nodes[k] = _poly.polyval(self.coeffs[self._piece_of(t)], t)
-        for u, v in zip(new_grid[:-1], new_grid[1:]):
-            coeffs.append(self.coeffs[self._piece_of(0.5 * (u + v))])
-        return PiecewiseFunction(new_grid, coeffs, nodes)
+        # new_grid[i] is old grid point idx[i], or lies inside piece idx[i] - 1
+        idx = np.searchsorted(self.grid, new_grid, side="left")
+        old = self.grid[np.minimum(idx, self.npieces)] == new_grid
+        nodes = np.empty(self.vshape + new_grid.shape)
+        nodes[..., old] = np.moveaxis(self.nodes, 0, -1)[..., idx[old]]
+        # the new points inside one piece are consecutive in new_grid
+        new = np.flatnonzero(~old)
+        for run in np.split(new, np.flatnonzero(np.diff(idx[new])) + 1):
+            lo, hi = run[0], run[-1] + 1
+            nodes[..., lo:hi] = _poly.polyval(self.coeffs[idx[lo] - 1], new_grid[lo:hi])
+        mids = 0.5 * (new_grid[:-1] + new_grid[1:])
+        return PiecewiseFunction(new_grid, [self.coeffs[j] for j in self._pieces_of(mids)],
+                                 np.moveaxis(nodes, -1, 0))
 
     def clip(self, c: float, d: float) -> "PiecewiseFunction":
         """The function restricted to the subdomain ``[c, d]`` (values kept
@@ -260,10 +297,9 @@ class PiecewiseFunction:
             raise DomainError(f"[{c}, {d}] is not a subdomain of [{self.a}, {self.b}]")
         inner = self.grid[(self.grid > c) & (self.grid < d)]
         new_grid = np.concatenate([[c], inner, [d]])
-        nodes = np.stack([self(t) for t in new_grid])
-        coeffs = [self.coeffs[self._piece_of(0.5 * (u + v))]
-                  for u, v in zip(new_grid[:-1], new_grid[1:])]
-        return PiecewiseFunction(new_grid, coeffs, nodes)
+        mids = 0.5 * (new_grid[:-1] + new_grid[1:])
+        return PiecewiseFunction(new_grid, [self.coeffs[j] for j in self._pieces_of(mids)],
+                                 np.moveaxis(self.eval_many(new_grid), -1, 0))
 
     def restrict(self, region: ElementarySet | Interval) -> "PiecewiseFunction":
         """Multiply by the indicator of ``region``: equal to this function
@@ -401,21 +437,19 @@ def lincomb(c1: float, f1: PiecewiseFunction,
     return PiecewiseFunction(r1.grid, coeffs, nodes)
 
 
-def _break_function(grid, records: Iterable[JumpRecord],
-                    vshape: tuple[int, ...]) -> PiecewiseFunction:
-    """The break function on ``grid`` with the jumps in ``records``, each
-    at a grid point (the other grid points carry none): at ``t`` it sums
-    the right jumps before ``t`` and the left jumps up to ``t``, so it
-    vanishes at ``a`` and is constant on every open piece."""
+def _break_function(grid, at, jump_minus, jump_plus) -> PiecewiseFunction:
+    """The break function on ``grid`` with the jumps ``jump_minus[i]`` and
+    ``jump_plus[i]`` at grid point ``at[i]`` (the other grid points carry
+    none): at ``t`` it sums the right jumps before ``t`` and the left jumps
+    up to ``t``, so it vanishes at ``a`` and is constant on every open
+    piece."""
     grid = np.asarray(grid, dtype=float)
-    steps = np.zeros((grid.size, 2) + vshape)
-    for rec in records:
-        k = int(np.searchsorted(grid, rec.t))
-        steps[k, 0] = rec.jump_minus
-        steps[k, 1] = rec.jump_plus
+    steps = np.zeros((grid.size, 2) + jump_minus.shape[1:])
+    steps[at, 0] = jump_minus
+    steps[at, 1] = jump_plus
     # cumsum adds strictly in sequence (left jump at t_0, right jump at t_0,
     # left jump at t_1, ...), so every value is the running loop's float sum
-    running = np.cumsum(steps.reshape((-1,) + vshape), axis=0)
+    running = np.cumsum(steps.reshape((-1,) + jump_minus.shape[1:]), axis=0)
     return PiecewiseFunction(grid, [p[np.newaxis] for p in running[1:-1:2]],
                              running[0::2])
 
@@ -433,7 +467,9 @@ def jordan_decompose(f: PiecewiseFunction) -> tuple[PiecewiseFunction, Piecewise
     records = f.jumps()
     if not records:
         return f, zero_function((f.a, f.b), f.kind, f.dim)
-    fb = _break_function(f.grid, records, f.vshape)
+    table = f._jump_table()
+    at = np.searchsorted(f.grid, [rec.t for rec in records])
+    fb = _break_function(f.grid, at, table.minus[at], table.plus[at])
     c_coeffs = []
     for c, level in zip(f.coeffs, fb.coeffs):
         cc = np.array(c)
@@ -459,15 +495,16 @@ def break_truncate(f_b: PiecewiseFunction, jump_points: Iterable[float]) -> Piec
     summed norm of the dropped jumps.
     """
     _require_break_function(f_b)
-    records = {rec.t: rec for rec in f_b.jumps()}
-    kept = []
-    for p in jump_points:
-        p = float(p)
-        if p not in records:
-            raise ValueError(f"{p} is not a jump point of the break function")
-        kept.append(records[p])
-    grid = np.unique(np.asarray([f_b.a, f_b.b] + [rec.t for rec in kept], dtype=float))
-    return _break_function(grid, kept, f_b.vshape)
+    points = np.fromiter(jump_points, dtype=float)
+    found = np.isin(points, [rec.t for rec in f_b.jumps()])
+    if not found.all():
+        p = float(points[np.argmin(found)])
+        raise ValueError(f"{p} is not a jump point of the break function")
+    kept = np.searchsorted(f_b.grid, points)
+    grid = np.unique(np.concatenate([[f_b.a, f_b.b], f_b.grid[kept]]))
+    table = f_b._jump_table()
+    return _break_function(grid, np.searchsorted(grid, f_b.grid[kept]),
+                           table.minus[kept], table.plus[kept])
 
 
 def restrict(f: PiecewiseFunction, region: ElementarySet | Interval) -> PiecewiseFunction:

@@ -33,7 +33,6 @@ from typing import Sequence
 from . import _poly
 from .errors import DomainError
 from .intervals import ElementarySet, Interval
-from .norms import norm_of
 from .piecewise import PiecewiseFunction
 
 
@@ -75,9 +74,9 @@ def _jump_part(f: PiecewiseFunction, c: float, d: float,
         take_plus = (c <= rec.t < d) if include_lo else (c < rec.t < d)
         take_minus = (c < rec.t <= d) if include_hi else (c < rec.t < d)
         if take_plus:
-            plus += norm_of(rec.jump_plus)
+            plus += rec.norm_plus
         if take_minus:
-            minus += norm_of(rec.jump_minus)
+            minus += rec.norm_minus
     return plus + minus
 
 
@@ -87,7 +86,7 @@ def var_compact(f: PiecewiseFunction, c: float, d: float) -> VariationResult:
     ``c == d`` is allowed and gives zero.
     """
     c, d = float(c), float(d)
-    if c < f.a or d > f.b or c > d:
+    if not (f.a <= c <= d <= f.b):  # NaN fails too
         raise DomainError(f"[{c}, {d}] is not a subinterval of [{f.a}, {f.b}]")
     if c == d:
         return VariationResult.zero()

@@ -7,6 +7,7 @@ from kstieltjes import (DomainError, ElementarySet, Interval,
                         jordan_decompose, lincomb, polynomial, step,
                         var_compact)
 from kstieltjes import _poly
+from kstieltjes.norms import norm_of
 
 
 @pytest.fixture
@@ -120,21 +121,25 @@ def _random_coeffs(rng, vshape):
     return np.where(rng.random(c.shape) < 0.1, -0.0, c)
 
 
+def _random_function(rng, kind, dim, pieces, a, b):
+    """Random pieces from ``_random_coeffs`` and a random value at every
+    grid point, so nearly every grid point jumps."""
+    vshape = (dim,) if kind == "vector" else (dim, dim)
+    grid = np.unique(np.concatenate([[a], rng.uniform(a, b, pieces - 1), [b]]))
+    coeffs = [_random_coeffs(rng, vshape) for _ in range(grid.size - 1)]
+    return PiecewiseFunction(grid, coeffs,
+                             rng.uniform(-1.0, 1.0, size=(grid.size,) + vshape))
+
+
+def _same(got, ref):
+    got = np.asarray(got)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
 class TestEvalReference:
     """``eval_many`` and ``polyval`` equal the reference loops byte for byte."""
 
-    def random_function(self, rng, kind, dim, pieces, a, b):
-        vshape = (dim,) if kind == "vector" else (dim, dim)
-        grid = np.unique(np.concatenate([[a], rng.uniform(a, b, pieces - 1), [b]]))
-        coeffs = [_random_coeffs(rng, vshape) for _ in range(grid.size - 1)]
-        return PiecewiseFunction(grid, coeffs,
-                                 rng.uniform(-1.0, 1.0, size=(grid.size,) + vshape))
-
-    @staticmethod
-    def same(got, ref):
-        got = np.asarray(got)
-        assert got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes()
 
     def test_eval_many(self, rng):
         for kind in ("vector", "operator"):
@@ -142,7 +147,7 @@ class TestEvalReference:
                 for pieces in (1, 7, 200):
                     a = float(rng.choice([0.0, -2.5, 1e3]))
                     b = a + float(rng.choice([1.0, 4.0]))
-                    f = self.random_function(rng, kind, dim, pieces, a, b)
+                    f = _random_function(rng, kind, dim, pieces, a, b)
                     inside = rng.uniform(a, b, size=60)
                     hits = rng.choice(f.grid, size=10)
                     # unsorted, with duplicates, grid hits and both ends
@@ -156,16 +161,195 @@ class TestEvalReference:
                     for pts in (ts, srt, to_grid, srt[:36].reshape(6, 6),
                                 np.append(srt, 0.5 * (a + b)), ts[:36].reshape(6, 6),
                                 np.array([]), np.array(ts[0]), np.array(hits[0])):
-                        self.same(f.eval_many(pts), _masked_eval_many(f, pts))
+                        _same(f.eval_many(pts), _masked_eval_many(f, pts))
 
     def test_polyval(self, rng):
         for _ in range(300):
             vshape = [(), (1,), (3,), (2, 2), (3, 3)][int(rng.integers(5))]
             c = _random_coeffs(rng, vshape)
             ts = rng.uniform(-3.0, 3.0, size=int(rng.integers(0, 40)))
-            self.same(_poly.polyval(c, ts), _step_horner(c, ts))
+            _same(_poly.polyval(c, ts), _step_horner(c, ts))
             t = float(rng.uniform(-3.0, 3.0))
-            self.same(_poly.polyval(c, t), _step_horner(c, t))
+            _same(_poly.polyval(c, t), _step_horner(c, t))
+
+
+def _mixed_jumps(rng, f):
+    """``f`` with each node value kept or set to its left or right limit,
+    so some grid points jump on one side only and some not at all."""
+    nodes = np.array(f.nodes)
+    for k, t in enumerate(f.grid.tolist()):
+        side = rng.integers(3)
+        if side == 1 and k > 0:
+            nodes[k] = _poly.polyval(f.coeffs[k - 1], t)
+        elif side == 2 and k < f.npieces:
+            nodes[k] = _poly.polyval(f.coeffs[k], t)
+    return PiecewiseFunction(f.grid, f.coeffs, nodes)
+
+
+def _record_rows(f):
+    """Reference jump table: ``(t, jump_minus, jump_plus, norm_minus,
+    norm_plus)`` at every grid point, from two scalar ``polyval`` and two
+    ``norm_of`` calls per point; the library evaluates each piece once at
+    both ends and takes all norms in one array pass."""
+    rows = []
+    for k, t in enumerate(f.grid.tolist()):
+        zeros = np.zeros(f.vshape)
+        jm = f.nodes[k] - _poly.polyval(f.coeffs[k - 1], t) if k > 0 else zeros
+        jp = _poly.polyval(f.coeffs[k], t) - f.nodes[k] if k < f.npieces else zeros
+        rows.append((t, jm, jp, norm_of(jm), norm_of(jp)))
+    return rows
+
+
+def _record_jumps(f, tol=0.0):
+    return [row for row in _record_rows(f) if row[3] > tol or row[4] > tol]
+
+
+def _same_record(rec, row):
+    t, jm, jp, nm, np_ = row
+    _same(np.float64(rec.t), np.float64(t))
+    _same(rec.jump_minus, jm)
+    _same(rec.jump_plus, jp)
+    _same(np.float64(rec.norm_minus), np.float64(nm))
+    _same(np.float64(rec.norm_plus), np.float64(np_))
+
+
+def _same_function(f, grid, coeffs, nodes):
+    _same(f.grid, np.asarray(grid))
+    _same(f.nodes, np.asarray(nodes))
+    assert len(f.coeffs) == len(coeffs)
+    for p, q in zip(f.coeffs, coeffs):
+        _same(p, np.asarray(q))
+
+
+def _break_reference(grid, rows, vshape):
+    """Break function of the jump rows ``rows`` on ``grid``, summed by
+    ``corpus._break_from_jumps``."""
+    jm, jp = np.zeros((len(grid),) + vshape), np.zeros((len(grid),) + vshape)
+    for t, m_, p_, _, _ in rows:
+        k = int(np.searchsorted(grid, t))
+        jm[k], jp[k] = m_, p_
+    return corpus._break_from_jumps(np.asarray(grid), jm, jp)
+
+
+def _point_refine(f, points):
+    """Reference ``refine``: one ownership search and one scalar
+    ``polyval`` per new point, one search per new piece."""
+    new_grid = np.unique(np.concatenate([f.grid, np.asarray(points, dtype=float)]))
+    old = {float(t): k for k, t in enumerate(f.grid)}
+    piece_of = lambda t: int(np.searchsorted(f.grid, t, side="left")) - 1
+    nodes = np.empty((new_grid.size,) + f.vshape)
+    for k, t in enumerate(new_grid.tolist()):
+        nodes[k] = f.nodes[old[t]] if t in old else _poly.polyval(f.coeffs[piece_of(t)], t)
+    coeffs = [f.coeffs[piece_of(0.5 * (u + v))] for u, v in zip(new_grid[:-1], new_grid[1:])]
+    return new_grid, coeffs, nodes
+
+
+class TestJumpTableReference:
+    """The jump table and everything built from it (``jumps``, ``jump_at``,
+    ``jordan_decompose``, ``break_truncate``), and ``refine``, equal the
+    per-point reference loops byte for byte."""
+
+    @staticmethod
+    def functions(rng):
+        for kind in ("vector", "operator"):
+            for dim in (1, 2, 3):
+                for pieces in (1, 7, 200):
+                    for a, b in ((0.0, 1.0), (-3.5, -1.25), (1e3, 1e3 + 2.0)):
+                        yield _mixed_jumps(rng, _random_function(rng, kind, dim, pieces, a, b))
+
+    def test_jumps_and_jump_at(self, rng):
+        for f in self.functions(rng):
+            rows = _record_rows(f)
+            for tol in (0.0, 0.5):
+                got, want = f.jumps(tol), _record_jumps(f, tol)
+                assert len(got) == len(want)
+                for rec, row in zip(got, want):
+                    _same_record(rec, row)
+            for k, t in enumerate(f.grid):
+                _same_record(f.jump_at(t), rows[k])
+            zeros = np.zeros(f.vshape)
+            for t in rng.uniform(f.a, f.b, size=3):
+                if t not in f.grid:
+                    _same_record(f.jump_at(t), (t, zeros, zeros, 0.0, 0.0))
+
+    def test_jordan_and_truncate(self, rng):
+        for f in self.functions(rng):
+            fc, fb = jordan_decompose(f)
+            rows = _record_jumps(f)
+            if not rows:
+                assert fc is f and not fb.jumps()
+                continue
+            ref_b = _break_reference(f.grid, rows, f.vshape)
+            _same_function(fb, ref_b.grid, ref_b.coeffs, ref_b.nodes)
+            fc_coeffs = [np.concatenate([c[:1] - level[:1], c[1:]])
+                         for c, level in zip(f.coeffs, ref_b.coeffs)]
+            _same_function(fc, f.grid, fc_coeffs, f.nodes - ref_b.nodes)
+
+            every = _record_jumps(fb)
+            for kept in (every, [row for row in every if rng.random() < 0.3], []):
+                ts = [row[0] for row in kept]
+                order = rng.permutation(len(ts))
+                grid = np.unique(np.asarray([f.a, f.b] + ts))
+                ref = _break_reference(grid, kept, f.vshape)
+                got = break_truncate(fb, [ts[i] for i in order])
+                _same_function(got, ref.grid, ref.coeffs, ref.nodes)
+
+    def test_refine(self, rng):
+        for f in self.functions(rng):
+            a, b = f.a, f.b
+            lo, hi = f.grid[f.npieces // 2], f.grid[f.npieces // 2 + 1]
+            inside = rng.uniform(a, b, size=25)
+            # one piece gets a run of points; duplicates, grid hits and
+            # both ends are not new
+            for pts in (inside, np.concatenate([inside[:5], inside[:5], f.grid[::3], [a, b]]),
+                        np.linspace(lo, hi, 9), [0.5 * (a + b)], np.sort(inside)[::-1]):
+                _same_function(f.refine(pts), *_point_refine(f, pts))
+            assert f.refine(f.grid[::2]) is f
+            assert f.refine([]) is f
+
+
+class TestJumpTableCache:
+    @staticmethod
+    def jumpy(rng):
+        return _mixed_jumps(rng, _random_function(rng, "operator", 2, 7, 0.0, 1.0))
+
+    def test_records_are_read_only(self, rng):
+        f = self.jumpy(rng)
+        off_grid = 0.5 * (f.grid[1] + f.grid[2])
+        records = f.jumps() + [f.jump_at(f.grid[3]), f.jump_at(f.a), f.jump_at(off_grid)]
+        for rec in records:
+            for arr in (rec.jump_minus, rec.jump_plus):
+                with pytest.raises(ValueError):
+                    arr[...] = 1.0
+        # the cached table is untouched
+        for rec, row in zip(f.jumps(), _record_jumps(f)):
+            _same_record(rec, row)
+
+    def test_built_lazily_once(self, rng, monkeypatch):
+        f0 = self.jumpy(rng)
+        calls = []
+        polyval = _poly.polyval
+
+        def counting(c, t):
+            calls.append(1)
+            return polyval(c, t)
+
+        monkeypatch.setattr(_poly, "polyval", counting)
+        f = PiecewiseFunction(f0.grid, f0.coeffs, f0.nodes)
+        assert calls == []
+        f.jumps()
+        assert len(calls) == f.npieces
+        f.jumps(tol=0.5)
+        f.jump_at(f.grid[2])
+        jordan_decompose(f)
+        assert len(calls) == f.npieces
+
+    def test_repeated_calls_agree(self, rng):
+        f = self.jumpy(rng)
+        first, second = f.jumps(), f.jumps()
+        assert len(first) == len(second) > 0
+        for r, s in zip(first, second):
+            _same_record(r, (s.t, s.jump_minus, s.jump_plus, s.norm_minus, s.norm_plus))
 
 
 class TestLimits:
@@ -219,6 +403,13 @@ class TestJumps:
         assert rec.t == 0.0
         assert rec.jump_minus[0] == 0.0  # convention at a
         assert rec.jump_plus[0] == -1.0
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-300, -1.0])
+    def test_tolerance_must_be_nonnegative(self, chi_half, tol):
+        """A NaN tolerance would report no jump at all and a negative one
+        every grid point, zero jumps included."""
+        with pytest.raises(ValueError):
+            chi_half.jumps(tol)
 
     def test_refinement_no_spurious_jumps(self, rng):
         for _ in range(30):

@@ -66,3 +66,27 @@ def test_oracle_levels_go_through_the_traced_builder(monkeypatch):
     assert traced.counts["gauges.division.calls"] == len(levels)
     assert traced.counts["gauges.oracle.points"] == sum(d.points.size for d in divisions)
     assert "gauges.division" in traced.self_times()
+
+
+@pytest.mark.parametrize("consumer", ["jordan_decompose", "ks_dFg"])
+def test_jump_table_is_built_inside_the_jumps_span(consumer):
+    """``piecewise.jumps.self_s`` times the jump table, which is built on
+    first use and cached: a consumer that meets a fresh function must reach
+    the table through ``jumps()``, so the table's ``polyval`` calls are
+    children of a ``piecewise.jumps`` span."""
+    F = ks.PiecewiseFunction([0.0, 0.25, 0.5, 1.0], [[[[1.0]], [[2.0]]]] * 3,
+                             [[[0.0]], [[3.0]], [[-1.0]], [[4.0]]])
+    g = ks.polynomial((0.0, 1.0), [1.0, -1.0])
+    traced = tracer.Tracer().install(ks)
+    try:
+        if consumer == "jordan_decompose":
+            ks.jordan_decompose(F)
+        else:
+            ks.ks_dFg(F, g)
+    finally:
+        traced.uninstall()
+    names = {span[0]: span[1] for span in traced.spans}
+    under_jumps = [span for span in traced.spans
+                   if span[1] == "poly.polyval" and names.get(span[4]) == "piecewise.jumps"]
+    assert traced.counts["piecewise.jumps.calls"] >= 1
+    assert len(under_jumps) == F.npieces

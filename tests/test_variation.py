@@ -55,6 +55,13 @@ class TestVarCompact:
         with pytest.raises(DomainError):
             var_compact(polynomial((0, 1), [0.0, 1.0]), 0.0, 1.5)
 
+    @pytest.mark.parametrize("c, d", [(np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)])
+    def test_nan_end_is_outside_domain(self, c, d):
+        """A NaN end fails every comparison, so it must not pass as a
+        degenerate or in-range interval (a jump of 1 sits at 1/2)."""
+        with pytest.raises(DomainError):
+            var_compact(step((0.0, 1.0), Interval.closed(0.5, 1.0), 1.0), c, d)
+
     def test_against_brute_force_random(self, rng):
         for _ in range(25):
             f = corpus.random_piecewise(rng, "vector", 2, max_degree=3, max_jumps=0)
