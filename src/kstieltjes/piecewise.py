@@ -64,10 +64,6 @@ class _JumpTable(NamedTuple):
     norm_minus: np.ndarray
     norm_plus: np.ndarray
 
-    def record(self, t: float, k: int) -> JumpRecord:
-        return JumpRecord(t, self.minus[k], self.plus[k],
-                          float(self.norm_minus[k]), float(self.norm_plus[k]))
-
 
 def _domain_pair(domain) -> tuple[float, float]:
     if isinstance(domain, Interval):
@@ -224,19 +220,25 @@ class PiecewiseFunction:
         taken from ``limit_left``/``limit_right`` bit for bit."""
         table = self._table
         if table is None:
-            ends = np.empty(self.vshape + (self.npieces, 2))
+            # ends[j] holds piece j's values at its left and right end
+            ends = np.empty((self.npieces,) + self.vshape + (2,))
             for j, c in enumerate(self.coeffs):
-                ends[..., j, :] = _poly.polyval(c, self.grid[j:j + 2])
-            right, left = np.moveaxis(ends, (-1, -2), (0, 1))
-            minus = np.zeros(self.nodes.shape)
-            plus = np.zeros(self.nodes.shape)
-            minus[1:] = self.nodes[1:] - left
-            plus[:-1] = right - self.nodes[:-1]
-            arrays = (minus, plus, row_norms(minus), row_norms(plus))
-            for arr in arrays:
-                arr.setflags(write=False)
-            table = self._table = _JumpTable(*arrays)
+                ends[j] = _poly.polyval(c, self.grid[j:j + 2])
+            both = np.zeros((2,) + self.nodes.shape)
+            both[0, 1:] = self.nodes[1:] - ends[..., 1]
+            both[1, :-1] = ends[..., 0] - self.nodes[:-1]
+            norms = row_norms(both.reshape((-1,) + self.vshape)).reshape(2, -1)
+            both.setflags(write=False)
+            norms.setflags(write=False)
+            table = self._table = _JumpTable(both[0], both[1], norms[0], norms[1])
         return table
+
+    def _records(self, rows: np.ndarray) -> list[JumpRecord]:
+        """Records that view the jump-table rows ``rows``."""
+        minus, plus, norm_minus, norm_plus = self._jump_table()
+        return [JumpRecord(t, minus[k], plus[k], nm, np_) for t, k, nm, np_ in
+                zip(self.grid[rows].tolist(), rows.tolist(),
+                    norm_minus[rows].tolist(), norm_plus[rows].tolist())]
 
     def jump_at(self, t: float) -> JumpRecord:
         """One-sided jumps at any ``t`` in the domain: zero off the grid,
@@ -245,7 +247,7 @@ class PiecewiseFunction:
         self._check_inside(t)
         i = int(np.searchsorted(self.grid, t, side="left"))
         if self.grid[i] == t:
-            return self._jump_table().record(float(self.grid[i]), i)
+            return self._records(np.array([i]))[0]
         zeros = np.zeros(self.vshape)
         zeros.setflags(write=False)
         return JumpRecord(t, zeros, zeros, 0.0, 0.0)
@@ -258,8 +260,7 @@ class PiecewiseFunction:
         if not tol >= 0:
             raise ValueError(f"jump tolerance must be >= 0, got {tol}")
         table = self._jump_table()
-        rows = np.flatnonzero((table.norm_minus > tol) | (table.norm_plus > tol))
-        return [table.record(t, k) for t, k in zip(self.grid[rows].tolist(), rows.tolist())]
+        return self._records(np.flatnonzero((table.norm_minus > tol) | (table.norm_plus > tol)))
 
     # -- structural operations ----------------------------------------------
 
