@@ -40,8 +40,8 @@ class JumpRecord:
     jump at ``b`` are zero.  ``jump_full`` is ``f(t+) - f(t-)`` (with the
     same endpoint conventions), the quantity that drives pure-jump
     integrals.  ``norm_minus`` and ``norm_plus`` are the norms of the two
-    one-sided jumps.  The arrays are read-only views of the function's
-    cached jump table.
+    one-sided jumps.  The arrays are read-only; at a grid point they are
+    views of the function's cached jump table.
     """
 
     t: float
