@@ -6,10 +6,13 @@ axes carry the value shape: ``()`` for scalars, ``(n,)`` for vectors and
 ``(n, n)`` for operators.
 
 Everything here is closed form: definite integrals go through the
-antiderivative, and the piecewise-linear-algebra of ``max``/``abs`` over
-norms is handled by splitting the interval at polynomial roots so that on
-every sub-segment the integrand is a single signed polynomial.  The only
-inexactness is floating-point rounding plus root placement, which the
+antiderivative.  The norm of a polynomial's value (the max norm of a
+vector, the max-row-sum norm of an operator) is piecewise polynomial, and
+one kernel, ``_norm_pieces``, splits an interval at polynomial roots into
+segments on each of which it is a single scalar polynomial.
+``integral_of_norm`` and ``sup_norm_on`` are two reductions over those
+segments: the sum of ``defint`` and the largest ``max_abs_scalar``.  The
+only inexactness is floating-point rounding plus root placement, which the
 callers' tolerances absorb.
 """
 
@@ -119,17 +122,24 @@ def real_roots(c: np.ndarray, lo: float, hi: float) -> list[float]:
         der = polyder(rem)
         span = hi - lo
         for x in cands:
+            px = float(polyval(rem, x))
             for _ in range(6):
-                px = float(polyval(rem, x))
                 dpx = float(polyval(der, x))
                 if dpx == 0.0:
                     break
                 step = px / dpx
                 if abs(step) > span:
                     break
-                x -= step
-                if abs(step) < 1e-15 * (1.0 + abs(x)):
+                nx = x - step
+                if abs(step) < 1e-15 * (1.0 + abs(nx)):
+                    x = nx
                     break
+                # At a multiple root p and p' are both rounding noise and
+                # their ratio can throw x off the root: undo such a step.
+                npx = float(polyval(rem, nx))
+                if abs(npx) > abs(px):
+                    break
+                x, px = nx, npx
             if lo < x < hi:
                 found.append(x)
     found.sort()
@@ -147,10 +157,28 @@ def _segments(lo: float, hi: float, cuts: list[float]):
             yield u, v
 
 
-def _max_scalar(c: np.ndarray, lo: float, hi: float) -> float:
-    """Maximum of a scalar polynomial (no absolute value) on ``[lo, hi]``."""
-    cands = [lo, hi] + real_roots(polyder(c), lo, hi)
-    return max(float(polyval(c, x)) for x in cands)
+def _norm_pieces(c: np.ndarray, lo: float, hi: float):
+    """Yield ``(u, v, q)`` covering ``[lo, hi]`` in order, where the scalar
+    polynomial ``q`` equals ``||p(t)||`` on ``[u, v]``.
+
+    Scalars and vectors are treated as one-column operators: the max norm
+    of a column is its max-row-sum norm, so one path serves all shapes.
+    The interval is first cut where an entry changes sign, so that every
+    row sum of ``|c|`` is a polynomial there, and then where the largest
+    row sum changes hands; ``q`` is the winning row sum.
+    """
+    c = np.asarray(c, dtype=float)
+    ops = c.reshape((c.shape[0],) + (c.shape[1:2] or (1,)) + (-1,))
+    cuts = [x for entry in ops.reshape(c.shape[0], -1).T
+            for x in real_roots(entry, lo, hi)]
+    for u, v in _segments(lo, hi, cuts):
+        signs = np.where(polyval(ops, 0.5 * (u + v)) >= 0.0, 1.0, -1.0)
+        rows = np.sum(ops * signs, axis=2).T
+        inner = [x for i in range(len(rows)) for j in range(i + 1, len(rows))
+                 for x in real_roots(rows[i] - rows[j], u, v)]
+        for uu, vv in _segments(u, v, inner):
+            mid = 0.5 * (uu + vv)
+            yield uu, vv, rows[int(np.argmax([float(polyval(r, mid)) for r in rows]))]
 
 
 def max_abs_scalar(c: np.ndarray, lo: float, hi: float) -> float:
@@ -160,94 +188,30 @@ def max_abs_scalar(c: np.ndarray, lo: float, hi: float) -> float:
 
 
 def integral_of_abs_scalar(c: np.ndarray, lo: float, hi: float) -> float:
-    total = 0.0
-    for u, v in _segments(lo, hi, real_roots(c, lo, hi)):
-        mid = 0.5 * (u + v)
-        sign = 1.0 if float(polyval(c, mid)) >= 0.0 else -1.0
-        total += sign * float(defint(c, u, v))
-    return total
-
-
-def _row_polys(c: np.ndarray, u: float, v: float) -> list[np.ndarray]:
-    """Row-sum polynomials of ``|c|`` valid on the sign-constant segment
-    ``[u, v]`` (operator coefficients, shape ``(k, n, n)``)."""
-    mid = 0.5 * (u + v)
-    vals = polyval(c, mid)
-    signs = np.where(vals >= 0.0, 1.0, -1.0)
-    return [np.sum(c * signs[np.newaxis, :, :], axis=2)[:, i]
-            for i in range(c.shape[1])]
+    """``integral of |p(t)| dt`` for a scalar polynomial."""
+    return integral_of_norm(c, lo, hi)
 
 
 def sup_norm_on(c: np.ndarray, lo: float, hi: float) -> float:
     """Supremum of the norm of an array-valued polynomial on ``[lo, hi]``.
 
     Vector values use the max norm, operator values the induced
-    max-row-sum norm.  ``sup_t max_i = max_i sup_t`` lets the vector case
-    reduce to per-component extrema; the operator case first splits the
-    interval where any entry changes sign so the row sums are polynomials.
+    max-row-sum norm: the largest ``max_abs_scalar`` of the norm pieces.
     """
-    c = np.asarray(c, dtype=float)
-    if lo == hi:
+    if lo == hi or len(c) == 1:  # a point, or a constant
         return float(norm_of(polyval(c, lo)))
-    if c.ndim == 2:  # vector
-        return max(max_abs_scalar(c[:, i], lo, hi) for i in range(c.shape[1]))
-    if c.ndim == 3:  # operator
-        cuts: list[float] = []
-        for i in range(c.shape[1]):
-            for j in range(c.shape[2]):
-                cuts.extend(real_roots(c[:, i, j], lo, hi))
-        best = 0.0
-        for u, v in _segments(lo, hi, cuts):
-            for row in _row_polys(c, u, v):
-                best = max(best, _max_scalar(row, u, v))
-        return best
-    return max_abs_scalar(c, lo, hi)
+    return max((max_abs_scalar(q, u, v) for u, v, q in _norm_pieces(c, lo, hi)),
+               default=0.0)
 
 
 def integral_of_norm(c: np.ndarray, lo: float, hi: float) -> float:
-    """Exact ``integral of ||p(t)|| dt`` over ``[lo, hi]``.
-
-    The interval is split wherever the maximising component (or row) can
-    change or the winning polynomial changes sign; on each sub-segment the
-    integrand is a single signed polynomial, integrated via ``defint``.
-    """
-    c = np.asarray(c, dtype=float)
+    """Exact ``integral of ||p(t)|| dt`` over ``[lo, hi]``: the sum of
+    ``defint`` over the norm pieces."""
     if hi <= lo or is_zero_poly(c):
         return 0.0
-    if c.ndim == 1:
-        return integral_of_abs_scalar(c, lo, hi)
-    if c.ndim == 2:
-        n = c.shape[1]
-        cuts: list[float] = []
-        for i in range(n):
-            cuts.extend(real_roots(c[:, i], lo, hi))
-            for j in range(i + 1, n):
-                cuts.extend(real_roots(c[:, i] - c[:, j], lo, hi))
-                cuts.extend(real_roots(c[:, i] + c[:, j], lo, hi))
-        total = 0.0
-        for u, v in _segments(lo, hi, cuts):
-            mid = 0.5 * (u + v)
-            vals = polyval(c, mid)
-            i = int(np.argmax(np.abs(vals)))
-            sign = 1.0 if vals[i] >= 0.0 else -1.0
-            total += sign * float(defint(c[:, i], u, v))
-        return total
-    # operator: sign-resolve the entries first, then pick the winning row
-    cuts = []
-    for i in range(c.shape[1]):
-        for j in range(c.shape[2]):
-            cuts.extend(real_roots(c[:, i, j], lo, hi))
     total = 0.0
-    for u, v in _segments(lo, hi, cuts):
-        rows = _row_polys(c, u, v)
-        inner: list[float] = []
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                inner.extend(real_roots(rows[i] - rows[j], u, v))
-        for uu, vv in _segments(u, v, inner):
-            mid = 0.5 * (uu + vv)
-            i = int(np.argmax([float(polyval(r, mid)) for r in rows]))
-            total += float(defint(rows[i], uu, vv))
+    for u, v, q in _norm_pieces(c, lo, hi):
+        total += float(defint(q, u, v))
     return total
 
 

@@ -142,6 +142,15 @@ class PiecewiseFunction:
         for j, c in enumerate(self.coeffs):
             yield float(self.grid[j]), float(self.grid[j + 1]), c
 
+    def spans_within(self, c: float, d: float):
+        """Yield ``(lo, hi, coefficients)`` for each piece that meets
+        ``(c, d)``, in grid order, with ``(lo, hi)`` its overlap."""
+        j0, j1 = np.searchsorted(self.grid, [c, d])
+        for j in range(max(int(j0) - 1, 0), int(j1)):
+            lo, hi = max(float(self.grid[j]), c), min(float(self.grid[j + 1]), d)
+            if hi > lo:
+                yield lo, hi, self.coeffs[j]
+
     def __repr__(self) -> str:
         return (f"PiecewiseFunction({self.kind}, dim={self.dim}, "
                 f"domain=[{self.a}, {self.b}], pieces={self.npieces})")
@@ -342,13 +351,12 @@ class PiecewiseFunction:
             if part.is_degenerate:
                 best = max(best, norm_of(self(part.lo)))
                 continue
-            for k, t in enumerate(self.grid):
-                if part.contains(float(t)):
-                    best = max(best, norm_of(self.nodes[k]))
-            for u, v, c in self.piece_spans():
-                lo, hi = max(u, part.lo), min(v, part.hi)
-                if hi > lo:
-                    best = max(best, _poly.sup_norm_on(c, lo, hi))
+            k0 = np.searchsorted(self.grid, part.lo, "left" if part.lo_closed else "right")
+            k1 = np.searchsorted(self.grid, part.hi, "right" if part.hi_closed else "left")
+            if k1 > k0:
+                best = max(best, float(np.max(row_norms(self.nodes[k0:k1]))))
+            for lo, hi, c in self.spans_within(part.lo, part.hi):
+                best = max(best, _poly.sup_norm_on(c, lo, hi))
         return best
 
     # -- arithmetic sugar ---------------------------------------------------

@@ -6,9 +6,9 @@ computable continuous contribution plus a jump contribution:
 * continuous: the integral of the norm of the derivative of the continuous
   part over each piece.  Since the break part is constant on every open
   piece, that derivative is just the piece polynomial's derivative; the
-  integral is evaluated by splitting at the isolated roots where the
-  maximising component changes or a component changes sign, then
-  integrating the winning signed polynomial in closed form.
+  integral is evaluated by splitting at the isolated roots where an entry
+  changes sign or the maximising row changes, then integrating the winning
+  row sum in closed form.
 * jumps: the sum of ``||jump_plus||`` over ``[c, d)`` plus ``||jump_minus||``
   over ``(c, d]``.
 
@@ -57,10 +57,8 @@ class VariationResult:
 
 def _continuous_part(f: PiecewiseFunction, c: float, d: float) -> float:
     total = 0.0
-    for u, v, coeffs in f.piece_spans():
-        lo, hi = max(u, c), min(v, d)
-        if hi > lo:
-            total += _poly.integral_of_norm(_poly.polyder(coeffs), lo, hi)
+    for lo, hi, coeffs in f.spans_within(c, d):
+        total += _poly.integral_of_norm(_poly.polyder(coeffs), lo, hi)
     return total
 
 

@@ -22,6 +22,22 @@ def vshape_of(kind: str, dim: int) -> tuple[int, ...]:
     return (dim,) if kind == "vector" else (dim, dim)
 
 
+def random_coeffs(rng, vshape):
+    """Dense, sparse-monomial (one or two nonzero degrees) or zero
+    coefficients, some entries negative zero."""
+    style = rng.integers(3)
+    if style == 0:
+        c = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 7)),) + vshape)
+    elif style == 1:
+        c = np.zeros((int(rng.integers(2, 14)),) + vshape)
+        c[-1] = rng.uniform(-1.0, 1.0, size=vshape)
+        if rng.random() < 0.5:
+            c[int(rng.integers(0, c.shape[0] - 1))] = rng.uniform(-1.0, 1.0, size=vshape)
+    else:
+        c = np.zeros((int(rng.integers(1, 4)),) + vshape)
+    return np.where(rng.random(c.shape) < 0.1, -0.0, c)
+
+
 def _assemble(grid, coeffs, jump_at, jump_draw):
     """Default-continuous nodes plus drawn jumps at selected grid indices."""
     vshape = coeffs[0].shape[1:]

@@ -105,28 +105,12 @@ def _masked_eval_many(f, ts):
     return out
 
 
-def _random_coeffs(rng, vshape):
-    """Dense, sparse-monomial (one or two nonzero degrees) or zero
-    coefficients, some entries negative zero."""
-    style = rng.integers(3)
-    if style == 0:
-        c = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 7)),) + vshape)
-    elif style == 1:
-        c = np.zeros((int(rng.integers(2, 14)),) + vshape)
-        c[-1] = rng.uniform(-1.0, 1.0, size=vshape)
-        if rng.random() < 0.5:
-            c[int(rng.integers(0, c.shape[0] - 1))] = rng.uniform(-1.0, 1.0, size=vshape)
-    else:
-        c = np.zeros((int(rng.integers(1, 4)),) + vshape)
-    return np.where(rng.random(c.shape) < 0.1, -0.0, c)
-
-
 def _random_function(rng, kind, dim, pieces, a, b):
-    """Random pieces from ``_random_coeffs`` and a random value at every
+    """Random pieces from ``corpus.random_coeffs`` and a random value at every
     grid point, so nearly every grid point jumps."""
     vshape = (dim,) if kind == "vector" else (dim, dim)
     grid = np.unique(np.concatenate([[a], rng.uniform(a, b, pieces - 1), [b]]))
-    coeffs = [_random_coeffs(rng, vshape) for _ in range(grid.size - 1)]
+    coeffs = [corpus.random_coeffs(rng, vshape) for _ in range(grid.size - 1)]
     return PiecewiseFunction(grid, coeffs,
                              rng.uniform(-1.0, 1.0, size=(grid.size,) + vshape))
 
@@ -166,7 +150,7 @@ class TestEvalReference:
     def test_polyval(self, rng):
         for _ in range(300):
             vshape = [(), (1,), (3,), (2, 2), (3, 3)][int(rng.integers(5))]
-            c = _random_coeffs(rng, vshape)
+            c = corpus.random_coeffs(rng, vshape)
             ts = rng.uniform(-3.0, 3.0, size=int(rng.integers(0, 40)))
             _same(_poly.polyval(c, ts), _step_horner(c, ts))
             t = float(rng.uniform(-3.0, 3.0))
@@ -631,6 +615,77 @@ class TestRestrict:
     def test_outside_domain_rejected(self, ramp):
         with pytest.raises(DomainError):
             ramp.restrict(ElementarySet.of(Interval.closed(0.5, 2.0)))
+
+
+def _sup_norm_reference(f, region):
+    """Every grid point the part contains and every piece meeting its
+    interior, walked in full."""
+    best = 0.0
+    for part in region.parts:
+        if part.is_degenerate:
+            best = max(best, norm_of(f(part.lo)))
+            continue
+        for k, t in enumerate(f.grid):
+            if part.contains(float(t)):
+                best = max(best, norm_of(f.nodes[k]))
+        for u, v, c in f.piece_spans():
+            lo, hi = max(u, part.lo), min(v, part.hi)
+            if hi > lo:
+                best = max(best, _poly.sup_norm_on(c, lo, hi))
+    return best
+
+
+class TestSupNorm:
+    @pytest.fixture
+    def ramp_with_nodes(self):
+        """``t`` on [0, 1] with node values 5 at 1/2 and 3 at 1."""
+        return PiecewiseFunction([0.0, 0.5, 1.0], [[[0.0], [1.0]]] * 2,
+                                 [[0.0], [5.0], [3.0]])
+
+    @pytest.mark.parametrize("part, want", [
+        (Interval.closed(0.0, 1.0), 5.0),
+        (Interval.open(0.5, 1.0), 1.0),
+        (Interval(0.25, 0.5, True, False), 0.5),
+        (Interval.at(0.5), 5.0),
+        (Interval(0.5, 1.0, False, True), 3.0)])
+    def test_node_values_count_only_inside(self, ramp_with_nodes, part, want):
+        assert ramp_with_nodes.sup_norm(part) == want
+
+    def test_default_is_the_domain(self, ramp_with_nodes):
+        assert ramp_with_nodes.sup_norm() == 5.0
+
+    @staticmethod
+    def regions(rng, f):
+        pts = np.concatenate([f.grid, rng.uniform(f.a, f.b, 6)])
+        for _ in range(4):
+            parts = []
+            for _ in range(int(rng.integers(1, 3))):
+                lo, hi = sorted(float(x) for x in rng.choice(pts, 2))
+                parts.append(Interval.at(lo) if lo == hi else
+                             Interval(lo, hi, bool(rng.random() < 0.5), bool(rng.random() < 0.5)))
+            yield ElementarySet.of(*parts)
+        yield ElementarySet.of(f.domain)
+
+    def test_matches_full_walk(self, rng):
+        for kind in ("vector", "operator"):
+            for dim in (1, 2):
+                for pieces in (1, 7, 40):
+                    for a, b in ((0.0, 1.0), (-3.5, -1.25), (1e3, 1e3 + 2.0)):
+                        f = _random_function(rng, kind, dim, pieces, a, b)
+                        for region in self.regions(rng, f):
+                            got, want = f.sup_norm(region), _sup_norm_reference(f, region)
+                            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_spans_within_match_the_clipped_pieces(self, rng):
+        f = _random_function(rng, "vector", 1, 40, -3.5, -1.25)
+        pts = np.concatenate([f.grid, rng.uniform(f.a, f.b, 30)])
+        for _ in range(60):
+            c, d = sorted(float(x) for x in rng.choice(pts, 2))
+            want = [(max(u, c), min(v, d), coeffs) for u, v, coeffs in f.piece_spans()
+                    if min(v, d) > max(u, c)]
+            got = list(f.spans_within(c, d))
+            assert [(lo, hi) for lo, hi, _ in got] == [(lo, hi) for lo, hi, _ in want]
+            assert all(x is y for (_, _, x), (_, _, y) in zip(got, want))
 
 
 class TestLincomb:

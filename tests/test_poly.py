@@ -1,0 +1,210 @@
+"""The ``_poly`` norm routines: one root-split kernel against the per-shape
+reference loops, exact dyadic cases, sampling bounds and root polishing."""
+
+import numpy as np
+import pytest
+
+import corpus
+from kstieltjes import _poly
+from kstieltjes.norms import norm_of
+
+DOMAINS = ((0.0, 1.0), (-3.5, -1.25), (1e3, 1e3 + 2.0))
+
+
+# -- reference loops: one branch per value shape ----------------------------
+
+def _segments(lo, hi, cuts):
+    pts = [lo] + [x for x in sorted(set(cuts)) if lo < x < hi] + [hi]
+    for u, v in zip(pts[:-1], pts[1:]):
+        if v > u:
+            yield u, v
+
+
+def _max_scalar(c, lo, hi):
+    cands = [lo, hi] + _poly.real_roots(_poly.polyder(c), lo, hi)
+    return max(float(_poly.polyval(c, x)) for x in cands)
+
+
+def _abs_integral(c, lo, hi):
+    total = 0.0
+    for u, v in _segments(lo, hi, _poly.real_roots(c, lo, hi)):
+        sign = 1.0 if float(_poly.polyval(c, 0.5 * (u + v))) >= 0.0 else -1.0
+        total += sign * float(_poly.defint(c, u, v))
+    return total
+
+
+def _row_polys(c, u, v):
+    signs = np.where(_poly.polyval(c, 0.5 * (u + v)) >= 0.0, 1.0, -1.0)
+    return [np.sum(c * signs[np.newaxis, :, :], axis=2)[:, i]
+            for i in range(c.shape[1])]
+
+
+def _entry_cuts(c, lo, hi):
+    return [x for i in range(c.shape[1]) for j in range(c.shape[2])
+            for x in _poly.real_roots(c[:, i, j], lo, hi)]
+
+
+def _sup_reference(c, lo, hi):
+    c = np.asarray(c, dtype=float)
+    if lo == hi:
+        return float(norm_of(_poly.polyval(c, lo)))
+    if c.ndim == 2:
+        return max(_poly.max_abs_scalar(c[:, i], lo, hi) for i in range(c.shape[1]))
+    if c.ndim == 3:
+        best = 0.0
+        for u, v in _segments(lo, hi, _entry_cuts(c, lo, hi)):
+            for row in _row_polys(c, u, v):
+                best = max(best, _max_scalar(row, u, v))
+        return best
+    return _poly.max_abs_scalar(c, lo, hi)
+
+
+def _integral_reference(c, lo, hi):
+    c = np.asarray(c, dtype=float)
+    if hi <= lo or not np.any(c):
+        return 0.0
+    if c.ndim == 1:
+        return _abs_integral(c, lo, hi)
+    if c.ndim == 2:
+        n = c.shape[1]
+        cuts = []
+        for i in range(n):
+            cuts.extend(_poly.real_roots(c[:, i], lo, hi))
+            for j in range(i + 1, n):
+                cuts.extend(_poly.real_roots(c[:, i] - c[:, j], lo, hi))
+                cuts.extend(_poly.real_roots(c[:, i] + c[:, j], lo, hi))
+        total = 0.0
+        for u, v in _segments(lo, hi, cuts):
+            vals = _poly.polyval(c, 0.5 * (u + v))
+            i = int(np.argmax(np.abs(vals)))
+            sign = 1.0 if vals[i] >= 0.0 else -1.0
+            total += sign * float(_poly.defint(c[:, i], u, v))
+        return total
+    total = 0.0
+    for u, v in _segments(lo, hi, _entry_cuts(c, lo, hi)):
+        rows = _row_polys(c, u, v)
+        inner = [x for i in range(len(rows)) for j in range(i + 1, len(rows))
+                 for x in _poly.real_roots(rows[i] - rows[j], u, v)]
+        for uu, vv in _segments(u, v, inner):
+            mid = 0.5 * (uu + vv)
+            i = int(np.argmax([float(_poly.polyval(r, mid)) for r in rows]))
+            total += float(_poly.defint(rows[i], uu, vv))
+    return total
+
+
+def _cases(rng):
+    """Random coefficients of every shape, dims 1-3, on each domain, over
+    the whole domain and over a random subinterval."""
+    for vshape in [()] + [shape for dim in (1, 2, 3)
+                          for shape in ((dim,), (dim, dim))]:
+        for a, b in DOMAINS:
+            for _ in range(12):
+                c = corpus.random_coeffs(rng, vshape)
+                lo, hi = sorted(rng.uniform(a, b, 2))
+                yield c, a, b
+                yield c, float(lo), float(hi)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestNormKernelReference:
+    """``integral_of_norm`` and ``sup_norm_on`` equal the per-shape
+    reference loops byte for byte."""
+
+    def test_integral_of_norm(self, rng):
+        for c, lo, hi in _cases(rng):
+            assert _bits(_poly.integral_of_norm(c, lo, hi)) == _bits(_integral_reference(c, lo, hi))
+            if c.ndim == 1:
+                assert _bits(_poly.integral_of_abs_scalar(c, lo, hi)) == _bits(_abs_integral(c, lo, hi))
+
+    def test_sup_norm_on(self, rng):
+        for c, lo, hi in _cases(rng):
+            assert _bits(_poly.sup_norm_on(c, lo, hi)) == _bits(_sup_reference(c, lo, hi))
+        c = corpus.random_coeffs(rng, (2, 2))
+        assert _poly.sup_norm_on(c, 0.5, 0.5) == norm_of(_poly.polyval(c, 0.5))
+
+    def test_sampled_bounds(self, rng):
+        """The supremum dominates the norm at sampled points and bounds the
+        integral; the slack is rounding relative to the coefficients'
+        size at the domain's scale."""
+        for c, lo, hi in _cases(rng):
+            sup = _poly.sup_norm_on(c, lo, hi)
+            scale = np.sum(np.abs(c).reshape(c.shape[0], -1), axis=1) @ (
+                max(abs(lo), abs(hi), 1.0) ** np.arange(c.shape[0]))
+            slack = 1e-12 * scale
+            ts = np.linspace(lo, hi, 33)
+            assert all(norm_of(_poly.polyval(c, t)) <= sup + slack for t in ts)
+            integral = _poly.integral_of_norm(c, lo, hi)
+            assert 0.0 <= integral <= (hi - lo) * (sup + slack)
+
+
+class TestExactNorms:
+    """Dyadic cases whose roots, crossings and integrals are exact."""
+
+    def test_scalar(self):
+        c = np.array([-0.25, 1.0])
+        assert _poly.integral_of_norm(c, 0.0, 1.0) == 5 / 16
+        assert _poly.integral_of_abs_scalar(c, 0.0, 1.0) == 5 / 16
+        assert _poly.sup_norm_on(c, 0.0, 1.0) == 0.75
+
+    def test_vector(self):
+        c = np.array([[0.0, 1.0], [1.0, -1.0]])  # (t, 1 - t)
+        assert _poly.integral_of_norm(c, 0.0, 1.0) == 0.75
+        assert _poly.sup_norm_on(c, 0.0, 1.0) == 1.0
+        assert _poly.sup_norm_on(c, 0.25, 0.75) == 0.75
+
+    def test_operator(self):
+        # rows (t, -t) and (1/2, 0): row sums 2t and 1/2 cross at 1/4
+        c = np.array([[[0.0, 0.0], [0.5, 0.0]], [[1.0, -1.0], [0.0, 0.0]]])
+        assert _poly.integral_of_norm(c, 0.0, 1.0) == 17 / 16
+        assert _poly.sup_norm_on(c, 0.0, 1.0) == 2.0
+        assert _poly.sup_norm_on(c, 0.0, 0.25) == 0.5
+
+    @pytest.mark.parametrize("vshape", [(), (2,), (2, 2)])
+    def test_zero(self, vshape):
+        c = np.zeros((3,) + vshape)
+        assert _poly.integral_of_norm(c, -1.0, 1.0) == 0.0
+        assert _poly.sup_norm_on(c, -1.0, 1.0) == 0.0
+
+
+def _near(found, roots, tol):
+    """Every reported root lies within ``tol`` of a true root, and every
+    true root has one reported near it.  A rounded multiple root may come
+    back as a close pair."""
+    return (all(min(abs(x - r) for r in roots) <= tol for x in found)
+            and all(min((abs(x - r) for x in found), default=np.inf) <= tol
+                    for r in roots))
+
+
+class TestRealRoots:
+    """Roots are polished with Newton steps; at a multiple root p and p'
+    are rounding noise, and a step off the root must be undone."""
+
+    @pytest.mark.parametrize("root, lo, hi", [(1.0, 0.0, 2.0), (0.5, 0.0, 1.0),
+                                              (1 / 3, 0.0, 1.0),
+                                              (-2.25, -3.5, -1.25),
+                                              (1e3 + 1.0, 1e3, 1e3 + 2.0)])
+    def test_double_root(self, root, lo, hi):
+        c = np.array([root * root, -2.0 * root, 1.0])  # (t - root)**2
+        assert _near(_poly.real_roots(c, lo, hi), [root], 1e-7 * (1.0 + abs(root)))
+
+    def test_exact_double_root(self):
+        assert _poly.real_roots([1.0, -2.0, 1.0], 0.0, 2.0) == [0.9999999999999999]
+        assert _poly.real_roots([0.25, -1.0, 1.0], 0.0, 1.0) == [0.49999999999999994]
+
+    @pytest.mark.parametrize("roots, lo, hi", [((0.25, 0.5, 0.75), 0.0, 1.0),
+                                               ((-3.0, -2.0), -3.5, -1.25),
+                                               ((1e3 + 0.5, 1e3 + 1.5), 1e3, 1e3 + 2.0)])
+    def test_simple_roots(self, roots, lo, hi):
+        c = np.polynomial.polynomial.polyfromroots(roots)
+        found = _poly.real_roots(c, lo, hi)
+        assert len(found) == len(roots)
+        assert _near(found, roots, 1e-12 * (1.0 + max(map(abs, roots))))
+
+    def test_double_and_simple_root(self):
+        c = np.polynomial.polynomial.polyfromroots((0.5, 0.5, 0.125))
+        found = _poly.real_roots(c, 0.0, 1.0)
+        assert found[0] == 0.125
+        assert _near(found, [0.125, 0.5], 1e-7)
