@@ -26,7 +26,39 @@ from .norms import norm_of
 _ROOT_MERGE = 1e-13
 
 
-def polyval(c: np.ndarray, t) -> np.ndarray:
+def degree_patterns(block: np.ndarray) -> np.ndarray:
+    """Degree pattern of each coefficient array in a stack ``(n, K, ...)``:
+    row ``i`` is ``(count, low, top)``, the number of nonzero degrees of
+    ``block[i]`` and the lowest and highest of them (meaningless when
+    ``count`` is 0).  ``polyval`` branches on nothing else."""
+    nonzero = (block != 0.0).reshape(block.shape[:2] + (-1,)).any(axis=2)
+    pattern = np.empty((len(block), 3), dtype=np.intp)
+    pattern[:, 0] = nonzero.sum(axis=1)
+    pattern[:, 1] = nonzero.argmax(axis=1)
+    pattern[:, 2] = nonzero.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
+    return pattern
+
+
+def _horner(cols, ts, pattern, out):
+    """Write ``sum cols[j] ts**j`` into ``out`` with the operations that
+    ``pattern`` selects; ``cols[j]`` and ``ts`` broadcast against ``out``.
+    ``0.0 + x`` starts the sum as adding into zeros would, so a -0.0 comes
+    out as 0.0."""
+    count, low, top = pattern
+    if count == 0:
+        out[...] = 0.0
+    elif count <= 2:
+        np.add(0.0, cols[low] * ts**low, out=out)
+        if count == 2:
+            out += cols[top] * ts**top
+    else:
+        np.add(0.0, cols[top], out=out)
+        for j in range(top - 1, -1, -1):
+            out *= ts
+            out += cols[j]
+
+
+def polyval(c: np.ndarray, t, pattern=None) -> np.ndarray:
     """Evaluate the polynomial ``sum c[j] t**j`` at ``t``.
 
     ``t`` may be a scalar or a 1-d array; the result has shape
@@ -34,29 +66,52 @@ def polyval(c: np.ndarray, t) -> np.ndarray:
     (single monomials, as produced by the power family) take a fast path
     that avoids Horner over the zero coefficients.
 
-    The branch taken depends only on ``c``, so scalar and vectorised
-    evaluation of the same piece are bitwise consistent.
+    The branch taken depends only on the degree pattern of ``c`` (see
+    ``degree_patterns``), which is found here unless ``pattern`` passes it
+    in, so scalar and vectorised evaluation of the same piece are bitwise
+    consistent.
+
+    With ``pattern`` an ``(n, 3)`` array of degree patterns, ``c`` is a
+    stack ``(n, K, *vshape)`` of coefficient arrays and ``t`` has shape
+    ``(n, p)``: array ``i`` is evaluated at ``t[i]`` and the result has
+    shape ``(n, *vshape, p)``.  Arrays that share a pattern are evaluated
+    together, by the same operations as one at a time.
     """
     c = np.asarray(c, dtype=float)
+    if pattern is None:
+        nz = np.flatnonzero(c.reshape(c.shape[0], -1).any(axis=1))
+        pattern = (nz.size, nz[0], nz[-1]) if nz.size else (0, 0, 0)
+    elif np.ndim(pattern) == 2:
+        return _polyval_stack(c, np.asarray(t, dtype=float), pattern)
     tarr = np.asarray(t, dtype=float)
     scalar = tarr.ndim == 0
     ts = tarr.reshape(1) if scalar else tarr
-    vshape = c.shape[1:]
-    nz = np.flatnonzero(c.reshape(c.shape[0], -1).any(axis=1))
-    if nz.size == 0:
-        out = np.zeros(vshape + ts.shape)
-    elif nz.size <= 2:
-        out = np.zeros(vshape + ts.shape)
-        for j in nz:
-            out += c[j][..., np.newaxis] * ts**j
-    else:
-        top = int(nz[-1])
-        out = np.zeros(vshape + ts.shape)
-        out += c[top][..., np.newaxis]
-        for j in range(top - 1, -1, -1):
-            out *= ts
-            out += c[j][..., np.newaxis]
+    out = np.empty(c.shape[1:] + ts.shape)
+    _horner(c[..., np.newaxis], ts, pattern, out)
     return out[..., 0] if scalar else out
+
+
+def _polyval_stack(c: np.ndarray, t: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+    """``polyval`` of a stack: one ``_horner`` pass per pattern group."""
+    n, p = t.shape
+    ts = t.reshape((n,) + (1,) * (c.ndim - 2) + (p,))
+    out = np.empty((n,) + c.shape[2:] + (p,))
+    if (pattern == pattern[0]).all():  # one piece, or pieces of one pattern
+        _horner(c.swapaxes(0, 1)[..., np.newaxis], ts, pattern[0], out)
+        return out
+    count, low, top = pattern.T
+    # Horner depends on the top degree alone, the sparse path on both degrees
+    width = c.shape[1] + 1
+    key = (np.minimum(count, 3) * width + np.where(count > 2, 0, low)) * width + top
+    # sorted by group, each group is one slice of the stack
+    order = np.argsort(key, kind="stable")
+    starts = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
+    cols = c[order].swapaxes(0, 1)[..., np.newaxis]
+    ts = ts[order]
+    for lo, hi in zip([0] + starts, starts + [n]):
+        _horner(cols[:, lo:hi], ts[lo:hi], pattern[order[lo]], out[lo:hi])
+    out[order] = out.copy()
+    return out
 
 
 def polyder(c: np.ndarray) -> np.ndarray:
@@ -197,9 +252,14 @@ def sup_norm_on(c: np.ndarray, lo: float, hi: float) -> float:
 
     Vector values use the max norm, operator values the induced
     max-row-sum norm: the largest ``max_abs_scalar`` of the norm pieces.
+    A single entry is its own norm piece up to sign, so it skips the
+    kernel: ``max_abs_scalar`` over ``[lo, hi]`` gives the same bits.
     """
     if lo == hi or len(c) == 1:  # a point, or a constant
         return float(norm_of(polyval(c, lo)))
+    entries = np.asarray(c, dtype=float).reshape(len(c), -1)
+    if entries.shape[1] == 1:  # one entry: its absolute value is the norm
+        return max_abs_scalar(entries[:, 0], lo, hi)
     return max((max_abs_scalar(q, u, v) for u, v, q in _norm_pieces(c, lo, hi)),
                default=0.0)
 

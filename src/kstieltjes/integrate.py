@@ -80,7 +80,7 @@ def _merged_pieces(f: PiecewiseFunction, g: PiecewiseFunction):
     grid = np.unique(np.concatenate([f.grid, g.grid]))
     mids = 0.5 * (grid[:-1] + grid[1:])
     for u, v, i, j in zip(grid[:-1].tolist(), grid[1:].tolist(),
-                          f._pieces_of(mids), g._pieces_of(mids)):
+                          f._pieces_of(mids).tolist(), g._pieces_of(mids).tolist()):
         yield u, v, f.coeffs[i], g.coeffs[j]
 
 

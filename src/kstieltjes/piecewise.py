@@ -12,6 +12,11 @@ Values live in R^n (``kind='vector'``) or in the n-by-n matrices
 (``kind='operator'``).  All instances are immutable; operations return new
 objects and may be freely shared between threads.
 
+The coefficients are stored column-wise: one read-only, zero-padded block
+``(m, K, *vshape)`` whose row ``j`` holds piece ``j``'s polynomial, with
+each piece's length and degree pattern beside it.  ``coeffs`` views the
+block piece by piece; the structural operations index the block whole.
+
 Grid refinement inserts node values equal to the polynomial value, through
 the same evaluation path used by the one-sided limits, so refinement never
 manufactures spurious jumps: the inserted node and the limits are bitwise
@@ -55,6 +60,32 @@ class JumpRecord:
         return self.jump_minus + self.jump_plus
 
 
+class _Columns(NamedTuple):
+    """A zero-padded coefficient block ``(m, K, *vshape)`` and the length
+    of each piece's polynomial, handed to the constructor as they are."""
+
+    block: np.ndarray
+    lens: np.ndarray
+
+
+def _pad(coeffs, m: int, vshape) -> _Columns:
+    """``m`` per-piece coefficient arrays, zero-padded into one block."""
+    coeffs = list(coeffs)
+    lens = [len(c) for c in coeffs]
+    if len(lens) != m:
+        raise ValueError("need exactly one polynomial per open piece")
+    if min(lens) < 1:
+        raise ValueError("every piece needs at least one coefficient")
+    flat = np.concatenate(coeffs, dtype=float)
+    if flat.shape[1:] != vshape:
+        raise ValueError("piece coefficients must share the node value shape")
+    lens = np.array(lens)
+    block = np.zeros((m, lens.max()) + vshape)
+    # row-major order of the mask is the order of the concatenated pieces
+    block[np.arange(block.shape[1]) < lens[:, np.newaxis]] = flat
+    return _Columns(block, lens)
+
+
 class _JumpTable(NamedTuple):
     """Both one-sided jumps at every grid point, ``(m+1, *vshape)`` each,
     with their norms; row ``k`` belongs to grid point ``t_k``."""
@@ -85,7 +116,7 @@ class PiecewiseFunction:
         grid = np.array(grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid needs at least the two domain endpoints")
-        if not np.all(np.diff(grid) > 0):
+        if not (grid[1:] > grid[:-1]).all():
             raise ValueError("grid must be strictly increasing")
         nodes = np.array(node_values, dtype=float)
         if nodes.shape[0] != grid.size:
@@ -97,22 +128,20 @@ class PiecewiseFunction:
             kind = "operator"
         else:
             raise ValueError(f"value shape {vshape} is neither a vector nor a square matrix")
-        coeff_arrays = []
-        for c in coeffs:
-            c = np.array(c, dtype=float)
-            if c.shape[1:] != vshape:
-                raise ValueError("piece coefficients must share the node value shape")
-            c.setflags(write=False)
-            coeff_arrays.append(c)
-        if len(coeff_arrays) != grid.size - 1:
-            raise ValueError("need exactly one polynomial per open piece")
-        grid.setflags(write=False)
-        nodes.setflags(write=False)
+        block, lens = (coeffs if isinstance(coeffs, _Columns)
+                       else _pad(coeffs, grid.size - 1, vshape))
+        if not (np.isfinite(grid).all() and np.isfinite(nodes).all()
+                and np.isfinite(block).all()):
+            raise ValueError("grid, node values and coefficients must be finite")
+        for arr in (grid, nodes, block, lens):
+            arr.setflags(write=False)
         self.grid = grid
-        self.coeffs = tuple(coeff_arrays)
         self.nodes = nodes
         self.kind = kind
         self.dim = int(vshape[0])
+        self._block, self._lens = block, lens
+        self._pattern = _poly.degree_patterns(block)
+        self._views: tuple[np.ndarray, ...] | None = None
         self._table: _JumpTable | None = None
 
     # -- basic queries -------------------------------------------------
@@ -135,7 +164,17 @@ class PiecewiseFunction:
 
     @property
     def npieces(self) -> int:
-        return len(self.coeffs)
+        return self.grid.size - 1
+
+    @property
+    def coeffs(self) -> tuple[np.ndarray, ...]:
+        """Each piece's coefficients, ``block[j, :len_j]``, as read-only
+        views of the block."""
+        views = self._views
+        if views is None:
+            views = self._views = tuple(
+                self._block[j, :n] for j, n in enumerate(self._lens.tolist()))
+        return views
 
     def piece_spans(self):
         """Yield ``(u, v, coefficients)`` for each open piece ``(u, v)``."""
@@ -159,9 +198,13 @@ class PiecewiseFunction:
         if not (self.a <= t <= self.b):
             raise DomainError(f"t={t} outside the domain [{self.a}, {self.b}]")
 
-    def _pieces_of(self, ts) -> list[int]:
+    def _pieces_of(self, ts) -> np.ndarray:
         """Index of the piece whose open interval contains each of ``ts``."""
-        return (np.searchsorted(self.grid, ts, side="left") - 1).tolist()
+        return np.searchsorted(self.grid, ts, side="left") - 1
+
+    def _polyval(self, j: int, t) -> np.ndarray:
+        """Piece ``j``'s polynomial at ``t``, by its stored degree pattern."""
+        return _poly.polyval(self._block[j], t, self._pattern[j])
 
     # -- evaluation ------------------------------------------------------
 
@@ -173,7 +216,7 @@ class PiecewiseFunction:
         i = int(np.searchsorted(self.grid, t, side="left"))
         if i < self.grid.size and self.grid[i] == t:
             return self.nodes[i]
-        return _poly.polyval(self.coeffs[i - 1], t)
+        return self._polyval(i - 1, t)
 
     def eval_many(self, ts) -> np.ndarray:
         """Vectorised evaluation; returns shape ``vshape + ts.shape``."""
@@ -192,7 +235,7 @@ class PiecewiseFunction:
         for k in np.flatnonzero(hi > lo):
             vals[..., lo[k]:hi[k]] = self.nodes[k][..., np.newaxis]
         for j in np.flatnonzero(lo[1:] > hi[:-1]):
-            vals[..., hi[j]:lo[j + 1]] = _poly.polyval(self.coeffs[j], srt[hi[j]:lo[j + 1]])
+            vals[..., hi[j]:lo[j + 1]] = self._polyval(j, srt[hi[j]:lo[j + 1]])
         if order is not None:
             out = np.empty_like(vals)
             out[..., order] = vals
@@ -207,8 +250,8 @@ class PiecewiseFunction:
             raise DomainError("no right limit at the right endpoint")
         i = int(np.searchsorted(self.grid, t, side="left"))
         if self.grid[i] == t:
-            return _poly.polyval(self.coeffs[i], t)
-        return _poly.polyval(self.coeffs[i - 1], t)
+            return self._polyval(i, t)
+        return self._polyval(i - 1, t)
 
     def limit_left(self, t: float) -> np.ndarray:
         """One-sided limit ``f(t-)``; defined for ``t`` in ``(a, b]``."""
@@ -217,22 +260,22 @@ class PiecewiseFunction:
         if t == self.a:
             raise DomainError("no left limit at the left endpoint")
         i = int(np.searchsorted(self.grid, t, side="left"))
-        return _poly.polyval(self.coeffs[i - 1], t)
+        return self._polyval(i - 1, t)
 
     # -- jumps -------------------------------------------------------------
 
     def _jump_table(self) -> _JumpTable:
         """The jump table, built on first use and kept: the function is
-        immutable, so rebuilding it in a race is harmless.  Each piece's
-        polynomial is evaluated once at both of its ends, by the same
-        ``polyval`` as the one-sided limits, so every row equals the jumps
-        taken from ``limit_left``/``limit_right`` bit for bit."""
+        immutable, so rebuilding it in a race is harmless.  Every piece's
+        polynomial is evaluated at both of its ends in one ``polyval`` of
+        the block, by the same operations as the one-sided limits, so every
+        row equals the jumps taken from ``limit_left``/``limit_right`` bit
+        for bit."""
         table = self._table
         if table is None:
             # ends[j] holds piece j's values at its left and right end
-            ends = np.empty((self.npieces,) + self.vshape + (2,))
-            for j, c in enumerate(self.coeffs):
-                ends[j] = _poly.polyval(c, self.grid[j:j + 2])
+            ends = _poly.polyval(self._block, np.stack([self.grid[:-1], self.grid[1:]], axis=1),
+                                 self._pattern)
             both = np.zeros((2,) + self.nodes.shape)
             both[0, 1:] = self.nodes[1:] - ends[..., 1]
             both[1, :-1] = ends[..., 0] - self.nodes[:-1]
@@ -287,16 +330,13 @@ class PiecewiseFunction:
         # new_grid[i] is old grid point idx[i], or lies inside piece idx[i] - 1
         idx = np.searchsorted(self.grid, new_grid, side="left")
         old = self.grid[np.minimum(idx, self.npieces)] == new_grid
-        nodes = np.empty(self.vshape + new_grid.shape)
-        nodes[..., old] = np.moveaxis(self.nodes, 0, -1)[..., idx[old]]
-        # the new points inside one piece are consecutive in new_grid
-        new = np.flatnonzero(~old)
-        for run in np.split(new, np.flatnonzero(np.diff(idx[new])) + 1):
-            lo, hi = run[0], run[-1] + 1
-            nodes[..., lo:hi] = _poly.polyval(self.coeffs[idx[lo] - 1], new_grid[lo:hi])
-        mids = 0.5 * (new_grid[:-1] + new_grid[1:])
-        return PiecewiseFunction(new_grid, [self.coeffs[j] for j in self._pieces_of(mids)],
-                                 np.moveaxis(nodes, -1, 0))
+        nodes = np.empty(new_grid.shape + self.vshape)
+        nodes[old] = self.nodes[idx[old]]
+        host = idx[~old] - 1
+        nodes[~old] = _poly.polyval(self._block[host], new_grid[~old, np.newaxis],
+                                    self._pattern[host])[..., 0]
+        owner = self._pieces_of(0.5 * (new_grid[:-1] + new_grid[1:]))
+        return PiecewiseFunction(new_grid, _Columns(self._block[owner], self._lens[owner]), nodes)
 
     def clip(self, c: float, d: float) -> "PiecewiseFunction":
         """The function restricted to the subdomain ``[c, d]`` (values kept
@@ -307,8 +347,8 @@ class PiecewiseFunction:
             raise DomainError(f"[{c}, {d}] is not a subdomain of [{self.a}, {self.b}]")
         inner = self.grid[(self.grid > c) & (self.grid < d)]
         new_grid = np.concatenate([[c], inner, [d]])
-        mids = 0.5 * (new_grid[:-1] + new_grid[1:])
-        return PiecewiseFunction(new_grid, [self.coeffs[j] for j in self._pieces_of(mids)],
+        owner = self._pieces_of(0.5 * (new_grid[:-1] + new_grid[1:]))
+        return PiecewiseFunction(new_grid, _Columns(self._block[owner], self._lens[owner]),
                                  np.moveaxis(self.eval_many(new_grid), -1, 0))
 
     def restrict(self, region: ElementarySet | Interval) -> "PiecewiseFunction":
@@ -320,14 +360,13 @@ class PiecewiseFunction:
             if part.lo < self.a or part.hi > self.b:
                 raise DomainError(f"part {part} is not inside [{self.a}, {self.b}]")
         refined = self.refine(region.endpoints())
-        zeros = np.zeros((1,) + self.vshape)
-        coeffs = []
-        for u, v, c in refined.piece_spans():
-            coeffs.append(c if region.contains(0.5 * (u + v)) else zeros)
-        keep = region.contains_many(refined.grid)
-        nodes = np.where(keep.reshape((-1,) + (1,) * len(self.vshape)),
-                         refined.nodes, 0.0)
-        return PiecewiseFunction(refined.grid, coeffs, nodes)
+        grid, axes = refined.grid, (1,) * len(self.vshape)
+        # a kept piece keeps its polynomial, a dropped one becomes the constant 0
+        kept = region.contains_many(0.5 * (grid[:-1] + grid[1:]))
+        block = np.where(kept.reshape((-1, 1) + axes), refined._block, 0.0)
+        lens = np.where(kept, refined._lens, 1)
+        nodes = np.where(region.contains_many(grid).reshape((-1,) + axes), refined.nodes, 0.0)
+        return PiecewiseFunction(grid, _Columns(block, lens), nodes)
 
     # -- suprema ---------------------------------------------------------
 
@@ -368,8 +407,8 @@ class PiecewiseFunction:
         return lincomb(1.0, self, -1.0, other)
 
     def __mul__(self, scalar: float) -> "PiecewiseFunction":
-        coeffs = [scalar * c for c in self.coeffs]
-        return PiecewiseFunction(self.grid, coeffs, scalar * self.nodes)
+        return PiecewiseFunction(self.grid, _Columns(scalar * self._block, self._lens),
+                                 scalar * self.nodes)
 
     __rmul__ = __mul__
 
@@ -378,6 +417,13 @@ class PiecewiseFunction:
 
 
 # -- factories ---------------------------------------------------------------
+
+
+def _one_piece(c: np.ndarray) -> _Columns:
+    """The block of a single piece with coefficients ``c``."""
+    if len(c) < 1:
+        raise ValueError("every piece needs at least one coefficient")
+    return _Columns(np.array(c[np.newaxis], dtype=float), np.array([len(c)]))
 
 
 def _lift_coeffs(coeffs) -> np.ndarray:
@@ -393,20 +439,19 @@ def polynomial(domain, coeffs) -> PiecewiseFunction:
     a, b = _domain_pair(domain)
     c = _lift_coeffs(coeffs)
     nodes = np.stack([_poly.polyval(c, a), _poly.polyval(c, b)])
-    return PiecewiseFunction([a, b], [c], nodes)
+    return PiecewiseFunction([a, b], _one_piece(c), nodes)
 
 
 def constant(domain, value) -> PiecewiseFunction:
     a, b = _domain_pair(domain)
     value = np.atleast_1d(np.asarray(value, dtype=float))
-    return PiecewiseFunction([a, b], [value[np.newaxis]],
-                             np.stack([value, value]))
+    return PiecewiseFunction([a, b], _one_piece(value[np.newaxis]), np.stack([value, value]))
 
 
 def zero_function(domain, kind: str = "vector", dim: int = 1) -> PiecewiseFunction:
     vshape = (dim,) if kind == "vector" else (dim, dim)
     a, b = _domain_pair(domain)
-    return PiecewiseFunction([a, b], [np.zeros((1,) + vshape)],
+    return PiecewiseFunction([a, b], _one_piece(np.zeros((1,) + vshape)),
                              np.zeros((2,) + vshape))
 
 
@@ -435,15 +480,12 @@ def lincomb(c1: float, f1: PiecewiseFunction,
         raise DimensionMismatchError("functions live on different domains")
     r1 = f1.refine(f2.grid)
     r2 = f2.refine(f1.grid)
-    coeffs = []
-    for p, q in zip(r1.coeffs, r2.coeffs):
-        k = max(p.shape[0], q.shape[0])
-        out = np.zeros((k,) + r1.vshape)
-        out[:p.shape[0]] += c1 * p
-        out[:q.shape[0]] += c2 * q
-        coeffs.append(out)
+    p, q = r1._block, r2._block
+    block = np.zeros((p.shape[0], max(p.shape[1], q.shape[1])) + r1.vshape)
+    block[:, :p.shape[1]] += c1 * p
+    block[:, :q.shape[1]] += c2 * q
     nodes = c1 * r1.nodes + c2 * r2.nodes
-    return PiecewiseFunction(r1.grid, coeffs, nodes)
+    return PiecewiseFunction(r1.grid, _Columns(block, np.maximum(r1._lens, r2._lens)), nodes)
 
 
 def _break_function(grid, at, jump_minus, jump_plus) -> PiecewiseFunction:
@@ -459,7 +501,8 @@ def _break_function(grid, at, jump_minus, jump_plus) -> PiecewiseFunction:
     # cumsum adds strictly in sequence (left jump at t_0, right jump at t_0,
     # left jump at t_1, ...), so every value is the running loop's float sum
     running = np.cumsum(steps.reshape((-1,) + jump_minus.shape[1:]), axis=0)
-    return PiecewiseFunction(grid, [p[np.newaxis] for p in running[1:-1:2]],
+    return PiecewiseFunction(grid, _Columns(running[1:-1:2, np.newaxis],
+                                            np.ones(grid.size - 1, dtype=int)),
                              running[0::2])
 
 
@@ -479,19 +522,15 @@ def jordan_decompose(f: PiecewiseFunction) -> tuple[PiecewiseFunction, Piecewise
     table = f._jump_table()
     at = np.searchsorted(f.grid, [rec.t for rec in records])
     fb = _break_function(f.grid, at, table.minus[at], table.plus[at])
-    c_coeffs = []
-    for c, level in zip(f.coeffs, fb.coeffs):
-        cc = np.array(c)
-        cc[0] = cc[0] - level[0]
-        c_coeffs.append(cc)
-    fc = PiecewiseFunction(f.grid, c_coeffs, f.nodes - fb.nodes)
+    block = np.array(f._block)
+    block[:, 0] = block[:, 0] - fb._block[:, 0]
+    fc = PiecewiseFunction(f.grid, _Columns(block, f._lens), f.nodes - fb.nodes)
     return fc, fb
 
 
 def _require_break_function(f: PiecewiseFunction):
-    for c in f.coeffs:
-        if c.shape[0] > 1 and np.any(c[1:]):
-            raise ValueError("not a break function: a piece is non-constant")
+    if np.any(f._block[:, 1:]):
+        raise ValueError("not a break function: a piece is non-constant")
     if np.any(f.nodes[0]):
         raise ValueError("not a break function: value at the left endpoint is nonzero")
 

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -314,19 +316,20 @@ class TestJumpTableCache:
         calls = []
         polyval = _poly.polyval
 
-        def counting(c, t):
-            calls.append(1)
-            return polyval(c, t)
+        def counting(c, t, *pattern):
+            # a batched call passes one degree pattern per stacked piece
+            calls.append(len(pattern) == 1 and np.ndim(pattern[0]) == 2 and len(c) == f.npieces)
+            return polyval(c, t, *pattern)
 
         monkeypatch.setattr(_poly, "polyval", counting)
         f = PiecewiseFunction(f0.grid, f0.coeffs, f0.nodes)
         assert calls == []
         f.jumps()
-        assert len(calls) == f.npieces
+        assert calls == [True]
         f.jumps(tol=0.5)
         f.jump_at(f.grid[2])
         jordan_decompose(f)
-        assert len(calls) == f.npieces
+        assert calls == [True]
 
     def test_repeated_calls_agree(self, rng):
         f = self.jumpy(rng)
@@ -334,6 +337,332 @@ class TestJumpTableCache:
         assert len(first) == len(second) > 0
         for r, s in zip(first, second):
             _same_record(r, (s.t, s.jump_minus, s.jump_plus, s.norm_minus, s.norm_plus))
+
+
+# -- the per-piece loops that columnar storage replaced ------------------------
+
+
+def _ref_polyval(c, t):
+    """Reference ``_poly.polyval``: finds the nonzero degrees on every call,
+    where the library reads the degree pattern stored per piece."""
+    c = np.asarray(c, dtype=float)
+    tarr = np.asarray(t, dtype=float)
+    scalar = tarr.ndim == 0
+    ts = tarr.reshape(1) if scalar else tarr
+    vshape = c.shape[1:]
+    nz = np.flatnonzero(c.reshape(c.shape[0], -1).any(axis=1))
+    out = np.zeros(vshape + ts.shape)
+    if 0 < nz.size <= 2:
+        for j in nz:
+            out += c[j][..., np.newaxis] * ts**j
+    elif nz.size > 2:
+        top = int(nz[-1])
+        out += c[top][..., np.newaxis]
+        for j in range(top - 1, -1, -1):
+            out *= ts
+            out += c[j][..., np.newaxis]
+    return out[..., 0] if scalar else out
+
+
+class _Ref(NamedTuple):
+    """A function as the per-piece reference loops hold it: one coefficient
+    array per piece."""
+
+    grid: np.ndarray
+    coeffs: list
+    nodes: np.ndarray
+
+
+def _ref_function(grid, coeffs, nodes):
+    """Reference constructor: one float copy per piece."""
+    return _Ref(np.array(grid, dtype=float), [np.array(c, dtype=float) for c in coeffs],
+                np.array(nodes, dtype=float))
+
+
+def _ref_piece(r, t):
+    return int(np.searchsorted(r.grid, t, side="left")) - 1
+
+
+def _ref_eval_many(r, ts):
+    """Reference ``eval_many``: one write per grid point hit and one
+    ``polyval`` per piece, into a fresh array that is then copied."""
+    ts = np.asarray(ts, dtype=float)
+    srt = ts.reshape(-1)
+    order = np.argsort(srt, kind="stable")
+    srt = srt[order]
+    lo = np.searchsorted(srt, r.grid, side="left")
+    hi = np.searchsorted(srt, r.grid, side="right")
+    vals = np.empty(r.nodes.shape[1:] + srt.shape)
+    for k in np.flatnonzero(hi > lo):
+        vals[..., lo[k]:hi[k]] = r.nodes[k][..., np.newaxis]
+    for j in np.flatnonzero(lo[1:] > hi[:-1]):
+        vals[..., hi[j]:lo[j + 1]] = _ref_polyval(r.coeffs[j], srt[hi[j]:lo[j + 1]])
+    out = np.empty_like(vals)
+    out[..., order] = vals
+    return out.reshape(r.nodes.shape[1:] + ts.shape)
+
+
+def _ref_refine(r, points):
+    """Reference ``refine``: one ``polyval`` per run of new points in one
+    piece, one coefficient array per new piece."""
+    new_grid = np.unique(np.concatenate([r.grid, np.asarray(points, dtype=float)]))
+    nodes = np.empty((new_grid.size,) + r.nodes.shape[1:])
+    for k, t in enumerate(new_grid.tolist()):
+        i = int(np.searchsorted(r.grid, t, side="left"))
+        if i < r.grid.size and r.grid[i] == t:
+            nodes[k] = r.nodes[i]
+        else:
+            nodes[k] = _ref_polyval(r.coeffs[i - 1], np.array([t]))[..., 0]
+    coeffs = [r.coeffs[_ref_piece(r, 0.5 * (u + v))] for u, v in zip(new_grid[:-1], new_grid[1:])]
+    return _Ref(new_grid, coeffs, nodes)
+
+
+def _ref_clip(r, c, d):
+    inner = r.grid[(r.grid > c) & (r.grid < d)]
+    new_grid = np.concatenate([[c], inner, [d]])
+    coeffs = [r.coeffs[_ref_piece(r, 0.5 * (u + v))] for u, v in zip(new_grid[:-1], new_grid[1:])]
+    return _Ref(new_grid, coeffs, np.moveaxis(_ref_eval_many(r, new_grid), -1, 0))
+
+
+def _ref_restrict(r, region):
+    """Reference ``restrict``: one ``contains`` test per piece midpoint."""
+    refined = _ref_refine(r, region.endpoints())
+    zeros = np.zeros((1,) + r.nodes.shape[1:])
+    coeffs = [c if region.contains(0.5 * (u + v)) else zeros
+              for u, v, c in zip(refined.grid[:-1], refined.grid[1:], refined.coeffs)]
+    nodes = [x if region.contains(t) else np.zeros_like(x)
+             for t, x in zip(refined.grid.tolist(), refined.nodes)]
+    return _Ref(refined.grid, coeffs, np.array(nodes))
+
+
+def _ref_lincomb(c1, r1, c2, r2):
+    p1, p2 = _ref_refine(r1, r2.grid), _ref_refine(r2, r1.grid)
+    coeffs = []
+    for p, q in zip(p1.coeffs, p2.coeffs):
+        out = np.zeros((max(len(p), len(q)),) + p.shape[1:])
+        out[:len(p)] += c1 * p
+        out[:len(q)] += c2 * q
+        coeffs.append(out)
+    return _Ref(p1.grid, coeffs, c1 * p1.nodes + c2 * p2.nodes)
+
+
+def _ref_mul(r, scalar):
+    return _Ref(r.grid, [scalar * c for c in r.coeffs], scalar * r.nodes)
+
+
+def _ref_jump_rows(r):
+    """``(k, jump_minus, jump_plus)`` at every grid point that jumps."""
+    zeros = np.zeros(r.nodes.shape[1:])
+    rows = []
+    for k, t in enumerate(r.grid.tolist()):
+        jm = r.nodes[k] - _ref_polyval(r.coeffs[k - 1], t) if k > 0 else zeros
+        jp = _ref_polyval(r.coeffs[k], t) - r.nodes[k] if k < len(r.coeffs) else zeros
+        if norm_of(jm) > 0.0 or norm_of(jp) > 0.0:
+            rows.append((k, jm, jp))
+    return rows
+
+
+def _ref_break(grid, at, rows, vshape):
+    """Break function with the jumps ``rows`` at grid indices ``at``, by
+    ``corpus._break_from_jumps``' running sum."""
+    jm, jp = np.zeros((len(grid),) + vshape), np.zeros((len(grid),) + vshape)
+    for k, (_, m_, p_) in zip(at, rows):
+        jm[k], jp[k] = m_, p_
+    fb = corpus._break_from_jumps(np.asarray(grid), jm, jp)
+    return _Ref(fb.grid, [np.array(c) for c in fb.coeffs], np.array(fb.nodes))
+
+
+def _ref_jordan(r):
+    """Reference ``jordan_decompose``: the continuous part's constant term
+    adjusted piece by piece."""
+    rows = _ref_jump_rows(r)
+    fb = _ref_break(r.grid, [k for k, _, _ in rows], rows, r.nodes.shape[1:])
+    coeffs = []
+    for c, level in zip(r.coeffs, fb.coeffs):
+        cc = np.array(c)
+        cc[0] = cc[0] - level[0]
+        coeffs.append(cc)
+    return _Ref(r.grid, coeffs, r.nodes - fb.nodes), fb
+
+
+def _ref_break_truncate(fb, points):
+    keep = set(np.asarray(points, dtype=float).tolist())
+    rows = [row for row in _ref_jump_rows(fb) if fb.grid[row[0]] in keep]
+    grid = np.unique(np.concatenate([[fb.grid[0], fb.grid[-1]], [fb.grid[k] for k, _, _ in rows]]))
+    return _ref_break(grid, np.searchsorted(grid, [fb.grid[k] for k, _, _ in rows]), rows,
+                      fb.nodes.shape[1:])
+
+
+def _same_ref(f, r):
+    _same_function(f, r.grid, r.coeffs, r.nodes)
+
+
+def _columnar_coeffs(rng, vshape):
+    """``corpus.random_coeffs`` (dense, sparse, zero, some -0.0 entries),
+    or a monomial of degree up to 64 as the power family makes, sometimes
+    with a second term."""
+    if rng.random() < 0.75:
+        return corpus.random_coeffs(rng, vshape)
+    k = int(rng.integers(14, 65))
+    c = np.zeros((k + 1,) + vshape)
+    c[k] = rng.uniform(-1.0, 1.0, size=vshape)
+    if rng.random() < 0.5:
+        c[int(rng.integers(k))] = rng.uniform(-1.0, 1.0, size=vshape)
+    return c
+
+
+class TestColumnarReference:
+    """Construction, evaluation and every structural operation on the
+    columnar block equal the per-piece loops they replaced, byte for
+    byte."""
+
+    DOMAINS = ((0.0, 1.0), (-3.5, -1.25), (1e3, 1e3 + 2.0))
+
+    @classmethod
+    def functions(cls, rng):
+        """Pairs ``(f, reference)`` of vector and operator functions, dims
+        1-3, with 1, 7 and 200 pieces of ragged lengths on each domain;
+        nodes kept random or set to a one-sided limit."""
+        for kind in ("vector", "operator"):
+            for dim in (1, 2, 3):
+                vshape = (dim,) if kind == "vector" else (dim, dim)
+                for pieces in (1, 7, 200):
+                    for a, b in cls.DOMAINS:
+                        grid = np.unique(np.concatenate(
+                            [[a], rng.uniform(a, b, pieces - 1), [b]]))
+                        coeffs = [_columnar_coeffs(rng, vshape) for _ in range(grid.size - 1)]
+                        nodes = rng.uniform(-1.0, 1.0, size=(grid.size,) + vshape)
+                        for k, t in enumerate(grid.tolist()):
+                            side = rng.integers(3)
+                            if side == 1 and k > 0:
+                                nodes[k] = _ref_polyval(coeffs[k - 1], t)
+                            elif side == 2 and k < len(coeffs):
+                                nodes[k] = _ref_polyval(coeffs[k], t)
+                        yield (PiecewiseFunction(grid, coeffs, nodes),
+                               _ref_function(grid, coeffs, nodes))
+
+    def test_constructor(self, rng):
+        for f, r in self.functions(rng):
+            _same_ref(f, r)
+            views = f.coeffs
+            assert all(np.shares_memory(c, f._block) for c in views)
+            with pytest.raises(ValueError):
+                views[0][...] = 1.0
+            # built from another function's views, the block is a copy
+            g = PiecewiseFunction(f.grid, views, f.nodes)
+            _same_ref(g, r)
+            assert not np.shares_memory(g.coeffs[0], views[0])
+
+    def test_polyval_by_pattern(self, rng):
+        """A stored pattern, one piece at a time or a stack at once, takes
+        the reference's branch and operations."""
+        for f, r in self.functions(rng):
+            ts = rng.uniform(f.a, f.b, size=(f.npieces, 3))
+            stacked = _poly.polyval(f._block, ts, f._pattern)
+            for j, c in enumerate(r.coeffs):
+                _same(stacked[j], _ref_polyval(c, ts[j]))
+                _same(_poly.polyval(f._block[j], ts[j], f._pattern[j]), _ref_polyval(c, ts[j]))
+                _same(_poly.polyval(f._block[j], ts[j, 0], f._pattern[j]),
+                      _ref_polyval(c, ts[j, 0]))
+
+    def test_eval_many(self, rng):
+        for f, r in self.functions(rng):
+            ts = rng.permutation(np.concatenate(
+                [rng.uniform(f.a, f.b, 50), rng.choice(f.grid, 10), [f.a, f.b]]))
+            _same(f.eval_many(ts), _ref_eval_many(r, ts))
+            _same(f.eval_many(ts[:12].reshape(3, 4)), _ref_eval_many(r, ts[:12].reshape(3, 4)))
+
+    def test_refine_and_clip(self, rng):
+        for f, r in self.functions(rng):
+            pts = np.concatenate([rng.uniform(f.a, f.b, 25), f.grid[::3]])
+            _same_ref(f.refine(pts), _ref_refine(r, pts))
+            c, d = np.sort(rng.uniform(f.a, f.b, 2))
+            _same_ref(f.clip(c, d), _ref_clip(r, c, d))
+            _same_ref(f.clip(f.a, f.b), _ref_clip(r, f.a, f.b))
+
+    def test_restrict(self, rng):
+        """One ``contains_many`` over the piece midpoints keeps the same
+        pieces as one ``contains`` per piece, for sets with open, closed
+        and degenerate parts, also at grid points."""
+        for f, r in self.functions(rng):
+            regions = [corpus.random_elementary(rng, f.a, f.b),
+                       ElementarySet.of(Interval.at(float(f.grid[len(f.grid) // 2]))),
+                       ElementarySet.of(Interval(float(f.grid[0]), float(f.grid[-1]),
+                                                 False, False))]
+            for region in regions:
+                _same_ref(f.restrict(region), _ref_restrict(r, region))
+
+    def test_lincomb_and_mul(self, rng):
+        previous = {}
+        for f, r in self.functions(rng):
+            key = (f.kind, f.dim, f.a)
+            if key in previous:
+                g, s = previous[key]
+                for c1, c2 in ((1.0, 1.0), (1.0, -1.0), (-0.375, 2.5), (0.0, -0.0)):
+                    _same_ref(lincomb(c1, f, c2, g), _ref_lincomb(c1, r, c2, s))
+            previous[key] = (f, r)
+            for scalar in (2.5, -1.0, -0.0):
+                _same_ref(f * scalar, _ref_mul(r, scalar))
+            _same_ref(-f, _ref_mul(r, -1.0))
+
+    def test_jordan_and_truncate(self, rng):
+        for f, r in self.functions(rng):
+            fc, fb = jordan_decompose(f)
+            ref_c, ref_b = _ref_jordan(r)
+            if not _ref_jump_rows(r):
+                assert fc is f
+                continue
+            _same_ref(fc, ref_c)
+            _same_ref(fb, ref_b)
+            ts = [rec.t for rec in fb.jumps()]
+            for kept in (ts, [t for t in ts if rng.random() < 0.3], []):
+                _same_ref(break_truncate(fb, kept), _ref_break_truncate(ref_b, kept))
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("where", ["coeffs", "nodes", "grid"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, where, bad):
+        grid = [0.0, 0.5, 1.0]
+        coeffs = [np.array([[1.0], [2.0]]), np.array([[3.0]])]
+        nodes = [[0.0], [1.0], [2.0]]
+        if where == "coeffs":
+            coeffs[1] = np.array([[bad]])
+        elif where == "nodes":
+            nodes[1] = [bad]
+        else:
+            grid[-1 if bad > 0 else 0] = bad
+        with pytest.raises(ValueError):
+            PiecewiseFunction(grid, coeffs, nodes)
+
+    def test_nan_coefficient_no_longer_has_zero_variation(self):
+        with pytest.raises(ValueError):
+            var_compact(PiecewiseFunction([0.0, 1.0], [[[np.nan]]], [[0.0], [1.0]]), 0.0, 1.0)
+
+    def test_infinite_domain_rejected(self):
+        with pytest.raises(ValueError):
+            constant((0.0, np.inf), 1.0)
+
+    def test_piece_without_coefficients_rejected(self):
+        with pytest.raises(ValueError):
+            PiecewiseFunction([0.0, 0.5, 1.0], [np.zeros((0, 1)), [[1.0]]],
+                              [[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError):
+            polynomial((0.0, 1.0), [])
+
+    def test_shape_and_count_errors(self):
+        with pytest.raises(ValueError):
+            PiecewiseFunction([0.0, 1.0], [[[1.0, 2.0]]], [[0.0], [1.0]])
+        with pytest.raises(ValueError):
+            PiecewiseFunction([0.0, 0.5, 1.0], [[[1.0]]], [[0.0], [1.0], [2.0]])
+
+    def test_ragged_pieces_pad_with_zeros(self):
+        f = PiecewiseFunction([0.0, 0.5, 1.0], [[[1.0], [2.0], [3.0]], [[4.0]]],
+                              [[0.0], [1.0], [2.0]])
+        assert [c.shape for c in f.coeffs] == [(3, 1), (1, 1)]
+        assert f._block.shape == (2, 3, 1)
+        assert not np.any(f._block[1, 1:])
+        assert f._pattern.tolist()[0] == [3, 0, 2] and f._pattern.tolist()[1][:2] == [1, 0]
 
 
 class TestLimits:

@@ -208,3 +208,34 @@ class TestRealRoots:
         found = _poly.real_roots(c, 0.0, 1.0)
         assert found[0] == 0.125
         assert _near(found, [0.125, 0.5], 1e-7)
+
+
+def _kernel_sup(c, lo, hi):
+    """``sup_norm_on`` through the root-split kernel, as every non-constant
+    polynomial went before single entries took their own path."""
+    return max((_poly.max_abs_scalar(q, u, v) for u, v, q in _poly._norm_pieces(c, lo, hi)),
+               default=0.0)
+
+
+class TestSupNormSingleEntry:
+    """A scalar, a dim-1 vector or a 1-by-1 operator is its own norm piece
+    up to sign: ``max_abs_scalar`` of the entry equals the kernel's answer
+    byte for byte."""
+
+    def test_matches_the_kernel(self, rng):
+        for i in range(2000):
+            vshape = [(), (1,), (1, 1)][i % 3]
+            a, b = (DOMAINS + ((-1.0, 1.0),))[(i // 3) % 4]
+            c = corpus.random_coeffs(rng, vshape)
+            if len(c) == 1:
+                c = np.concatenate([c, rng.uniform(-1.0, 1.0, size=(1,) + vshape)])
+            lo, hi = (a, b) if i % 2 else sorted(rng.uniform(a, b, 2))
+            assert _bits(_poly.sup_norm_on(c, lo, hi)) == _bits(_kernel_sup(c, lo, hi))
+
+    def test_skips_the_kernel(self, monkeypatch):
+        def kernel(*args):
+            raise AssertionError("single entries do not need the kernel")
+
+        monkeypatch.setattr(_poly, "_norm_pieces", kernel)
+        for c in ([0.5, -1.0, 1.0], [[0.5], [-1.0], [1.0]], [[[0.5]], [[-1.0]], [[1.0]]]):
+            assert _poly.sup_norm_on(np.array(c), 0.0, 1.0) == 0.5

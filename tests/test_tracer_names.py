@@ -72,9 +72,14 @@ def test_oracle_levels_go_through_the_traced_builder(monkeypatch):
 def test_jump_table_is_built_inside_the_jumps_span(consumer):
     """``piecewise.jumps.self_s`` times the jump table, which is built on
     first use and cached: a consumer that meets a fresh function must reach
-    the table through ``jumps()``, so the table's ``polyval`` calls are
-    children of a ``piecewise.jumps`` span."""
-    F = ks.PiecewiseFunction([0.0, 0.25, 0.5, 1.0], [[[[1.0]], [[2.0]]]] * 3,
+    the table through ``jumps()``, so the table's one batched ``polyval``
+    call, which evaluates every piece whatever its degree pattern, is a
+    child of a ``piecewise.jumps`` span."""
+    # a sparse, a dense (Horner) and a two-term piece: three pattern groups
+    F = ks.PiecewiseFunction([0.0, 0.25, 0.5, 1.0],
+                             [[[[0.0]], [[0.0]], [[0.0]], [[2.0]]],
+                              [[[1.0]], [[2.0]], [[-1.0]], [[0.5]]],
+                              [[[1.0]], [[2.0]]]],
                              [[[0.0]], [[3.0]], [[-1.0]], [[4.0]]])
     g = ks.polynomial((0.0, 1.0), [1.0, -1.0])
     traced = tracer.Tracer().install(ks)
@@ -89,4 +94,4 @@ def test_jump_table_is_built_inside_the_jumps_span(consumer):
     under_jumps = [span for span in traced.spans
                    if span[1] == "poly.polyval" and names.get(span[4]) == "piecewise.jumps"]
     assert traced.counts["piecewise.jumps.calls"] >= 1
-    assert len(under_jumps) == F.npieces
+    assert len(under_jumps) == 1
