@@ -28,15 +28,17 @@ _ROOT_MERGE = 1e-13
 
 def degree_patterns(block: np.ndarray) -> np.ndarray:
     """Degree pattern of each coefficient array in a stack ``(n, K, ...)``:
-    row ``i`` is ``(count, low, top)``, the number of nonzero degrees of
-    ``block[i]`` and the lowest and highest of them (meaningless when
-    ``count`` is 0).  ``polyval`` branches on nothing else."""
-    nonzero = (block != 0.0).reshape(block.shape[:2] + (-1,)).any(axis=2)
-    pattern = np.empty((len(block), 3), dtype=np.intp)
-    pattern[:, 0] = nonzero.sum(axis=1)
-    pattern[:, 1] = nonzero.argmax(axis=1)
-    pattern[:, 2] = nonzero.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
-    return pattern
+    row ``i`` is ``(count, low, top, key)``, the number of nonzero degrees
+    of ``block[i]``, the lowest and highest of them (meaningless when
+    ``count`` is 0) and one integer for the three.  ``polyval`` branches
+    on nothing else, and evaluates a stack, or any subset of its rows,
+    grouped by the stored key."""
+    nonzero = block.any(axis=tuple(range(2, block.ndim)))
+    width = nonzero.shape[1] + 1
+    count = nonzero.sum(axis=1)
+    low = nonzero.argmax(axis=1)
+    top = (width - 2) - nonzero[:, ::-1].argmax(axis=1)
+    return np.array([count, low, top, (count * width + low) * width + top]).T
 
 
 def _horner(cols, ts, pattern, out):
@@ -71,10 +73,11 @@ def polyval(c: np.ndarray, t, pattern=None) -> np.ndarray:
     in, so scalar and vectorised evaluation of the same piece are bitwise
     consistent.
 
-    With ``pattern`` an ``(n, 3)`` array of degree patterns, ``c`` is a
-    stack ``(n, K, *vshape)`` of coefficient arrays and ``t`` has shape
+    With ``pattern`` a 2-d array of degree patterns, ``c`` is a stack
+    ``(n, K, *vshape)`` of coefficient arrays and ``t`` has shape
     ``(n, p)``: array ``i`` is evaluated at ``t[i]`` and the result has
-    shape ``(n, *vshape, p)``.  Arrays that share a pattern are evaluated
+    shape ``(n, *vshape, p)``.  Arrays of one pattern (one key, the
+    fourth column, found here if ``pattern`` has three) are evaluated
     together, by the same operations as one at a time.
     """
     c = np.asarray(c, dtype=float)
@@ -82,6 +85,8 @@ def polyval(c: np.ndarray, t, pattern=None) -> np.ndarray:
         nz = np.flatnonzero(c.reshape(c.shape[0], -1).any(axis=1))
         pattern = (nz.size, nz[0], nz[-1]) if nz.size else (0, 0, 0)
     elif np.ndim(pattern) == 2:
+        if pattern.shape[1] == 3:
+            pattern = degree_patterns(c)
         return _polyval_stack(c, np.asarray(t, dtype=float), pattern)
     tarr = np.asarray(t, dtype=float)
     scalar = tarr.ndim == 0
@@ -92,53 +97,68 @@ def polyval(c: np.ndarray, t, pattern=None) -> np.ndarray:
 
 
 def _polyval_stack(c: np.ndarray, t: np.ndarray, pattern: np.ndarray) -> np.ndarray:
-    """``polyval`` of a stack: one ``_horner`` pass per pattern group."""
+    """``polyval`` of a stack: one ``_horner`` pass per pattern."""
     n, p = t.shape
+    key = pattern[:, 3]
     ts = t.reshape((n,) + (1,) * (c.ndim - 2) + (p,))
     out = np.empty((n,) + c.shape[2:] + (p,))
-    if (pattern == pattern[0]).all():  # one piece, or pieces of one pattern
-        _horner(c.swapaxes(0, 1)[..., np.newaxis], ts, pattern[0], out)
+    if (key == key[0]).all():  # one piece, or pieces of one pattern
+        _horner(c.swapaxes(0, 1)[..., np.newaxis], ts, pattern[0, :3], out)
         return out
-    count, low, top = pattern.T
-    # Horner depends on the top degree alone, the sparse path on both degrees
-    width = c.shape[1] + 1
-    key = (np.minimum(count, 3) * width + np.where(count > 2, 0, low)) * width + top
-    # sorted by group, each group is one slice of the stack
+    # sorted by pattern, each pattern is one slice of the stack
     order = np.argsort(key, kind="stable")
     starts = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
     cols = c[order].swapaxes(0, 1)[..., np.newaxis]
     ts = ts[order]
     for lo, hi in zip([0] + starts, starts + [n]):
-        _horner(cols[:, lo:hi], ts[lo:hi], pattern[order[lo]], out[lo:hi])
+        _horner(cols[:, lo:hi], ts[lo:hi], pattern[order[lo], :3], out[lo:hi])
     out[order] = out.copy()
     return out
 
 
-def polyder(c: np.ndarray) -> np.ndarray:
-    """Coefficients of the derivative polynomial."""
+def polyder(c: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Coefficients of the derivative polynomial; ``axis`` is the degree
+    axis (1 for a stack ``(n, K, *vshape)``)."""
     c = np.asarray(c, dtype=float)
-    if c.shape[0] <= 1:
-        return np.zeros((1,) + c.shape[1:])
-    mult = np.arange(1, c.shape[0], dtype=float)
-    return c[1:] * mult.reshape((-1,) + (1,) * (c.ndim - 1))
+    k = c.shape[axis]
+    if k <= 1:
+        return np.zeros(c.shape[:axis] + (1,) + c.shape[axis + 1:])
+    mult = np.arange(1.0, k).reshape((-1,) + (1,) * (c.ndim - axis - 1))
+    return c[(slice(None),) * axis + (slice(1, None),)] * mult
 
 
-def defint(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def running_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``0.0 + terms[0] + terms[1] + ...`` along ``axis``, added in turn as
+    a loop from 0.0 does, so a ±0 term leaves the sum as it was.
+    ``cumsum`` adds in turn from ``terms[0]``: its sum has the loop's bits
+    except a -0.0 where every term is -0.0, which the final ``+ 0.0``
+    makes 0.0."""
+    return terms.cumsum(axis=axis).take(-1, axis=axis) + 0.0
+
+
+def defint(c: np.ndarray, lo, hi) -> np.ndarray:
     """Definite integral of the polynomial over ``[lo, hi]``.
 
     Computed as ``sum c[j] (hi**(j+1) - lo**(j+1)) / (j+1)`` over the
     nonzero coefficients, in increasing degree order.
+
+    With ``lo`` and ``hi`` arrays ``(n,)``, row ``i`` of a stack
+    ``(n, K, *vshape)`` is integrated over ``[lo[i], hi[i]]`` by the same
+    operations as on its own: a degree that is zero in the row adds a ±0
+    term, weighted by 0 rather than by a power that may overflow.
     """
     c = np.asarray(c, dtype=float)
-    nz = np.flatnonzero(c.reshape(c.shape[0], -1).any(axis=1))
-    out = np.zeros(c.shape[1:])
-    if nz.size == 0 or lo == hi:
-        return out
-    powers = nz + 1.0
-    weights = (hi**powers - lo**powers) / powers
-    for j, w in zip(nz, weights):
-        out = out + c[j] * w
-    return out
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.ndim == 0:
+        return defint(c[np.newaxis], lo[np.newaxis], hi[np.newaxis])[0]
+    present = c.any(axis=tuple(range(2, c.ndim)))
+    present &= (lo != hi)[:, np.newaxis]
+    rows, degrees = present.nonzero()
+    # an array of powers, as the sum over one row's degrees takes them
+    powers = degrees + 1.0
+    weights = np.zeros(present.shape)
+    weights[rows, degrees] = (hi[rows]**powers - lo[rows]**powers) / powers
+    return running_sum(c * weights.reshape(weights.shape + (1,) * (c.ndim - 2)), axis=1)
 
 
 def is_zero_poly(c: np.ndarray) -> bool:
@@ -276,18 +296,15 @@ def integral_of_norm(c: np.ndarray, lo: float, hi: float) -> float:
 
 
 def matvec_conv(ca: np.ndarray, cx: np.ndarray) -> np.ndarray:
-    """Coefficients of ``t -> A(t) x(t)`` for operator ``A`` and vector ``x``.
-
-    ``ca`` has shape ``(ka, n, n)``, ``cx`` shape ``(kx, n)``; the result
-    has shape ``(ka + kx - 1, n)``.  Zero coefficients of ``A`` are
-    skipped so monomial factors stay cheap.
+    """Coefficients of ``t -> A(t) x(t)`` for operator ``A`` and vector
+    ``x``, piece by piece: ``ca`` is a stack ``(p, ka, n, n)``, ``cx`` a
+    stack ``(p, kx, n)`` and the result has shape ``(p, ka + kx - 1, n)``.
+    A degree of ``A`` that is zero in every piece is skipped, so monomial
+    factors stay cheap; in some pieces only, it adds ±0 to sums started
+    from 0.0, which keeps them.
     """
-    ca = np.asarray(ca, dtype=float)
-    cx = np.asarray(cx, dtype=float)
-    ka, kx = ca.shape[0], cx.shape[0]
-    out = np.zeros((ka + kx - 1, cx.shape[1]))
-    for i in range(ka):
-        if not np.any(ca[i]):
-            continue
-        out[i:i + kx] += np.einsum('ij,dj->di', ca[i], cx)
+    ka, kx = ca.shape[1], cx.shape[1]
+    out = np.zeros((len(ca), ka + kx - 1, cx.shape[2]))
+    for i in np.flatnonzero(ca.any(axis=(0, 2, 3))).tolist():
+        out[:, i:i + kx] += np.einsum("pij,pdj->pdi", ca[:, i], cx)
     return out

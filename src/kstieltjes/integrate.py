@@ -1,27 +1,28 @@
 """Closed-form Kurzweil-Stieltjes integration for representable functions.
 
-The engine evaluates ``integral d[F] g`` by splitting the integrator into
-its continuous and break parts:
+One kernel evaluates ``integral d[F] g`` and ``integral F d[g]`` over
+``[c, d]`` as whole-array expressions.  The merged grid of ``F`` and
+``g``, cut to ``[c, d]``, splits it into pieces on which both functions
+are single polynomials:
 
-* the continuous part contributes ``sum over pieces of the exact
-  antiderivative of F'(t) g~(t)``, where ``g~`` is the polynomial piece of
-  ``g`` — isolated node values of ``g`` do not matter against a continuous
-  integrator, since the integral of ``g`` restricted to a single point is
-  the integrator's jump there, which is zero;
-* the break part contributes ``sum over discontinuities t of
-  [F(t+) - F(t-)] g(t)``, with the conventions that the full jump at ``a``
-  is the right jump and at ``b`` the left jump.
+* the continuous part is the exact integral over each piece of the
+  product with the orientation's factor differentiated (``F'(t) g~(t)``
+  or ``F~(t) g'(t)``; isolated node values do not matter against a
+  continuous factor), one block expression for all pieces;
+* the break part applies each jump ``H(t+) - H(t-)`` of the
+  differentiated function ``H`` to the other function's value there, one
+  stacked ``matmul`` for all jumps; at ``c`` only the right jump counts
+  and at ``d`` only the left one, so the full jump at ``a`` is the right
+  jump and at ``b`` the left jump.
 
-Integrals over arbitrary intervals are obtained from the integral over the
-compact hull plus the jump corrections dictated by which endpoints the
-interval contains; integrals over elementary sets sum those over the
-minimal decomposition.  Both routes — corrections versus multiplying the
-integrand by the indicator and integrating over the whole domain — agree,
-and the test suite checks the equality.
-
-The symmetric orientation ``integral F d[g]`` swaps the roles: polynomial
-pieces of ``F`` against the derivative of ``g``'s continuous part, plus
-``F(t)`` applied to the jumps of ``g``.  Both orientations return vectors.
+Each part adds its per-piece or per-jump terms in sequence from zero, so
+the result equals a loop over the pieces bit for bit.  Integrals over
+arbitrary intervals add to the kernel over ``[c, d]`` the jump corrections
+dictated by which endpoints the interval contains; integrals over
+elementary sets sum those over the minimal decomposition.  Both routes —
+corrections versus multiplying the integrand by the indicator and
+integrating over the whole domain — agree, and the test suite checks the
+equality.  Both orientations return vectors.
 """
 
 from __future__ import annotations
@@ -76,40 +77,64 @@ def check_pair(f_op: PiecewiseFunction, g_vec: PiecewiseFunction):
         raise DimensionMismatchError("functions live on different domains")
 
 
-def _merged_pieces(f: PiecewiseFunction, g: PiecewiseFunction):
-    grid = np.unique(np.concatenate([f.grid, g.grid]))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    for u, v, i, j in zip(grid[:-1].tolist(), grid[1:].tolist(),
-                          f._pieces_of(mids).tolist(), g._pieces_of(mids).tolist()):
-        yield u, v, f.coeffs[i], g.coeffs[j]
+def _jumps_within(H: PiecewiseFunction, c: float, d: float):
+    """The points where ``H`` clipped to ``[c, d]`` jumps, and its jump
+    there from ``H``'s table: both sides inside, ``0.0 +`` the right jump
+    at ``c`` and the left jump ``+ 0.0`` at ``d``."""
+    records = H.jumps()
+    if not records:
+        return np.zeros(0), None
+    at = np.searchsorted(H.grid, [rec.t for rec in records])
+    t = H.grid[at]
+    left, right = (t > c) & (t <= d), (t >= c) & (t < d)
+    minus, plus, norm_minus, norm_plus = H._jump_table()
+    shown = (left & (norm_minus[at] > 0.0)) | (right & (norm_plus[at] > 0.0))
+    at, axes = at[shown], (-1,) + (1,) * len(H.vshape)
+    return t[shown], (np.where(left[shown].reshape(axes), minus[at], 0.0)
+                      + np.where(right[shown].reshape(axes), plus[at], 0.0))
+
+
+def _engine(F: PiecewiseFunction, g: PiecewiseFunction, orientation: str,
+            c: float, d: float) -> IntegralResult:
+    """``integral d[F] g`` (``"dFg"``) or ``integral F d[g]`` (``"Fdg"``)
+    from ``c`` to ``d``, bit for bit what the per-piece loop gives on the
+    two functions clipped to ``[c, d]`` (see the module docstring)."""
+    check_pair(F, g)
+    dFg = orientation == "dFg"
+    H, G = (F, g) if dFg else (g, F)
+    pts = np.concatenate([[c, d], F.grid, g.grid])
+    pts.sort()
+    pts = pts[(pts >= c) & (pts <= d)]
+    grid = pts[np.concatenate([[True], pts[1:] > pts[:-1]])]
+    lo, hi = grid[:-1], grid[1:]
+    mids = 0.5 * (lo + hi)
+    cF, cg = F._block[F._pieces_of(mids)], g._block[g._pieces_of(mids)]
+    if dFg:
+        prod = _poly.matvec_conv(_poly.polyder(cF, axis=1), cg)
+    else:
+        prod = _poly.matvec_conv(cF, _poly.polyder(cg, axis=1))
+    cont = _poly.running_sum(_poly.defint(prod, lo, hi))
+    jump = np.zeros(g.vshape)
+    t, full = _jumps_within(H, c, d)
+    if t.size:
+        # contiguous values: a stacked matmul over a strided view sums in
+        # another order than one matmul per point
+        vals = np.ascontiguousarray(np.moveaxis(G.eval_many(t), -1, 0))
+        terms = full @ vals[..., np.newaxis] if dFg else vals @ full[..., np.newaxis]
+        jump = _poly.running_sum(terms[..., 0])
+    return IntegralResult(cont + jump, cont, jump)
 
 
 def ks_dFg(F: PiecewiseFunction, g: PiecewiseFunction) -> IntegralResult:
     """``integral_a^b d[F] g`` for an operator integrator and vector
     integrand on a common domain."""
-    check_pair(F, g)
-    cont = np.zeros(g.vshape)
-    for u, v, cF, cg in _merged_pieces(F, g):
-        prod = _poly.matvec_conv(_poly.polyder(cF), cg)
-        cont = cont + _poly.defint(prod, u, v)
-    jump = np.zeros(g.vshape)
-    for rec in F.jumps():
-        jump = jump + rec.jump_full @ g(rec.t)
-    return IntegralResult(cont + jump, cont, jump)
+    return _engine(F, g, "dFg", F.a, F.b)
 
 
 def ks_Fdg(F: PiecewiseFunction, g: PiecewiseFunction) -> IntegralResult:
     """``integral_a^b F d[g]``: the operator applied to the increments of
     ``g``.  Returns a vector like the other orientation."""
-    check_pair(F, g)
-    cont = np.zeros(g.vshape)
-    for u, v, cF, cg in _merged_pieces(F, g):
-        prod = _poly.matvec_conv(cF, _poly.polyder(cg))
-        cont = cont + _poly.defint(prod, u, v)
-    jump = np.zeros(g.vshape)
-    for rec in g.jumps():
-        jump = jump + F(rec.t) @ rec.jump_full
-    return IntegralResult(cont + jump, cont, jump)
+    return _engine(F, g, "Fdg", F.a, F.b)
 
 
 def integral_over_point(F: PiecewiseFunction, g: PiecewiseFunction,
@@ -134,7 +159,7 @@ def _interval_result(F: PiecewiseFunction, g: PiecewiseFunction,
                               continuous_contribution=np.zeros(g.vshape),
                               jump_contribution=point_value)
     c, d = interval.lo, interval.hi
-    base = ks_dFg(F.clip(c, d), g.clip(c, d))
+    base = _engine(F, g, "dFg", c, d)
     corr = np.zeros(g.vshape)
     if interval.lo_closed:
         corr = corr + F.jump_at(c).jump_minus @ g(c)
@@ -153,8 +178,8 @@ def integral_over_interval(F: PiecewiseFunction, g: PiecewiseFunction,
                            interval: Interval) -> np.ndarray:
     """Integral of ``g`` against ``d[F]`` over an arbitrary subinterval.
 
-    Computed as the plain integral from ``c`` to ``d`` on the clipped
-    subdomain plus the jump corrections selected by the interval's
+    Computed as the plain integral from ``c`` to ``d`` (the kernel over
+    ``[c, d]``) plus the jump corrections selected by the interval's
     openness: a closed lower end adds the left jump of ``F`` at ``c``
     applied to ``g(c)``, an open lower end subtracts the right jump there,
     and symmetrically at ``d``.  Equals integrating ``g`` times the

@@ -3,11 +3,13 @@ import pytest
 
 import corpus
 from kstieltjes import (DimensionMismatchError, DomainError, ElementarySet,
-                        Interval, constant, estimate_bound,
-                        estimate_bound_elementary, integral_over_elementary,
-                        integral_over_interval, integral_over_point, ks_Fdg,
-                        ks_dFg, lincomb, polynomial, saks_identity_report,
-                        scaled_identity, step, sup_norm)
+                        IntegralResult, Interval, PiecewiseFunction, constant,
+                        estimate_bound, estimate_bound_elementary,
+                        integral_over_elementary, integral_over_interval,
+                        integral_over_point, ks_Fdg, ks_dFg, lincomb, polynomial,
+                        saks_identity_report, scaled_identity, step, sup_norm)
+from kstieltjes import _poly
+from kstieltjes.integrate import _interval_result
 
 
 def chi_op(lo=0.5, hi=1.0):
@@ -312,3 +314,256 @@ class TestSaks:
             closed = integral_over_interval(F, g, Interval.closed(c, d))
             plain = ks_dFg(F.clip(c, d), g.clip(c, d)).value
             assert np.max(np.abs(closed - plain - r.at_lower - r.at_upper)) < 1e-10
+
+
+# -- the per-piece engine that the block kernel replaced -------------------
+
+
+def _ref_polyder(c):
+    if c.shape[0] <= 1:
+        return np.zeros((1,) + c.shape[1:])
+    mult = np.arange(1, c.shape[0], dtype=float)
+    return c[1:] * mult.reshape((-1,) + (1,) * (c.ndim - 1))
+
+
+def _ref_defint(c, lo, hi):
+    nz = np.flatnonzero(c.reshape(c.shape[0], -1).any(axis=1))
+    out = np.zeros(c.shape[1:])
+    if nz.size == 0 or lo == hi:
+        return out
+    powers = nz + 1.0
+    weights = (hi**powers - lo**powers) / powers
+    for j, w in zip(nz, weights):
+        out = out + c[j] * w
+    return out
+
+
+def _ref_matvec_conv(ca, cx):
+    ka, kx = ca.shape[0], cx.shape[0]
+    out = np.zeros((ka + kx - 1, cx.shape[1]))
+    for i in range(ka):
+        if not np.any(ca[i]):
+            continue
+        out[i:i + kx] += np.einsum('ij,dj->di', ca[i], cx)
+    return out
+
+
+def _ref_merged_pieces(f, g):
+    grid = np.unique(np.concatenate([f.grid, g.grid]))
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    for u, v, i, j in zip(grid[:-1].tolist(), grid[1:].tolist(),
+                          f._pieces_of(mids).tolist(), g._pieces_of(mids).tolist()):
+        yield u, v, f.coeffs[i], g.coeffs[j]
+
+
+def _ref_ks(F, g, orientation):
+    """The per-merged-piece loop and the per-record jump loop."""
+    cont = np.zeros(g.vshape)
+    for u, v, cF, cg in _ref_merged_pieces(F, g):
+        if orientation == "dFg":
+            prod = _ref_matvec_conv(_ref_polyder(cF), cg)
+        else:
+            prod = _ref_matvec_conv(cF, _ref_polyder(cg))
+        cont = cont + _ref_defint(prod, u, v)
+    jump = np.zeros(g.vshape)
+    if orientation == "dFg":
+        for rec in F.jumps():
+            jump = jump + rec.jump_full @ g(rec.t)
+    else:
+        for rec in g.jumps():
+            jump = jump + F(rec.t) @ rec.jump_full
+    return IntegralResult(cont + jump, cont, jump)
+
+
+def _ref_interval(F, g, interval):
+    """The whole-domain loop on both functions clipped to the interval,
+    plus the endpoint corrections."""
+    if interval.is_degenerate:
+        point_value = integral_over_point(F, g, interval.lo)
+        return IntegralResult(point_value, np.zeros(g.vshape), point_value)
+    c, d = interval.lo, interval.hi
+    base = _ref_ks(F.clip(c, d), g.clip(c, d), "dFg")
+    corr = np.zeros(g.vshape)
+    if interval.lo_closed:
+        corr = corr + F.jump_at(c).jump_minus @ g(c)
+    else:
+        corr = corr - F.jump_at(c).jump_plus @ g(c)
+    if interval.hi_closed:
+        corr = corr + F.jump_at(d).jump_plus @ g(d)
+    else:
+        corr = corr - F.jump_at(d).jump_minus @ g(d)
+    jump = base.jump_contribution + corr
+    return IntegralResult(base.continuous_contribution + jump, base.continuous_contribution, jump)
+
+
+def _ref_elementary(F, g, region):
+    result = IntegralResult(np.zeros(g.vshape), np.zeros(g.vshape), np.zeros(g.vshape))
+    for part in region.parts:
+        result = result + _ref_interval(F, g, part)
+    return result
+
+
+def _same_result(got, ref):
+    for name in ("value", "continuous_contribution", "jump_contribution"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _engine_coeffs(rng, vshape, top):
+    """Dense, sparse, zero, dyadic or high monomial coefficients with
+    zeroed degrees and some -0.0 entries."""
+    style = rng.integers(5)
+    if style == 0:
+        c = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 7)),) + vshape)
+        c[rng.random(c.shape[0]) < 0.3] = 0.0
+    elif style == 1:
+        c = np.zeros((int(rng.integers(2, 14)),) + vshape)
+        c[-1] = rng.uniform(-1.0, 1.0, size=vshape)
+        c[int(rng.integers(0, c.shape[0]))] = rng.uniform(-1.0, 1.0, size=vshape)
+    elif style == 2:
+        c = np.zeros((int(rng.integers(1, 4)),) + vshape)
+    elif style == 3:
+        c = np.zeros((int(rng.integers(top // 2, top + 1)) + 1,) + vshape)
+        c[-1] = rng.uniform(-1.0, 1.0, size=vshape)
+    else:
+        c = rng.integers(-8, 9, size=(int(rng.integers(1, 5)),) + vshape) / 8.0
+    return np.where(rng.random(c.shape) < 0.1, -0.0, c)
+
+
+def _engine_function(rng, kind, dim, a, b, pieces, top):
+    """Ragged random pieces; each node random (a jump, also at ``a`` and
+    ``b``) or a one-sided limit."""
+    vshape = (dim,) if kind == "vector" else (dim, dim)
+    grid = np.unique(np.concatenate([[a], rng.uniform(a, b, pieces - 1), [b]]))
+    coeffs = [_engine_coeffs(rng, vshape, top) for _ in range(grid.size - 1)]
+    nodes = rng.uniform(-1.0, 1.0, size=(grid.size,) + vshape)
+    f = PiecewiseFunction(grid, coeffs, nodes)
+    for k, t in enumerate(grid.tolist()):
+        side = rng.integers(4)
+        if side == 1 and k > 0:
+            nodes[k] = f.limit_left(t)
+        elif side == 2 and k < grid.size - 1:
+            nodes[k] = f.limit_right(t)
+    return PiecewiseFunction(grid, coeffs, nodes)
+
+
+class TestEngineReference:
+    """The block kernel gives the per-piece engine's bits: both
+    orientations, every interval integral and elementary-set integral."""
+
+    DOMAINS = ((0.0, 1.0), (-3.5, -1.25), (1e3, 1e3 + 2.0), (-7.25, -4.25),
+               (1e4, 1e4 + 3.0), (0.5, 4.5))
+
+    @classmethod
+    def pairs(cls, rng):
+        """Operator/vector pairs, dims 1-3, 1 to 60 pieces, on each domain;
+        monomials up to degree 64 where the products' powers stay finite."""
+        for a, b in cls.DOMAINS:
+            top = 64 if max(abs(a), abs(b)) < 10.0 else 16
+            for dim in (1, 2, 3):
+                for pieces in (1, 2, int(rng.integers(3, 20)), 60):
+                    yield (_engine_function(rng, "operator", dim, a, b, pieces, top),
+                           _engine_function(rng, "vector", dim, a, b,
+                                            int(rng.integers(1, 61)), top))
+
+    def test_both_orientations(self, rng):
+        for F, g in self.pairs(rng):
+            _same_result(ks_dFg(F, g), _ref_ks(F, g, "dFg"))
+            _same_result(ks_Fdg(F, g), _ref_ks(F, g, "Fdg"))
+
+    def test_intervals(self, rng):
+        """All four openness cases, with ends inside pieces, on either
+        grid, at the domain ends, and degenerate."""
+        for F, g in self.pairs(rng):
+            a, b = F.a, F.b
+            ends = [float(x) for x in rng.uniform(a, b, 2)] + [
+                float(rng.choice(F.grid)), float(rng.choice(g.grid)), a, b]
+            for _ in range(2):
+                c, d = sorted(rng.choice(ends, 2, replace=False).tolist())
+                for lc in (True, False):
+                    for hc in (True, False):
+                        if c == d and not (lc and hc):
+                            continue
+                        interval = Interval(c, d, lc, hc)
+                        ref = _ref_interval(F, g, interval)
+                        _same_result(_interval_result(F, g, interval), ref)
+                        assert integral_over_interval(F, g, interval).tobytes() == ref.value.tobytes()
+
+    def test_elementary(self, rng):
+        for F, g in self.pairs(rng):
+            pts = np.sort(rng.choice(np.concatenate(
+                [F.grid, g.grid, rng.uniform(F.a, F.b, 6)]), 6, replace=False))
+            parts = [Interval(float(pts[2 * k]), float(pts[2 * k + 1]),
+                              bool(rng.random() < 0.5), bool(rng.random() < 0.5))
+                     for k in range(3) if pts[2 * k] < pts[2 * k + 1]]
+            region = ElementarySet.of(*parts, Interval.at(float(pts[2])))
+            _same_result(integral_over_elementary(F, g, region), _ref_elementary(F, g, region))
+
+    def test_jump_values_are_contiguous(self, rng):
+        """A stacked matmul over a strided view of ``eval_many`` adds in
+        another order than one ``@`` per jump point for dims 2 and 3: many
+        jumps and dense values, both orientations."""
+        for dim in (2, 3):
+            for _ in range(20):
+                F = _engine_function(rng, "operator", dim, 0.0, 1.0, 40, 8)
+                g = _engine_function(rng, "vector", dim, 0.0, 1.0, 40, 8)
+                _same_result(ks_dFg(F, g), _ref_ks(F, g, "dFg"))
+                _same_result(ks_Fdg(F, g), _ref_ks(F, g, "Fdg"))
+
+    def test_weights_take_an_array_of_powers(self, rng):
+        """``u**2.0`` with a scalar exponent is ``u*u``, which is not
+        ``u**powers`` bit for bit: the degree-1 and degree-2 weights of
+        linear and quadratic products on many pieces."""
+        for a, b in self.DOMAINS:
+            grid = np.unique(np.concatenate([[a], rng.uniform(a, b, 199), [b]]))
+            F = PiecewiseFunction(grid, [rng.uniform(-1, 1, (2, 1, 1)) for _ in grid[1:]],
+                                  rng.uniform(-1, 1, (grid.size, 1, 1)))
+            g = PiecewiseFunction(grid, [rng.uniform(-1, 1, (3, 1)) for _ in grid[1:]],
+                                  rng.uniform(-1, 1, (grid.size, 1)))
+            _same_result(ks_dFg(F, g), _ref_ks(F, g, "dFg"))
+            _same_result(ks_Fdg(F, g), _ref_ks(F, g, "Fdg"))
+
+    def test_sums_start_from_zero(self):
+        """A lone -0.0 term sums to 0.0, as ``zeros + term`` does: a jump
+        applied to -0.0 in either orientation, and -0.0 coefficients
+        integrated."""
+        negzero = PiecewiseFunction([0.0, 1.0], [[[-0.0]]], [[-0.0], [-0.0]])
+        neg_op = scaled_identity((0.0, 1.0), [-0.0], dim=1)
+        jump_op = PiecewiseFunction([0.0, 0.5, 1.0], [[[[0.0]]], [[[1.0]]]],
+                                    [[[0.0]], [[0.0]], [[1.0]]])
+        jump_vec = PiecewiseFunction([0.0, 0.5, 1.0], [[[0.0]], [[1.0]]],
+                                     [[0.0], [0.0], [1.0]])
+        for res, ref in ((ks_dFg(jump_op, negzero), _ref_ks(jump_op, negzero, "dFg")),
+                         (ks_Fdg(neg_op, jump_vec), _ref_ks(neg_op, jump_vec, "Fdg"))):
+            _same_result(res, ref)
+            assert not np.signbit(res.jump_contribution).any()
+        block = np.full((3, 2, 2), -0.0)
+        assert _poly.defint(block, np.zeros(3), np.ones(3)).tobytes() == np.zeros((3, 2)).tobytes()
+        assert _poly.defint(block[0], 0.0, 1.0).tobytes() == _ref_defint(block[0], 0.0, 1.0).tobytes()
+
+    def test_pair_checked_for_every_range(self):
+        """The kernel checks the pair whatever the range: an interval
+        integral over functions on different domains is refused, as the
+        point integral and the whole-domain integral are."""
+        F = scaled_identity((0.0, 1.0), [0.0, 1.0])
+        g = polynomial((0.0, 2.0), [0.0, 1.0])
+        for interval in (Interval.closed(0.2, 0.5), Interval.at(0.5)):
+            with pytest.raises(DimensionMismatchError):
+                integral_over_interval(F, g, interval)
+
+    def test_padded_degrees_do_not_overflow(self):
+        """A degree-60 piece pads the block, so the linear piece reaching
+        1e6 has degrees whose powers overflow; they must get weight 0, not
+        ``0 * inf``."""
+        F = PiecewiseFunction([0.0, 1.0, 1e6],
+                              [np.eye(61)[60][:, None, None], [[[0.0]], [[1.0]]]],
+                              [[[0.0]], [[1.0]], [[1e6 + 1.0]]])
+        g = PiecewiseFunction([0.0, 1.0, 1e6],
+                              [np.eye(61)[60][:, None], [[2.0], [-1.0]]],
+                              [[0.0], [1.0], [-1e6]])
+        for res, ref in ((ks_dFg(F, g), _ref_ks(F, g, "dFg")),
+                         (ks_Fdg(F, g), _ref_ks(F, g, "Fdg")),
+                         (_interval_result(F, g, Interval(0.5, 2e5, False, True)),
+                          _ref_interval(F, g, Interval(0.5, 2e5, False, True)))):
+            assert np.isfinite(res.value).all()
+            _same_result(res, ref)
