@@ -28,17 +28,15 @@ _ROOT_MERGE = 1e-13
 
 def degree_patterns(block: np.ndarray) -> np.ndarray:
     """Degree pattern of each coefficient array in a stack ``(n, K, ...)``:
-    row ``i`` is ``(count, low, top, key)``, the number of nonzero degrees
-    of ``block[i]``, the lowest and highest of them (meaningless when
-    ``count`` is 0) and one integer for the three.  ``polyval`` branches
-    on nothing else, and evaluates a stack, or any subset of its rows,
-    grouped by the stored key."""
-    nonzero = block.any(axis=tuple(range(2, block.ndim)))
-    width = nonzero.shape[1] + 1
-    count = nonzero.sum(axis=1)
-    low = nonzero.argmax(axis=1)
-    top = (width - 2) - nonzero[:, ::-1].argmax(axis=1)
-    return np.array([count, low, top, (count * width + low) * width + top]).T
+    row ``i`` is ``(count, low, top)``, the number of nonzero degrees of
+    ``block[i]`` and the lowest and highest of them (meaningless when
+    ``count`` is 0).  ``polyval`` branches on nothing else."""
+    nonzero = (block != 0.0).reshape(block.shape[:2] + (-1,)).any(axis=2)
+    pattern = np.empty((len(block), 3), dtype=np.intp)
+    pattern[:, 0] = nonzero.sum(axis=1)
+    pattern[:, 1] = nonzero.argmax(axis=1)
+    pattern[:, 2] = nonzero.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
+    return pattern
 
 
 def _horner(cols, ts, pattern, out):
@@ -73,11 +71,10 @@ def polyval(c: np.ndarray, t, pattern=None) -> np.ndarray:
     in, so scalar and vectorised evaluation of the same piece are bitwise
     consistent.
 
-    With ``pattern`` a 2-d array of degree patterns, ``c`` is a stack
-    ``(n, K, *vshape)`` of coefficient arrays and ``t`` has shape
+    With ``pattern`` an ``(n, 3)`` array of degree patterns, ``c`` is a
+    stack ``(n, K, *vshape)`` of coefficient arrays and ``t`` has shape
     ``(n, p)``: array ``i`` is evaluated at ``t[i]`` and the result has
-    shape ``(n, *vshape, p)``.  Arrays of one pattern (one key, the
-    fourth column, found here if ``pattern`` has three) are evaluated
+    shape ``(n, *vshape, p)``.  Arrays that share a pattern are evaluated
     together, by the same operations as one at a time.
     """
     c = np.asarray(c, dtype=float)
@@ -85,8 +82,6 @@ def polyval(c: np.ndarray, t, pattern=None) -> np.ndarray:
         nz = np.flatnonzero(c.reshape(c.shape[0], -1).any(axis=1))
         pattern = (nz.size, nz[0], nz[-1]) if nz.size else (0, 0, 0)
     elif np.ndim(pattern) == 2:
-        if pattern.shape[1] == 3:
-            pattern = degree_patterns(c)
         return _polyval_stack(c, np.asarray(t, dtype=float), pattern)
     tarr = np.asarray(t, dtype=float)
     scalar = tarr.ndim == 0
@@ -97,34 +92,37 @@ def polyval(c: np.ndarray, t, pattern=None) -> np.ndarray:
 
 
 def _polyval_stack(c: np.ndarray, t: np.ndarray, pattern: np.ndarray) -> np.ndarray:
-    """``polyval`` of a stack: one ``_horner`` pass per pattern."""
+    """``polyval`` of a stack: one ``_horner`` pass per pattern group."""
     n, p = t.shape
-    key = pattern[:, 3]
     ts = t.reshape((n,) + (1,) * (c.ndim - 2) + (p,))
     out = np.empty((n,) + c.shape[2:] + (p,))
-    if (key == key[0]).all():  # one piece, or pieces of one pattern
-        _horner(c.swapaxes(0, 1)[..., np.newaxis], ts, pattern[0, :3], out)
+    if (pattern == pattern[0]).all():  # one piece, or pieces of one pattern
+        _horner(c.swapaxes(0, 1)[..., np.newaxis], ts, pattern[0], out)
         return out
-    # sorted by pattern, each pattern is one slice of the stack
+    count, low, top = pattern.T
+    # Horner depends on the top degree alone, the sparse path on both degrees
+    width = c.shape[1] + 1
+    key = (np.minimum(count, 3) * width + np.where(count > 2, 0, low)) * width + top
+    # sorted by group, each group is one slice of the stack
     order = np.argsort(key, kind="stable")
     starts = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
     cols = c[order].swapaxes(0, 1)[..., np.newaxis]
     ts = ts[order]
     for lo, hi in zip([0] + starts, starts + [n]):
-        _horner(cols[:, lo:hi], ts[lo:hi], pattern[order[lo], :3], out[lo:hi])
+        _horner(cols[:, lo:hi], ts[lo:hi], pattern[order[lo]], out[lo:hi])
     out[order] = out.copy()
     return out
 
 
 def polyder(c: np.ndarray, axis: int = 0) -> np.ndarray:
     """Coefficients of the derivative polynomial; ``axis`` is the degree
-    axis (1 for a stack ``(n, K, *vshape)``)."""
+    axis, 0 or 1 for a stack ``(n, K, *vshape)``."""
     c = np.asarray(c, dtype=float)
     k = c.shape[axis]
     if k <= 1:
         return np.zeros(c.shape[:axis] + (1,) + c.shape[axis + 1:])
     mult = np.arange(1.0, k).reshape((-1,) + (1,) * (c.ndim - axis - 1))
-    return c[(slice(None),) * axis + (slice(1, None),)] * mult
+    return (c[:, 1:] if axis else c[1:]) * mult
 
 
 def running_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -142,17 +140,23 @@ def defint(c: np.ndarray, lo, hi) -> np.ndarray:
     Computed as ``sum c[j] (hi**(j+1) - lo**(j+1)) / (j+1)`` over the
     nonzero coefficients, in increasing degree order.
 
-    With ``lo`` and ``hi`` arrays ``(n,)``, row ``i`` of a stack
+    With ``lo < hi`` arrays ``(n,)``, row ``i`` of a stack
     ``(n, K, *vshape)`` is integrated over ``[lo[i], hi[i]]`` by the same
     operations as on its own: a degree that is zero in the row adds a ±0
     term, weighted by 0 rather than by a power that may overflow.
     """
     c = np.asarray(c, dtype=float)
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if lo.ndim == 0:
-        return defint(c[np.newaxis], lo[np.newaxis], hi[np.newaxis])[0]
+    if getattr(lo, "ndim", 0) == 0:
+        nz = np.flatnonzero(c.reshape(c.shape[0], -1).any(axis=1))
+        out = np.zeros(c.shape[1:])
+        if nz.size == 0 or lo == hi:
+            return out
+        powers = nz + 1.0
+        weights = (hi**powers - lo**powers) / powers
+        for j, w in zip(nz, weights):
+            out = out + c[j] * w
+        return out
     present = c.any(axis=tuple(range(2, c.ndim)))
-    present &= (lo != hi)[:, np.newaxis]
     rows, degrees = present.nonzero()
     # an array of powers, as the sum over one row's degrees takes them
     powers = degrees + 1.0
@@ -305,6 +309,6 @@ def matvec_conv(ca: np.ndarray, cx: np.ndarray) -> np.ndarray:
     """
     ka, kx = ca.shape[1], cx.shape[1]
     out = np.zeros((len(ca), ka + kx - 1, cx.shape[2]))
-    for i in np.flatnonzero(ca.any(axis=(0, 2, 3))).tolist():
+    for i in ca.any(axis=(0, 2, 3)).nonzero()[0].tolist():
         out[:, i:i + kx] += np.einsum("pij,pdj->pdi", ca[:, i], cx)
     return out

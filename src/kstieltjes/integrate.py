@@ -80,31 +80,38 @@ def check_pair(f_op: PiecewiseFunction, g_vec: PiecewiseFunction):
 def _jumps_within(H: PiecewiseFunction, c: float, d: float):
     """The points where ``H`` clipped to ``[c, d]`` jumps, and its jump
     there from ``H``'s table: both sides inside, ``0.0 +`` the right jump
-    at ``c`` and the left jump ``+ 0.0`` at ``d``."""
-    records = H.jumps()
-    if not records:
-        return np.zeros(0), None
-    at = np.searchsorted(H.grid, [rec.t for rec in records])
-    t = H.grid[at]
-    left, right = (t > c) & (t <= d), (t >= c) & (t < d)
+    at ``c`` and the left jump ``+ 0.0`` at ``d``; ``None`` if it has no
+    jump."""
+    if H._table is None:
+        H.jumps()  # a fresh function's table is built, and traced, in jumps()
     minus, plus, norm_minus, norm_plus = H._jump_table()
-    shown = (left & (norm_minus[at] > 0.0)) | (right & (norm_plus[at] > 0.0))
-    at, axes = at[shown], (-1,) + (1,) * len(H.vshape)
-    return t[shown], (np.where(left[shown].reshape(axes), minus[at], 0.0)
-                      + np.where(right[shown].reshape(axes), plus[at], 0.0))
+    i, j = H.grid.searchsorted(c), H.grid.searchsorted(d, side="right")
+    t = H.grid[i:j]
+    left, right = t > c, t < d
+    at = ((left & (norm_minus[i:j] > 0.0)) | (right & (norm_plus[i:j] > 0.0))).nonzero()[0]
+    if not at.size:
+        return None
+    axes = (-1,) + (1,) * len(H.vshape)
+    return t[at], (np.where(left[at].reshape(axes), minus[i + at], 0.0)
+                   + np.where(right[at].reshape(axes), plus[i + at], 0.0))
 
 
 def _engine(F: PiecewiseFunction, g: PiecewiseFunction, orientation: str,
-            c: float, d: float) -> IntegralResult:
+            c: float | None = None, d: float | None = None) -> IntegralResult:
     """``integral d[F] g`` (``"dFg"``) or ``integral F d[g]`` (``"Fdg"``)
-    from ``c`` to ``d``, bit for bit what the per-piece loop gives on the
-    two functions clipped to ``[c, d]`` (see the module docstring)."""
+    from ``c`` to ``d`` (default: over the whole domain), bit for bit what
+    the per-piece loop gives on the two functions clipped to ``[c, d]``
+    (see the module docstring)."""
     check_pair(F, g)
     dFg = orientation == "dFg"
     H, G = (F, g) if dFg else (g, F)
-    pts = np.concatenate([[c, d], F.grid, g.grid])
+    if c is None:
+        c, d = F.a, F.b
+        pts = np.concatenate([F.grid, g.grid])
+    else:
+        pts = np.concatenate([[c, d]] + [f.grid[f.grid.searchsorted(c):f.grid.searchsorted(d, "right")]
+                                         for f in (F, g)])
     pts.sort()
-    pts = pts[(pts >= c) & (pts <= d)]
     grid = pts[np.concatenate([[True], pts[1:] > pts[:-1]])]
     lo, hi = grid[:-1], grid[1:]
     mids = 0.5 * (lo + hi)
@@ -115,8 +122,9 @@ def _engine(F: PiecewiseFunction, g: PiecewiseFunction, orientation: str,
         prod = _poly.matvec_conv(cF, _poly.polyder(cg, axis=1))
     cont = _poly.running_sum(_poly.defint(prod, lo, hi))
     jump = np.zeros(g.vshape)
-    t, full = _jumps_within(H, c, d)
-    if t.size:
+    within = _jumps_within(H, c, d)
+    if within:
+        t, full = within
         # contiguous values: a stacked matmul over a strided view sums in
         # another order than one matmul per point
         vals = np.ascontiguousarray(np.moveaxis(G.eval_many(t), -1, 0))
@@ -128,13 +136,13 @@ def _engine(F: PiecewiseFunction, g: PiecewiseFunction, orientation: str,
 def ks_dFg(F: PiecewiseFunction, g: PiecewiseFunction) -> IntegralResult:
     """``integral_a^b d[F] g`` for an operator integrator and vector
     integrand on a common domain."""
-    return _engine(F, g, "dFg", F.a, F.b)
+    return _engine(F, g, "dFg")
 
 
 def ks_Fdg(F: PiecewiseFunction, g: PiecewiseFunction) -> IntegralResult:
     """``integral_a^b F d[g]``: the operator applied to the increments of
     ``g``.  Returns a vector like the other orientation."""
-    return _engine(F, g, "Fdg", F.a, F.b)
+    return _engine(F, g, "Fdg")
 
 
 def integral_over_point(F: PiecewiseFunction, g: PiecewiseFunction,
@@ -184,6 +192,10 @@ def integral_over_interval(F: PiecewiseFunction, g: PiecewiseFunction,
     applied to ``g(c)``, an open lower end subtracts the right jump there,
     and symmetrically at ``d``.  Equals integrating ``g`` times the
     interval's indicator over the whole domain.
+
+    Raises ``DimensionMismatchError`` if ``F`` and ``g`` live on different
+    domains, for every interval (API change: a non-degenerate interval
+    used to be integrated on the functions clipped to it).
     """
     return _interval_result(F, g, interval).value
 

@@ -76,17 +76,13 @@ def _pad(coeffs, m: int, vshape) -> _Columns:
         raise ValueError("need exactly one polynomial per open piece")
     if min(lens) < 1:
         raise ValueError("every piece needs at least one coefficient")
-    if lens.count(lens[0]) == m:  # nothing to pad
-        block = np.array(coeffs, dtype=float)
-        lens = np.full(m, lens[0])
-    else:
-        flat = np.concatenate(coeffs, dtype=float)
-        lens = np.array(lens)
-        block = np.zeros((m, lens.max()) + flat.shape[1:])
-        # row-major order of the mask is the order of the concatenated pieces
-        block[np.arange(block.shape[1]) < lens[:, np.newaxis]] = flat
-    if block.shape[2:] != vshape:
+    flat = np.concatenate(coeffs, dtype=float)
+    if flat.shape[1:] != vshape:
         raise ValueError("piece coefficients must share the node value shape")
+    lens = np.array(lens)
+    block = np.zeros((m, lens.max()) + vshape)
+    # row-major order of the mask is the order of the concatenated pieces
+    block[np.arange(block.shape[1]) < lens[:, np.newaxis]] = flat
     return _Columns(block, lens)
 
 
@@ -144,12 +140,9 @@ class PiecewiseFunction:
         self.kind = kind
         self.dim = int(vshape[0])
         self._block, self._lens = block, lens
-        # (count, low, top) per piece, and with its key for stacks
-        self._patterns = _poly.degree_patterns(block)
-        self._pattern = self._patterns[:, :3]
+        self._pattern = _poly.degree_patterns(block)
         self._views: tuple[np.ndarray, ...] | None = None
         self._table: _JumpTable | None = None
-        self._jumps: tuple[JumpRecord, ...] | None = None
 
     # -- basic queries -------------------------------------------------
 
@@ -282,7 +275,7 @@ class PiecewiseFunction:
         if table is None:
             # ends[j] holds piece j's values at its left and right end
             ends = _poly.polyval(self._block, np.stack([self.grid[:-1], self.grid[1:]], axis=1),
-                                 self._patterns)
+                                 self._pattern)
             both = np.zeros((2,) + self.nodes.shape)
             both[0, 1:] = self.nodes[1:] - ends[..., 1]
             both[1, :-1] = ends[..., 0] - self.nodes[:-1]
@@ -314,17 +307,12 @@ class PiecewiseFunction:
     def jumps(self, tol: float = 0.0) -> list[JumpRecord]:
         """Jump records, in grid order, at every grid point with a
         one-sided jump whose norm exceeds ``tol >= 0`` (default: exactly
-        nonzero; those records are kept after the first call).  The left
-        jump at ``a`` and the right jump at ``b`` are zero by convention."""
+        nonzero).  The left jump at ``a`` and the right jump at ``b`` are
+        zero by convention."""
         if not tol >= 0:
             raise ValueError(f"jump tolerance must be >= 0, got {tol}")
-        if tol == 0.0 and self._jumps is not None:
-            return list(self._jumps)
         table = self._jump_table()
-        records = self._records(np.flatnonzero((table.norm_minus > tol) | (table.norm_plus > tol)))
-        if tol == 0.0:
-            self._jumps = tuple(records)
-        return records
+        return self._records(np.flatnonzero((table.norm_minus > tol) | (table.norm_plus > tol)))
 
     # -- structural operations ----------------------------------------------
 
@@ -346,7 +334,7 @@ class PiecewiseFunction:
         nodes[old] = self.nodes[idx[old]]
         host = idx[~old] - 1
         nodes[~old] = _poly.polyval(self._block[host], new_grid[~old, np.newaxis],
-                                    self._patterns[host])[..., 0]
+                                    self._pattern[host])[..., 0]
         owner = self._pieces_of(0.5 * (new_grid[:-1] + new_grid[1:]))
         return PiecewiseFunction(new_grid, _Columns(self._block[owner], self._lens[owner]), nodes)
 
@@ -450,7 +438,7 @@ def polynomial(domain, coeffs) -> PiecewiseFunction:
     and may be scalar (lifted to a 1-vector), vector or matrix valued."""
     a, b = _domain_pair(domain)
     c = _lift_coeffs(coeffs)
-    nodes = np.moveaxis(_poly.polyval(c, np.array([a, b])), -1, 0)
+    nodes = np.stack([_poly.polyval(c, a), _poly.polyval(c, b)])
     return PiecewiseFunction([a, b], _one_piece(c), nodes)
 
 
