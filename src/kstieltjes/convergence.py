@@ -188,12 +188,17 @@ def run_bounded_convergence(F: PiecewiseFunction, family: SequenceFamily,
     The uniform-bound and pointwise-convergence hypotheses are verified
     first; a violation raises :class:`HypothesisViolationError` before any
     integral is computed, since the theorem being exercised would not
-    apply.  ``passed`` reflects the error at the largest ``n``.
+    apply.  ``passed`` reflects the error at the largest ``n``.  Every
+    entry of ``ns`` must be a positive ``int`` or ``np.integer`` (not a
+    ``bool``), or ``ValueError`` is raised.
     """
     check_pair(F, family.limit)
+    ns = list(ns)
+    # int() would truncate 1.5 to 1 and count True as 1
+    if not ns or not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                         and n >= 1 for n in ns):
+        raise ValueError(f"ns must be positive integers, got {ns!r}")
     ns = sorted(int(n) for n in ns)
-    if not ns or ns[0] < 1:
-        raise ValueError("ns must be positive integers")
     realized = [(n, realize(family, n)) for n in ns]
     for n, g_n in realized:
         actual = g_n.sup_norm()

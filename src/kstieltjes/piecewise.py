@@ -128,6 +128,8 @@ class PiecewiseFunction:
             kind = "operator"
         else:
             raise ValueError(f"value shape {vshape} is neither a vector nor a square matrix")
+        if vshape[0] < 1:
+            raise ValueError("values need dimension at least 1")
         block, lens = (coeffs if isinstance(coeffs, _Columns)
                        else _pad(coeffs, grid.size - 1, vshape))
         if not (np.isfinite(grid).all() and np.isfinite(nodes).all()
@@ -231,11 +233,26 @@ class PiecewiseFunction:
         # grid point k owns srt[lo[k]:hi[k]], piece j owns srt[hi[j]:lo[j + 1]]
         lo = np.searchsorted(srt, self.grid, side="left")
         hi = np.searchsorted(srt, self.grid, side="right")
+        touched = np.flatnonzero(lo[1:] > hi[:-1])
         vals = np.empty(self.vshape + srt.shape)
-        for k in np.flatnonzero(hi > lo):
-            vals[..., lo[k]:hi[k]] = self.nodes[k][..., np.newaxis]
-        for j in np.flatnonzero(lo[1:] > hi[:-1]):
-            vals[..., hi[j]:lo[j + 1]] = self._polyval(j, srt[hi[j]:lo[j + 1]])
+        if touched.size**2 > srt.size:
+            # more touched pieces than points per piece: write every grid
+            # hit at once and evaluate each interior point as its own row
+            # of one stacked polyval, which applies the per-piece call's
+            # operations element by element; with many points per piece
+            # the loop's contiguous slices are cheaper than the gather
+            at = self.grid.searchsorted(srt, side="right") - 1
+            on = self.grid[at] == srt
+            vals[..., on] = np.moveaxis(self.nodes[at[on]], 0, -1)
+            j = at[~on]
+            vals[..., ~on] = np.moveaxis(
+                _poly.polyval(self._block[j], srt[~on, np.newaxis], self._pattern[j])[..., 0],
+                0, -1)
+        else:
+            for k in np.flatnonzero(hi > lo):
+                vals[..., lo[k]:hi[k]] = self.nodes[k][..., np.newaxis]
+            for j in touched:
+                vals[..., hi[j]:lo[j + 1]] = self._polyval(j, srt[hi[j]:lo[j + 1]])
         if order is not None:
             out = np.empty_like(vals)
             out[..., order] = vals
@@ -438,8 +455,9 @@ def polynomial(domain, coeffs) -> PiecewiseFunction:
     and may be scalar (lifted to a 1-vector), vector or matrix valued."""
     a, b = _domain_pair(domain)
     c = _lift_coeffs(coeffs)
+    piece = _one_piece(c)
     nodes = np.stack([_poly.polyval(c, a), _poly.polyval(c, b)])
-    return PiecewiseFunction([a, b], _one_piece(c), nodes)
+    return PiecewiseFunction([a, b], piece, nodes)
 
 
 def constant(domain, value) -> PiecewiseFunction:

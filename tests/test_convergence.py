@@ -79,6 +79,16 @@ class TestRunBoundedConvergence:
         assert report.errors[-1] == 0.0
         assert report.passed
 
+    @pytest.mark.parametrize("ns", [[1.5, 2], [True, 2], [np.float64(2.0)], [0, 1], []])
+    def test_ns_must_be_positive_integers(self, t_id, ns):
+        with pytest.raises(ValueError, match="positive integers"):
+            run_bounded_convergence(t_id, SequenceFamily.power(), ns, 0.1)
+
+    def test_numpy_integer_ns_accepted(self, t_id):
+        report = run_bounded_convergence(t_id, SequenceFamily.power(), np.array([2, 1]), 0.6)
+        assert [entry.n for entry in report.entries] == [1, 2]
+        assert report.errors == [0.5, 1.0 / 3.0]
+
     def test_bound_violation_rejected_before_integration(self, t_id, monkeypatch):
         spike = SequenceFamily.spike((0.0, 1.0), 0.0, 5.0)
         members = [realize(spike, n) for n in (1, 2, 3)]

@@ -6,8 +6,8 @@ import pytest
 import corpus
 from kstieltjes import (DomainError, ElementarySet, Interval,
                         PiecewiseFunction, break_truncate, constant,
-                        jordan_decompose, lincomb, polynomial, step,
-                        var_compact)
+                        jordan_decompose, lincomb, polynomial,
+                        scaled_identity, step, var_compact)
 from kstieltjes import _poly
 from kstieltjes.norms import norm_of
 
@@ -123,11 +123,26 @@ def _same(got, ref):
     assert got.tobytes() == ref.tobytes()
 
 
+def _count_routes(monkeypatch) -> list[str]:
+    """Record each ``_poly.polyval`` call as ``"stacked"`` (a pattern per
+    row) or ``"piece"`` (one pattern)."""
+    routes = []
+    polyval = _poly.polyval
+
+    def counted(c, t, pattern=None):
+        routes.append("stacked" if np.ndim(pattern) == 2 else "piece")
+        return polyval(c, t, pattern)
+
+    monkeypatch.setattr(_poly, "polyval", counted)
+    return routes
+
+
 class TestEvalReference:
     """``eval_many`` and ``polyval`` equal the reference loops byte for byte."""
 
 
-    def test_eval_many(self, rng):
+    def test_eval_many(self, rng, monkeypatch):
+        routes = _count_routes(monkeypatch)
         for kind in ("vector", "operator"):
             for dim in (1, 2, 3):
                 for pieces in (1, 7, 200):
@@ -148,6 +163,30 @@ class TestEvalReference:
                                 np.append(srt, 0.5 * (a + b)), ts[:36].reshape(6, 6),
                                 np.array([]), np.array(ts[0]), np.array(hits[0])):
                         _same(f.eval_many(pts), _masked_eval_many(f, pts))
+        # 200 pieces hold few points each, 7 pieces many
+        assert "stacked" in routes and "piece" in routes
+        # -0.0 entries and a degree-64 monomial piece
+        for kind in ("vector", "operator"):
+            for dim in (1, 2, 3):
+                f = _random_function(rng, kind, dim, 40, -2.5, 1.5)
+                monomial = np.zeros((65,) + f.vshape)
+                monomial[64] = rng.uniform(-1.0, 1.0, size=f.vshape)
+                coeffs = list(f.coeffs)
+                coeffs[int(rng.integers(len(coeffs)))] = np.where(
+                    rng.random(monomial.shape) < 0.3, -0.0, monomial)
+                f = PiecewiseFunction(f.grid, coeffs, f.nodes)
+                assert np.signbit(f._block[f._block == 0.0]).any()
+                # every piece holds exactly one interior point: stacked
+                inside = rng.uniform(f.grid[:-1], f.grid[1:])
+                del routes[:]
+                for pts in (inside, rng.permutation(inside)):
+                    _same(f.eval_many(pts), _masked_eval_many(f, pts))
+                assert routes == ["stacked", "stacked"]
+                # every point is a grid point: no polynomial is evaluated
+                on_grid = rng.permutation(np.concatenate([f.grid, f.grid[::3]]))
+                for pts in (on_grid, np.sort(on_grid)):
+                    _same(f.eval_many(pts), _masked_eval_many(f, pts))
+                assert routes == ["stacked", "stacked"]
 
     def test_polyval(self, rng):
         for _ in range(300):
@@ -647,8 +686,17 @@ class TestConstructor:
         with pytest.raises(ValueError):
             PiecewiseFunction([0.0, 0.5, 1.0], [np.zeros((0, 1)), [[1.0]]],
                               [[0.0], [1.0], [2.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one coefficient"):
             polynomial((0.0, 1.0), [])
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            scaled_identity((0.0, 1.0), [], dim=2)
+
+    def test_zero_dimensional_values_rejected(self):
+        for make in (lambda: PiecewiseFunction([0, 1], [np.zeros((1, 0))], np.zeros((2, 0))),
+                     lambda: scaled_identity((0, 1), [1.0], dim=0),
+                     lambda: constant((0, 1), [])):
+            with pytest.raises(ValueError, match="dimension"):
+                make()
 
     def test_shape_and_count_errors(self):
         with pytest.raises(ValueError):

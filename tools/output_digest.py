@@ -1,0 +1,185 @@
+"""Digest of the library's outputs on fixed random inputs.
+
+For fixed seeds the script draws operator/vector pairs on six domains and
+passes them through evaluation, the structural operations, both engine
+orientations, interval integrals, variation and the bounded-convergence
+harness.  It prints one line per output kind: the number of items and a
+sha256 over their bytes.  Two trees that print the same lines computed the
+same bits, so a change meant to keep every output bitwise is checked with
+one command on each tree:
+
+    python3 tools/output_digest.py                      # this checkout's src/
+    python3 tools/output_digest.py --src ../other/src   # another tree's library
+
+The input values are drawn with numpy alone (a node value set to a limit
+comes from numpy's ``polyval``), so both trees get the same inputs.  An
+output that raises is hashed as its exception's name, so both trees must
+fail alike.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+
+SEEDS = (1, 2, 4242)
+PAIRS = 20  # operator/vector pairs per domain and seed
+DOMAINS = [(0.0, 1.0), (-3.5, -1.25), (1e3, 1e3 + 2.0), (-7.25, -4.25),
+           (1e4, 1e4 + 3.0), (0.5, 4.5)]
+
+
+def random_coeffs(rng, vshape, top):
+    """Dense, dyadic, sparse-monomial (up to degree ``top``) or zero
+    coefficients, some entries -0.0."""
+    style = rng.integers(4)
+    if style == 0:
+        c = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 7)),) + vshape)
+    elif style == 1:
+        c = rng.integers(-24, 25, size=(int(rng.integers(1, 5)),) + vshape) / 16.0
+    elif style == 2:
+        c = np.zeros((int(rng.integers(2, top + 2)),) + vshape)
+        c[-1] = rng.uniform(-1.0, 1.0, size=vshape)
+        if rng.random() < 0.5:
+            c[int(rng.integers(0, len(c) - 1))] = rng.uniform(-1.0, 1.0, size=vshape)
+    else:
+        c = np.zeros((int(rng.integers(1, 4)),) + vshape)
+    return np.where(rng.random(c.shape) < 0.1, -0.0, c)
+
+
+def random_function(ks, rng, kind, dim, a, b):
+    """1-30 pieces; every node value is random or one of its limits."""
+    vshape = (dim,) if kind == "vector" else (dim, dim)
+    top = 64 if max(abs(a), abs(b)) < 100.0 else 16  # keep products finite
+    grid = np.unique(np.concatenate([[a], rng.uniform(a, b, int(rng.integers(0, 30))), [b]]))
+    coeffs = [random_coeffs(rng, vshape, top) for _ in range(grid.size - 1)]
+    nodes = rng.uniform(-1.0, 1.0, size=(grid.size,) + vshape)
+    for k, t in enumerate(grid.tolist()):
+        side = rng.integers(3)
+        if side == 1 and k > 0:
+            nodes[k] = np.polynomial.polynomial.polyval(t, coeffs[k - 1])
+        elif side == 2 and k < grid.size - 1:
+            nodes[k] = np.polynomial.polynomial.polyval(t, coeffs[k])
+    return ks.PiecewiseFunction(grid, coeffs, nodes)
+
+
+def random_interval(ks, rng, a, b):
+    c, d = np.sort(rng.uniform(a, b, 2))
+    if rng.random() < 0.2:
+        return ks.Interval.at(c)
+    return ks.Interval(c, d, bool(rng.random() < 0.5), bool(rng.random() < 0.5))
+
+
+def eval_points(rng, f):
+    """Unsorted points with grid hits and both ends, one point in every
+    piece, and grid points only."""
+    a, b = f.a, f.b
+    inside = rng.uniform(a, b, int(rng.integers(1, 3 * f.npieces + 2)))
+    hits = rng.choice(f.grid, size=int(rng.integers(1, f.grid.size + 1)))
+    return [rng.permutation(np.concatenate([inside, inside[:3], hits, [a, b]])),
+            rng.uniform(f.grid[:-1], f.grid[1:]),
+            rng.permutation(f.grid)]
+
+
+class Digest:
+    def __init__(self):
+        self.count = defaultdict(int)
+        self.hash = defaultdict(hashlib.sha256)
+
+    def add(self, kind, compute):
+        """Hash every array in ``compute()``'s output, or the name of the
+        exception it raises."""
+        try:
+            out = compute()
+        except Exception as exc:  # the failure itself is the output
+            out = type(exc).__name__
+        self.count[kind] += 1
+        self.hash[kind].update(repr(self._flat(out)).encode())
+
+    def _flat(self, out):
+        if isinstance(out, (list, tuple)):
+            return [self._flat(x) for x in out]
+        if isinstance(out, str):
+            return out
+        arr = np.asarray(out, dtype=float)
+        return (arr.shape, np.ascontiguousarray(arr).tobytes())
+
+    def lines(self):
+        return [f"{kind} {self.count[kind]} {self.hash[kind].hexdigest()}"
+                for kind in sorted(self.count)]
+
+
+def fn(f):
+    return [f.grid, f.nodes, list(f.coeffs)]
+
+
+def integral(r):
+    return [r.value, r.continuous_contribution, r.jump_contribution]
+
+
+def variation(v):
+    return [v.total, v.continuous_contribution, v.jump_contribution]
+
+
+def digest_seed(ks, seed, out: Digest):
+    rng = np.random.default_rng(seed)
+    for a, b in DOMAINS:
+        for _ in range(PAIRS):
+            dim = int(rng.integers(1, 4))
+            F, F2 = (random_function(ks, rng, "operator", dim, a, b) for _ in range(2))
+            g, g2 = (random_function(ks, rng, "vector", dim, a, b) for _ in range(2))
+            c1, c2 = rng.uniform(-2.0, 2.0, 2)
+            out.add("lincomb", lambda: fn(ks.lincomb(c1, F, c2, F2)) + fn(ks.lincomb(c1, g, c2, g2)))
+            out.add("ks_dFg", lambda: integral(ks.ks_dFg(F, g)))
+            out.add("ks_Fdg", lambda: integral(ks.ks_Fdg(F, g)))
+            for f in (F, g):
+                for ts in eval_points(rng, f):
+                    out.add("eval_many", lambda: f.eval_many(ts))
+                for tol in (0.0, 0.3):
+                    out.add("jumps", lambda: [[r.t, r.jump_minus, r.jump_plus, r.norm_minus,
+                                               r.norm_plus] for r in f.jumps(tol)])
+                extra = np.concatenate([rng.uniform(a, b, 5), rng.choice(f.grid, 2)])
+                out.add("refine", lambda: fn(f.refine(extra)))
+                c, d = np.sort(rng.uniform(a, b, 2))
+                out.add("clip", lambda: fn(f.clip(c, d)))
+                region = ks.ElementarySet.of(*(random_interval(ks, rng, a, b) for _ in range(3)))
+                out.add("restrict", lambda: fn(f.restrict(region)))
+                out.add("jordan", lambda: [fn(part) for part in ks.jordan_decompose(f)])
+                out.add("variation", lambda: [variation(ks.var_compact(f, c, d)),
+                                              variation(ks.var_elementary(f, region))])
+            for _ in range(3):
+                interval = random_interval(ks, rng, a, b)
+                out.add("interval", lambda: ks.integral_over_interval(F, g, interval))
+            F1 = random_function(ks, rng, "operator", 1, a, b)
+            center, height = float(rng.uniform(a, b)), float(rng.uniform(0.5, 4.0))
+            ns = sorted(rng.choice(np.arange(1, 65), size=4, replace=False).tolist())
+            spike = ks.SequenceFamily.spike((a, b), center, height)
+            out.add("convergence",
+                    lambda: ks.run_bounded_convergence(F1, spike, ns, 0.1).errors)
+            if (a, b) == (0.0, 1.0):
+                power = ks.SequenceFamily.power()
+                out.add("convergence",
+                        lambda: ks.run_bounded_convergence(F1, power, ns, 0.1).errors)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="directory holding the kstieltjes package to digest")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import kstieltjes as ks
+    out = Digest()
+    with np.errstate(all="ignore"):
+        for seed in SEEDS:
+            digest_seed(ks, seed, out)
+    print(f"# kstieltjes from {Path(ks.__file__).parent}")
+    print("\n".join(out.lines()))
+
+
+if __name__ == "__main__":
+    main()
