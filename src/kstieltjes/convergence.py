@@ -107,8 +107,8 @@ class SequenceFamily:
 
 
 def realize(family: SequenceFamily, n: int) -> PiecewiseFunction:
-    """The concrete ``n``-th member of the family (``n >= 1``)."""
-    if n < 1:
+    """The concrete ``n``-th member of the family (an integer ``n >= 1``)."""
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
         raise ValueError("n must be a positive integer")
     if family.kind == "power":
         coeffs = np.zeros((n + 1, 1))

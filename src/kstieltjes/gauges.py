@@ -227,12 +227,29 @@ def _forced_tags(points: np.ndarray, forced: np.ndarray) -> np.ndarray:
     return tags
 
 
-def _forced_fine_division(a: float, b: float, forced: np.ndarray,
-                          level: int, max_points: int) -> TaggedDivision:
+class _ForcedPlan:
+    """What ``_forced_fine_division`` needs at every level, found once per
+    oracle call: the forced set with both ends, half its nearest gaps, and
+    half of each gap with the forced points on its two sides."""
+
+    def __init__(self, a: float, b: float, forced):
+        self.a, self.b = a, b
+        self.forced = np.unique(np.concatenate([[a, b], forced]))
+        gaps = np.diff(self.forced)
+        self.half_nearest = np.minimum(np.concatenate([[np.inf], gaps]),
+                                       np.concatenate([gaps, [np.inf]])) / 2.0
+        self.half_gap = gaps / 2.0
+        # the forced point of each graded side: side i is the right side of
+        # forced[i], side n + i the left side of forced[i + 1], both in gap i
+        self.sides = np.concatenate([self.forced[:-1], self.forced[1:]])
+
+
+def _forced_fine_division(plan: _ForcedPlan, level: int,
+                          max_points: int) -> TaggedDivision:
     """Fine division of ``[a, b]`` for the oracle's gauge at ``level``,
     written down without testing the gauge (Cousin's lemma made
-    constructive for this gauge).  The ends ``a`` and ``b`` are always
-    forced.
+    constructive for this gauge).  ``plan`` holds the forced points, the
+    ends ``a`` and ``b`` among them.
 
     With ``h = span 2**-level``, ``base = span 4**-level`` and, at each
     forced point ``p``, ``cap(p) = min(base, half the gap to its nearest
@@ -256,30 +273,25 @@ def _forced_fine_division(a: float, b: float, forced: np.ndarray,
     """
     if 2**level + 1 > max_points:
         raise OracleFailureError("fine division exceeded the point budget")
+    a, b, forced = plan.a, plan.b, plan.forced
     span = b - a
     h, base = span * 2.0**-level, span * 4.0**-level
-    forced = np.unique(np.concatenate([[a, b], forced]))
-    gaps = np.diff(forced)
-    nearest = np.minimum(np.concatenate([[np.inf], gaps]),
-                         np.concatenate([gaps, [np.inf]]))
-    cap = np.minimum(base, nearest / 2.0)  # as Gauge.forcing rounds it
-    # gap i is shared by the right side of forced[i] and the left side of
-    # forced[i + 1]; with the ends forced, every graded point is inside (a, b)
-    r = np.minimum(h, gaps / 2.0)
+    cap = np.minimum(base, plan.half_nearest)  # as Gauge.forcing rounds it
+    # with the ends forced, every graded point is inside (a, b)
+    r = np.minimum(h, plan.half_gap)
     # an exact offset is below cap after floor(log2(r / cap)) + 1 halvings;
     # one more covers the rounding of the float distance
     ratio = np.max(r / np.minimum(cap[:-1], cap[1:]))
     halvings = 2.0 ** -np.arange(int(np.log2(ratio)) + 3)
-    graded, innermost = [forced], []
-    for p, step, c in ((forced[:-1], r, cap[:-1]), (forced[1:], -r, cap[1:])):
-        pts = p[:, None] + step[:, None] * halvings
-        dist = np.abs(pts - p[:, None])
-        last = np.argmax(dist < c[:, None], axis=1)
-        rows = np.arange(p.size)
-        if np.any(dist[rows, last] == 0.0):
-            raise OracleFailureError("refinement stalled at float resolution")
-        graded.append(pts[np.arange(halvings.size) <= last[:, None]])
-        innermost.append(pts[rows, last])
+    p, c = plan.sides, np.concatenate([cap[:-1], cap[1:]])
+    pts = p[:, None] + np.concatenate([r, -r])[:, None] * halvings
+    dist = np.abs(pts - p[:, None])
+    last = np.argmax(dist < c[:, None], axis=1)
+    rows = np.arange(last.size)
+    if np.any(dist[rows, last] == 0.0):
+        raise OracleFailureError("refinement stalled at float resolution")
+    graded = pts[np.arange(halvings.size) <= last[:, None]]
+    innermost = np.split(pts[rows, last], 2)
     hi = np.append(innermost[0], b)
     lo = np.insert(innermost[1], 0, a)
     mesh = np.linspace(a, b, 2**level + 1)
@@ -288,7 +300,7 @@ def _forced_fine_division(a: float, b: float, forced: np.ndarray,
     inside = mesh[node] < hi
     if inside.any():
         mesh = np.delete(mesh, node[inside])
-    extra = np.unique(np.concatenate(graded))
+    extra = np.unique(np.concatenate([forced, graded]))
     at = np.searchsorted(mesh, extra)
     new = mesh[np.minimum(at, mesh.size - 1)] != extra
     if mesh.size + np.count_nonzero(new) > max_points:
@@ -316,6 +328,11 @@ def oracle_integral(F: PiecewiseFunction, g: PiecewiseFunction,
     pairwise differ by less than ``tol`` wins; running past ``max_level``
     raises :class:`OracleFailureError`.
 
+    A level is built only while the rule can use it, at most once: ``k``
+    is skipped when the sums at ``k - 1`` and ``k - 2`` are apart, and a
+    missing neighbour is built only when ``k``'s sum is close to the known
+    ones.  The result or error is that of building every level in order.
+
     This estimator shares nothing with the closed-form engine: it sees the
     functions only through pointwise evaluation.
     """
@@ -325,25 +342,42 @@ def oracle_integral(F: PiecewiseFunction, g: PiecewiseFunction,
     if orientation not in ("dFg", "Fdg"):
         raise ValueError(f"unknown orientation {orientation!r}")
     for name, level in (("start_level", start_level), ("max_level", max_level)):
-        if not (isinstance(level, (int, np.integer)) and level >= 0):
+        if not (isinstance(level, (int, np.integer)) and not isinstance(level, bool)
+                and level >= 0):
             raise ValueError(f"{name} must be an integer >= 0, not {level!r}")
     if max_level < start_level:
         raise ValueError("max_level must not be below start_level")
     if not max_points >= 2:
         raise ValueError("max_points must be at least 2")
-    forced = np.concatenate([F.grid, g.grid])
-    history: list[np.ndarray] = []
+    plan = _ForcedPlan(F.a, F.b, np.concatenate([F.grid, g.grid]))
+    rs_sum = rs_sum_dFg if orientation == "dFg" else rs_sum_Fdg
+    sums: dict[int, np.ndarray] = {}
+
+    def build(level: int):
+        if level not in sums:
+            try:
+                division = _forced_fine_division(plan, level, max_points)
+            except OracleFailureError:
+                # building in order, the lowest failing level fails first
+                for lower in range(start_level, level):
+                    build(lower)
+                raise
+            sums[level] = rs_sum(F, g, division)
+
+    def apart(hi: int, lo: int) -> bool:
+        return not sup_norm(sums[hi] - sums[lo]) < tol
+
+    for k in range(start_level, max_level + 1):
+        if k - 1 in sums and k - 2 in sums and apart(k - 1, k - 2):
+            continue
+        build(k)
+        if k < start_level + 2 or any(j in sums and apart(k, j) for j in (k - 1, k - 2)):
+            continue
+        build(k - 1)
+        build(k - 2)
+        if not (apart(k, k - 1) or apart(k - 1, k - 2) or apart(k, k - 2)):
+            return sums[k]
     for level in range(start_level, max_level + 1):
-        division = _forced_fine_division(F.a, F.b, forced, level, max_points)
-        if orientation == "dFg":
-            current = rs_sum_dFg(F, g, division)
-        else:
-            current = rs_sum_Fdg(F, g, division)
-        history.append(current)
-        if len(history) >= 3:
-            s0, s1, s2 = history[-3:]
-            if (sup_norm(s2 - s1) < tol and sup_norm(s1 - s0) < tol
-                    and sup_norm(s2 - s0) < tol):
-                return current
+        build(level)  # a skipped level may fail
     raise OracleFailureError(
         f"sums did not stabilise to {tol} within {max_level} refinement levels")

@@ -362,11 +362,13 @@ class PiecewiseFunction:
         c, d = float(c), float(d)
         if c < self.a or d > self.b or not c < d:
             raise DomainError(f"[{c}, {d}] is not a subdomain of [{self.a}, {self.b}]")
-        inner = self.grid[(self.grid > c) & (self.grid < d)]
-        new_grid = np.concatenate([[c], inner, [d]])
+        keep = (self.grid > c) & (self.grid < d)
+        new_grid = np.concatenate([[c], self.grid[keep], [d]])
         owner = self._pieces_of(0.5 * (new_grid[:-1] + new_grid[1:]))
+        # inner points keep their node values: only the new ends are evaluated
+        ends = np.moveaxis(self.eval_many([c, d]), -1, 0)
         return PiecewiseFunction(new_grid, _Columns(self._block[owner], self._lens[owner]),
-                                 np.moveaxis(self.eval_many(new_grid), -1, 0))
+                                 np.concatenate([ends[:1], self.nodes[keep], ends[1:]]))
 
     def restrict(self, region: ElementarySet | Interval) -> "PiecewiseFunction":
         """Multiply by the indicator of ``region``: equal to this function

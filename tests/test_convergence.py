@@ -46,6 +46,13 @@ class TestRealize:
         with pytest.raises(ValueError):
             SequenceFamily.spike((0.0, 1.0), 2.0, 1.0)
 
+    def test_bool_rejected(self):
+        # as in run_bounded_convergence: True is no index, though an int subclass
+        for fam in (SequenceFamily.power(), SequenceFamily.spike((0.0, 1.0), 0.0, 1.0)):
+            for n in (True, False):
+                with pytest.raises(ValueError, match="positive integer"):
+                    realize(fam, n)
+
 
 class TestRunBoundedConvergence:
     def test_power_against_ramp_closed_form(self, t_id):

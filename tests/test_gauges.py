@@ -8,8 +8,13 @@ from kstieltjes import (Gauge, GaugeTooSmallError, OracleFailureError,
                         polynomial, rs_sum_Fdg, rs_sum_dFg, scaled_identity,
                         step)
 from kstieltjes import gauges
-from kstieltjes.gauges import _forced_fine_division
 from kstieltjes.intervals import Interval
+from kstieltjes.norms import sup_norm
+
+
+def _forced_fine_division(a, b, forced, level, max_points):
+    """The oracle's builder on the plan of ``forced`` with the ends."""
+    return gauges._forced_fine_division(gauges._ForcedPlan(a, b, forced), level, max_points)
 
 
 class TestGauge:
@@ -236,6 +241,16 @@ class TestOracle:
             oracle_integral(F, g, "dFg", 1e-8, start_level=60, max_level=62)
         assert oracle_integral(F, g, "dFg", 1e-8, start_level=0)[0] == pytest.approx(0.5)
 
+    def test_bool_levels_rejected(self):
+        # bool is an int subclass, but True is no level
+        F = scaled_identity((0.0, 1.0), [0.0, 1.0], dim=1)
+        g = polynomial((0.0, 1.0), [0.0, 1.0])
+        for kwargs, match in (({"start_level": True, "max_level": 12}, "start_level"),
+                              ({"start_level": False}, "start_level"),
+                              ({"max_level": True, "start_level": 0}, "max_level")):
+            with pytest.raises(ValueError, match=match):
+                oracle_integral(F, g, "dFg", 1e-8, **kwargs)
+
     def test_matches_engine_both_orientations(self, rng):
         for _ in range(25):
             dim = int(rng.integers(1, 4))
@@ -278,10 +293,10 @@ def _oracle_gauge(a, b, forced, level):
                          Gauge.constant(span * 2.0**-level))
 
 
-def _rescan_builder(a, b, forced, level, max_points):
+def _rescan_builder(plan, level, max_points):
     """``_rescan_division`` behind the oracle builder's signature, on the
-    level's gauge with the ends forced as the builder forces them."""
-    forced = np.unique(np.concatenate([[a, b], forced]))
+    level's gauge and the plan's forced set, which holds the ends."""
+    a, b, forced = plan.a, plan.b, plan.forced
     return _rescan_division(a, b, forced, level, _oracle_gauge(a, b, forced, level),
                             max_points)
 
@@ -395,14 +410,15 @@ class TestForcedFineDivision:
         # the reference builder the oracle is compared with below
         for level in (0, 3, 6):
             for forced in _forced_sets(rng, 0.0, 1.0, level):
-                division = _rescan_builder(0.0, 1.0, forced, level, 1 << 21)
+                plan = gauges._ForcedPlan(0.0, 1.0, forced)
+                division = _rescan_builder(plan, level, 1 << 21)
                 assert is_delta_fine(division, _oracle_gauge(0.0, 1.0, forced, level))
 
 
 class TestOracleAgainstRescan:
     def test_oracle_with_rescan_builder(self, rng, monkeypatch):
         """With the re-test-everything bisection swapped in, the oracle
-        agrees within 2e-8 and needs at most one more level per call."""
+        agrees within 2e-8 and stops at most one level higher per call."""
         pairs = []
         for _ in range(20):
             dim = int(rng.integers(1, 4))
@@ -414,9 +430,10 @@ class TestOracleAgainstRescan:
         def run(build):
             levels, values = [], []
 
-            def counting(*args):
-                levels[-1] += 1
-                return build(*args)
+            def counting(plan, level, max_points):
+                # the highest level built is the one the oracle stops at
+                levels[-1] = max(levels[-1], level)
+                return build(plan, level, max_points)
 
             monkeypatch.setattr(gauges, "_forced_fine_division", counting)
             for F, g in pairs:
@@ -430,3 +447,149 @@ class TestOracleAgainstRescan:
         for got, expected in zip(values, ref_values):
             assert np.max(np.abs(got - expected)) < 2e-8
         assert all(n <= ref + 1 for n, ref in zip(levels, ref_levels))
+
+
+def _eager_oracle(F, g, orientation, tol, start_level, max_level, max_points):
+    """Reference: the oracle's stopping rule with every level from
+    ``start_level`` built and summed in order, as before levels were
+    skipped."""
+    plan = gauges._ForcedPlan(F.a, F.b, np.concatenate([F.grid, g.grid]))
+    rs_sum = gauges.rs_sum_dFg if orientation == "dFg" else gauges.rs_sum_Fdg
+    history = []
+    for level in range(start_level, max_level + 1):
+        history.append(rs_sum(F, g, gauges._forced_fine_division(plan, level, max_points)))
+        if len(history) >= 3:
+            s0, s1, s2 = history[-3:]
+            if (sup_norm(s2 - s1) < tol and sup_norm(s1 - s0) < tol
+                    and sup_norm(s2 - s0) < tol):
+                return history[-1]
+    raise OracleFailureError(
+        f"sums did not stabilise to {tol} within {max_level} refinement levels")
+
+
+def _outcome(oracle, *args):
+    """The value's bytes, or the failure's type and message."""
+    try:
+        return oracle(*args).tobytes()
+    except OracleFailureError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestOracleAgainstEager:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Levels passed to the builder, one list per oracle call."""
+        build, calls = gauges._forced_fine_division, []
+
+        def counting(plan, level, max_points):
+            calls[-1].append(level)
+            return build(plan, level, max_points)
+
+        monkeypatch.setattr(gauges, "_forced_fine_division", counting)
+        return calls
+
+    def compare(self, builds, F, g, *args):
+        builds.append([])
+        lazy = _outcome(oracle_integral, F, g, *args)
+        builds.append([])
+        eager = _outcome(_eager_oracle, F, g, *args)
+        assert lazy == eager, args
+        skipped, every = builds[-2], builds[-1]
+        assert len(set(skipped)) == len(skipped)
+        if isinstance(lazy, bytes):
+            # the three highest levels built are the winner and the two below
+            top = max(every)
+            assert set(skipped) <= set(every)
+            assert sorted(skipped)[-3:] == [top - 2, top - 1, top]
+        else:
+            # a failure may come from the level above a skipped one
+            assert max(skipped) <= max(every) + 1
+        return lazy, len(skipped), len(every)
+
+    def pair(self, rng):
+        dim = int(rng.integers(1, 4))
+        return (corpus.random_piecewise(rng, "operator", dim),
+                corpus.random_piecewise(rng, "vector", dim))
+
+    def test_random_pairs_match_the_eager_loop(self, rng, builds):
+        lazy_levels = eager_levels = 0
+        for _ in range(30):
+            F, g = self.pair(rng)
+            start = int(rng.integers(0, 5))
+            args = (str(rng.choice(["dFg", "Fdg"])), float(rng.choice([1e-4, 1e-8, 1e-11])),
+                    start, start + int(rng.integers(0, 14)), int(rng.choice([1 << 12, 1 << 15])))
+            _, n_lazy, n_eager = self.compare(builds, F, g, *args)
+            lazy_levels += n_lazy
+            eager_levels += n_eager
+        assert lazy_levels < eager_levels
+
+    def test_named_cases(self, rng, builds):
+        F, g = self.pair(rng)
+        outcomes = [
+            self.compare(builds, F, g, "dFg", 1e-8, 3, 40, 1 << 21)[0],
+            # the budget is hit mid-run
+            self.compare(builds, F, g, "dFg", 1e-12, 0, 40, 3000)[0],
+            self.compare(builds, F, g, "Fdg", 1e-12, 2, 40, 700)[0],
+            # max_level runs out
+            self.compare(builds, F, g, "dFg", 1e-12, 0, 6, 1 << 21)[0],
+            self.compare(builds, F, g, "Fdg", 1e-12, 1, 8, 1 << 21)[0],
+            # fewer than three levels
+            self.compare(builds, F, g, "dFg", 1e-8, 4, 4, 1 << 21)[0],
+            self.compare(builds, F, g, "dFg", 1e-8, 4, 5, 1 << 21)[0],
+            self.compare(builds, F, g, "dFg", 1e-8, 60, 60, 1 << 21)[0],
+        ]
+        assert isinstance(outcomes[0], bytes)
+        assert all(out[1] == "fine division exceeded the point budget" for out in outcomes[1:3])
+        assert all("did not stabilise" in out[1] for out in outcomes[3:7])
+
+    def test_first_failure_in_level_order(self, rng, monkeypatch):
+        """A build failing from level ``L`` on, with a message naming its
+        level: on a failure the oracle builds the levels it skipped below,
+        so the error is the eager loop's, that of level ``L``."""
+        build, failed = gauges._forced_fine_division, 0
+        for _ in range(30):
+            F, g = self.pair(rng)
+            first = int(rng.integers(2, 12))
+
+            def failing(plan, level, max_points):
+                if level >= first:
+                    raise OracleFailureError(f"level {level} fails")
+                return build(plan, level, max_points)
+
+            monkeypatch.setattr(gauges, "_forced_fine_division", failing)
+            args = (str(rng.choice(["dFg", "Fdg"])), 1e-12, 0, int(rng.integers(first, 14)),
+                    1 << 21)
+            expected = _outcome(_eager_oracle, F, g, *args)
+            assert _outcome(oracle_integral, F, g, *args) == expected
+            failed += expected == ("OracleFailureError", f"level {first} fails")
+        assert failed >= 20
+
+    def test_synthetic_sums_match_the_eager_loop(self, rng, monkeypatch):
+        """Sums drawn from multiples of 0.6 with ``tol = 1`` make every pattern
+        of close and apart pairs common, among them a level close to both
+        neighbours that are apart from each other; builds fail from a random
+        level on, or never."""
+        sums, first, built = [], [0], []
+
+        def build(plan, level, max_points):
+            built.append(level)
+            if level >= first[0]:
+                raise OracleFailureError(f"level {level} fails")
+            return level
+
+        monkeypatch.setattr(gauges, "_forced_fine_division", build)
+        monkeypatch.setattr(gauges, "rs_sum_dFg", lambda F, g, level: sums[level])
+        F, g = self.pair(rng)
+        outcomes = set()
+        for _ in range(2000):
+            sums[:] = 0.6 * rng.integers(0, 5, size=(20, 1))
+            start = int(rng.integers(0, 4))
+            first[0] = start + int(rng.integers(0, 24))
+            args = ("dFg", 1.0, start, start + int(rng.integers(0, 16)), 1 << 21)
+            built.clear()
+            got = _outcome(oracle_integral, F, g, *args)
+            assert len(set(built)) == len(built)
+            expected = _outcome(_eager_oracle, F, g, *args)
+            assert got == expected, (np.ravel(sums).tolist(), first, args)
+            outcomes.add(type(got).__name__ if isinstance(got, bytes) else got[1][:5])
+        assert outcomes == {"bytes", "level", "sums "}

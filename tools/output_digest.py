@@ -3,7 +3,9 @@
 For fixed seeds the script draws operator/vector pairs on six domains and
 passes them through evaluation, the structural operations, both engine
 orientations, interval integrals, variation and the bounded-convergence
-harness.  It prints one line per output kind: the number of items and a
+harness; it also digests the oracle's fine divisions at levels 0-16 and
+``oracle_integral`` on small pairs with its levels, budget and tolerance
+varied.  It prints one line per output kind: the number of items and a
 sha256 over their bytes.  Two trees that print the same lines computed the
 same bits, so a change meant to keep every output bitwise is checked with
 one command on each tree:
@@ -13,8 +15,8 @@ one command on each tree:
 
 The input values are drawn with numpy alone (a node value set to a limit
 comes from numpy's ``polyval``), so both trees get the same inputs.  An
-output that raises is hashed as its exception's name, so both trees must
-fail alike.
+output that raises is hashed as its exception's name (the oracle's also
+with its message), so both trees must fail alike.
 """
 
 from __future__ import annotations
@@ -90,13 +92,13 @@ class Digest:
         self.count = defaultdict(int)
         self.hash = defaultdict(hashlib.sha256)
 
-    def add(self, kind, compute):
+    def add(self, kind, compute, message=False):
         """Hash every array in ``compute()``'s output, or the name of the
-        exception it raises."""
+        exception it raises (and its message if ``message``)."""
         try:
             out = compute()
         except Exception as exc:  # the failure itself is the output
-            out = type(exc).__name__
+            out = f"{type(exc).__name__}: {exc}" if message else type(exc).__name__
         self.count[kind] += 1
         self.hash[kind].update(repr(self._flat(out)).encode())
 
@@ -166,6 +168,62 @@ def digest_seed(ks, seed, out: Digest):
                         lambda: ks.run_bounded_convergence(F1, power, ns, 0.1).errors)
 
 
+def forced_sets(rng, a, b):
+    """Random, clustered (gaps of 1e-9 of the span), on level-4 mesh nodes,
+    ends-only and adjacent-float forced sets, unsorted and without the
+    ends; the last stalls at float resolution."""
+    span = b - a
+    cluster = a + span * (rng.uniform(0.1, 0.9) + 1e-9 * np.arange(5))
+    p = a + span * rng.uniform(0.1, 0.9)
+    return [rng.uniform(a, b, int(rng.integers(1, 8))),
+            np.concatenate([cluster, rng.uniform(a, b, 2)]),
+            a + span * rng.integers(1, 16, size=3) / 16.0,
+            np.empty(0),
+            np.array([np.nextafter(p, b), p])]
+
+
+def small_function(ks, rng, kind, dim, a, b):
+    """At most 5 pieces of degree at most 3, some node values jumping."""
+    vshape = (dim,) if kind == "vector" else (dim, dim)
+    grid = np.unique(np.concatenate([[a], rng.uniform(a, b, int(rng.integers(0, 5))), [b]]))
+    coeffs = [rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 5)),) + vshape)
+              for _ in range(grid.size - 1)]
+    nodes = np.array([np.polynomial.polynomial.polyval(t, coeffs[min(k, len(coeffs) - 1)])
+                      for k, t in enumerate(grid.tolist())]).reshape((grid.size,) + vshape)
+    jumps = rng.random(grid.size) < 0.3
+    nodes[jumps] += rng.uniform(-1.0, 1.0, size=(int(jumps.sum()),) + vshape)
+    return ks.PiecewiseFunction(grid, coeffs, nodes)
+
+
+def digest_oracle(ks, seed, out: Digest):
+    gauges = ks.gauges
+    rng = np.random.default_rng([seed, 13])
+
+    def build(a, b, forced, level):
+        if hasattr(gauges, "_ForcedPlan"):  # the builder takes a per-call plan
+            return gauges._forced_fine_division(gauges._ForcedPlan(a, b, forced), level, 1 << 21)
+        return gauges._forced_fine_division(a, b, forced, level, 1 << 21)
+
+    for a, b in DOMAINS:
+        for forced in forced_sets(rng, a, b):
+            for level in range(17):
+                out.add("oracle.division",
+                        lambda: [(d := build(a, b, forced, level)).points, d.tags], message=True)
+    for a, b in DOMAINS[:4]:
+        for _ in range(8):
+            dim = int(rng.integers(1, 4))
+            F = small_function(ks, rng, "operator", dim, a, b)
+            g = small_function(ks, rng, "vector", dim, a, b)
+            for orientation in ("dFg", "Fdg"):
+                start = int(rng.integers(0, 5))
+                kwargs = {"tol": float(rng.choice([1e-4, 1e-8, 1e-11])), "start_level": start,
+                          "max_level": start + int(rng.integers(0, 15)),
+                          "max_points": int(rng.choice([1 << 10, 1 << 13, 1 << 16]))}
+                out.add("oracle", lambda: ks.oracle_integral(F, g, orientation, **kwargs),
+                        message=True)
+                out.add("oracle", lambda: ks.oracle_integral(F, g, orientation), message=True)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -177,6 +235,7 @@ def main(argv=None):
     with np.errstate(all="ignore"):
         for seed in SEEDS:
             digest_seed(ks, seed, out)
+            digest_oracle(ks, seed, out)
     print(f"# kstieltjes from {Path(ks.__file__).parent}")
     print("\n".join(out.lines()))
 
