@@ -41,7 +41,8 @@ def degree_patterns(block: np.ndarray) -> np.ndarray:
 
 def _horner(cols, ts, pattern, out):
     """Write ``sum cols[j] ts**j`` into ``out`` with the operations that
-    ``pattern`` selects; ``cols[j]`` and ``ts`` broadcast against ``out``.
+    ``pattern``, ``(count, low, top)`` as Python ints, selects; ``cols[j]``
+    and ``ts`` broadcast against ``out``.
     ``0.0 + x`` starts the sum as adding into zeros would, so a -0.0 comes
     out as 0.0."""
     count, low, top = pattern
@@ -58,11 +59,12 @@ def _horner(cols, ts, pattern, out):
             out += cols[j]
 
 
-def polyval(c: np.ndarray, t, pattern=None) -> np.ndarray:
+def polyval(c: np.ndarray, t, pattern=None, out=None) -> np.ndarray:
     """Evaluate the polynomial ``sum c[j] t**j`` at ``t``.
 
     ``t`` may be a scalar or a 1-d array; the result has shape
-    ``c.shape[1:] + t.shape``.  Sparse high-degree coefficient arrays
+    ``c.shape[1:] + t.shape``.  For a 1-d ``t``, an ``out`` array of that
+    shape (a view is fine) receives the values and is returned.  Sparse high-degree coefficient arrays
     (single monomials, as produced by the power family) take a fast path
     that avoids Horner over the zero coefficients.
 
@@ -80,13 +82,16 @@ def polyval(c: np.ndarray, t, pattern=None) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if pattern is None:
         nz = np.flatnonzero(c.reshape(c.shape[0], -1).any(axis=1))
-        pattern = (nz.size, nz[0], nz[-1]) if nz.size else (0, 0, 0)
+        pattern = (nz.size, int(nz[0]), int(nz[-1])) if nz.size else (0, 0, 0)
     elif np.ndim(pattern) == 2:
         return _polyval_stack(c, np.asarray(t, dtype=float), pattern)
+    else:
+        pattern = np.asarray(pattern).tolist()
     tarr = np.asarray(t, dtype=float)
     scalar = tarr.ndim == 0
     ts = tarr.reshape(1) if scalar else tarr
-    out = np.empty(c.shape[1:] + ts.shape)
+    if out is None:
+        out = np.empty(c.shape[1:] + ts.shape)
     _horner(c[..., np.newaxis], ts, pattern, out)
     return out[..., 0] if scalar else out
 
@@ -97,7 +102,7 @@ def _polyval_stack(c: np.ndarray, t: np.ndarray, pattern: np.ndarray) -> np.ndar
     ts = t.reshape((n,) + (1,) * (c.ndim - 2) + (p,))
     out = np.empty((n,) + c.shape[2:] + (p,))
     if (pattern == pattern[0]).all():  # one piece, or pieces of one pattern
-        _horner(c.swapaxes(0, 1)[..., np.newaxis], ts, pattern[0], out)
+        _horner(c.swapaxes(0, 1)[..., np.newaxis], ts, pattern[0].tolist(), out)
         return out
     count, low, top = pattern.T
     # Horner depends on the top degree alone, the sparse path on both degrees
@@ -109,7 +114,7 @@ def _polyval_stack(c: np.ndarray, t: np.ndarray, pattern: np.ndarray) -> np.ndar
     cols = c[order].swapaxes(0, 1)[..., np.newaxis]
     ts = ts[order]
     for lo, hi in zip([0] + starts, starts + [n]):
-        _horner(cols[:, lo:hi], ts[lo:hi], pattern[order[lo]], out[lo:hi])
+        _horner(cols[:, lo:hi], ts[lo:hi], pattern[order[lo]].tolist(), out[lo:hi])
     out[order] = out.copy()
     return out
 

@@ -190,7 +190,8 @@ def run_bounded_convergence(F: PiecewiseFunction, family: SequenceFamily,
     integral is computed, since the theorem being exercised would not
     apply.  ``passed`` reflects the error at the largest ``n``.  Every
     entry of ``ns`` must be a positive ``int`` or ``np.integer`` (not a
-    ``bool``), or ``ValueError`` is raised.
+    ``bool``), and ``threshold`` and the family's bound must be finite,
+    or ``ValueError`` is raised.
     """
     check_pair(F, family.limit)
     ns = list(ns)
@@ -199,6 +200,10 @@ def run_bounded_convergence(F: PiecewiseFunction, family: SequenceFamily,
                          and n >= 1 for n in ns):
         raise ValueError(f"ns must be positive integers, got {ns!r}")
     ns = sorted(int(n) for n in ns)
+    # a NaN or infinite bound or threshold makes its comparison vacuous
+    for name, value in (("threshold", threshold), ("uniform bound", family.bound)):
+        if not np.isfinite(value):
+            raise ValueError(f"the {name} must be finite, got {value!r}")
     realized = [(n, realize(family, n)) for n in ns]
     for n, g_n in realized:
         actual = g_n.sup_norm()

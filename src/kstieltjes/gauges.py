@@ -69,28 +69,10 @@ class Gauge:
         base = float(base)
         if not base > 0.0:
             raise ValueError("a gauge must be strictly positive")
-        pts = np.unique(np.asarray(points, dtype=float))
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("forced points must be finite")
-        if pts.size == 0:
+        forced = _ForcedSet(points)
+        if forced.forced.size == 0:
             return cls.constant(base)
-        gaps = np.diff(pts)
-        nearest = np.minimum(np.concatenate([[np.inf], gaps]),
-                             np.concatenate([gaps, [np.inf]]))
-        caps = np.minimum(base, nearest / 2.0)
-        # with sentinels, point i has neighbours ends[i] (left) and ends[i + 1]
-        ends = np.concatenate([[-np.inf], pts, [np.inf]])
-
-        def evaluate(t: np.ndarray) -> np.ndarray:
-            i = np.searchsorted(pts, t)
-            dist = np.minimum(t - ends[i], ends[i + 1] - t)
-            out = dist / 2.0
-            hit = dist == 0.0
-            if np.any(hit):
-                out[hit] = caps[i[hit]]
-            return out
-
-        return cls(evaluate)
+        return forced.gauge(np.minimum(base, forced.half_nearest))
 
     @classmethod
     def minimum(cls, *gauges: "Gauge") -> "Gauge":
@@ -107,6 +89,39 @@ class Gauge:
         return cls(evaluate)
 
 
+class _ForcedSet:
+    """What a forcing gauge keeps that does not depend on its base: the
+    sorted finite forced points, half of each gap between them, half the
+    gap from each point to its nearest neighbour, and the points between
+    ``-inf`` and ``inf`` sentinels."""
+
+    def __init__(self, points):
+        self.forced = np.unique(np.asarray(points, dtype=float))
+        if not np.isfinite(self.forced).all():
+            raise ValueError("forced points must be finite")
+        self.half_gap = np.diff(self.forced) / 2.0
+        self.half_nearest = np.minimum(np.concatenate([[np.inf], self.half_gap]),
+                                       np.concatenate([self.half_gap, [np.inf]]))
+        # point i has neighbours ends[i] (left) and ends[i + 1]
+        self.ends = np.concatenate([[-np.inf], self.forced, [np.inf]])
+
+    def gauge(self, caps: np.ndarray) -> Gauge:
+        """The forcing gauge that takes ``caps[i]`` at forced point ``i``;
+        ``caps`` must not exceed ``half_nearest``."""
+        forced, ends = self.forced, self.ends
+
+        def evaluate(t: np.ndarray) -> np.ndarray:
+            i = forced.searchsorted(t)
+            dist = np.minimum(t - ends[i], ends[i + 1] - t)
+            out = dist / 2.0
+            hit = dist == 0.0
+            if hit.any():
+                out[hit] = caps[i[hit]]
+            return out
+
+        return Gauge(evaluate)
+
+
 class TaggedDivision:
     """Finite tagged division: points ``a = alpha_0 < ... < alpha_m = b``
     with one tag inside each subinterval."""
@@ -116,13 +131,13 @@ class TaggedDivision:
         tags = np.asarray(tags, dtype=float)
         if points.ndim != 1 or points.size < 2:
             raise ValueError("a division needs at least one subinterval")
-        if not np.all(np.isfinite(points)):
+        if not np.isfinite(points).all():
             raise ValueError("division points must be finite")
-        if not np.all(np.diff(points) > 0):
+        if not (points[1:] > points[:-1]).all():
             raise ValueError("division points must be strictly increasing")
         if tags.shape != (points.size - 1,):
             raise ValueError("need exactly one tag per subinterval")
-        if not np.all((points[:-1] <= tags) & (tags <= points[1:])):
+        if not ((points[:-1] <= tags) & (tags <= points[1:])).all():
             raise ValueError("tags must lie inside their subintervals")
         points.setflags(write=False)
         tags.setflags(write=False)
@@ -147,7 +162,7 @@ def is_delta_fine(division: TaggedDivision, gauge: Gauge) -> bool:
     radius ``gauge(tag)`` around its tag."""
     u, v = division.points[:-1], division.points[1:]
     tags = division.tags
-    return bool(np.all(np.maximum(v - tags, tags - u) < gauge(tags)))
+    return bool((np.maximum(v - tags, tags - u) < gauge(tags)).all())
 
 
 def cousin_partition(gauge: Gauge, a: float, b: float,
@@ -219,7 +234,7 @@ def _forced_tags(points: np.ndarray, forced: np.ndarray) -> np.ndarray:
     end, else a forced right end, else the midpoint.  ``forced`` must be a
     sorted subset of the sorted ``points``."""
     tags = 0.5 * (points[:-1] + points[1:])
-    k = np.searchsorted(points, forced)
+    k = points.searchsorted(forced)
     right = k[k > 0]
     tags[right - 1] = points[right]
     left = k[k < tags.size]
@@ -227,21 +242,17 @@ def _forced_tags(points: np.ndarray, forced: np.ndarray) -> np.ndarray:
     return tags
 
 
-class _ForcedPlan:
+class _ForcedPlan(_ForcedSet):
     """What ``_forced_fine_division`` needs at every level, found once per
-    oracle call: the forced set with both ends, half its nearest gaps, and
-    half of each gap with the forced points on its two sides."""
+    oracle call: the forced set with both ends and the forced point of
+    each graded side."""
 
     def __init__(self, a: float, b: float, forced):
+        super().__init__(np.concatenate([[a, b], forced]))
         self.a, self.b = a, b
-        self.forced = np.unique(np.concatenate([[a, b], forced]))
-        gaps = np.diff(self.forced)
-        self.half_nearest = np.minimum(np.concatenate([[np.inf], gaps]),
-                                       np.concatenate([gaps, [np.inf]])) / 2.0
-        self.half_gap = gaps / 2.0
-        # the forced point of each graded side: side i is the right side of
-        # forced[i], side n + i the left side of forced[i + 1], both in gap i
-        self.sides = np.concatenate([self.forced[:-1], self.forced[1:]])
+        # the forced point of each graded side: side i is the left side of
+        # forced[i + 1], side n + i the right side of forced[i], both in gap i
+        self.sides = np.concatenate([self.forced[1:], self.forced[:-1]])
 
 
 def _forced_fine_division(plan: _ForcedPlan, level: int,
@@ -281,33 +292,40 @@ def _forced_fine_division(plan: _ForcedPlan, level: int,
     r = np.minimum(h, plan.half_gap)
     # an exact offset is below cap after floor(log2(r / cap)) + 1 halvings;
     # one more covers the rounding of the float distance
-    ratio = np.max(r / np.minimum(cap[:-1], cap[1:]))
+    ratio = (r / np.minimum(cap[:-1], cap[1:])).max()
     halvings = 2.0 ** -np.arange(int(np.log2(ratio)) + 3)
-    p, c = plan.sides, np.concatenate([cap[:-1], cap[1:]])
-    pts = p[:, None] + np.concatenate([r, -r])[:, None] * halvings
+    p, c = plan.sides, np.concatenate([cap[1:], cap[:-1]])
+    pts = p[:, None] + np.concatenate([-r, r])[:, None] * halvings
     dist = np.abs(pts - p[:, None])
-    last = np.argmax(dist < c[:, None], axis=1)
-    rows = np.arange(last.size)
-    if np.any(dist[rows, last] == 0.0):
+    last = (dist < c[:, None]).argmax(axis=1)
+    innermost = pts[np.arange(last.size), last]
+    if (innermost == p).any():
         raise OracleFailureError("refinement stalled at float resolution")
     graded = pts[np.arange(halvings.size) <= last[:, None]]
-    innermost = np.split(pts[rows, last], 2)
-    hi = np.append(innermost[0], b)
-    lo = np.insert(innermost[1], 0, a)
-    mesh = np.linspace(a, b, 2**level + 1)
+    # the window (lo[i], hi[i]) around forced[i] has its innermost points as ends
+    windows = np.concatenate([[a], innermost, [b]])
+    lo, hi = windows[:r.size + 1], windows[r.size + 1:]
+    # np.linspace(a, b, 2**level + 1) bit for bit: h is its step
+    mesh = np.arange(2**level + 1) * h + a
+    mesh[-1] = b
     # a window (lo, hi) is narrower than 2 base <= h: at most one mesh node
-    node = np.searchsorted(mesh, lo, side="right")
+    node = mesh.searchsorted(lo, side="right")
     inside = mesh[node] < hi
     if inside.any():
         mesh = np.delete(mesh, node[inside])
     extra = np.unique(np.concatenate([forced, graded]))
-    at = np.searchsorted(mesh, extra)
+    at = mesh.searchsorted(extra)
     new = mesh[np.minimum(at, mesh.size - 1)] != extra
-    if mesh.size + np.count_nonzero(new) > max_points:
+    count = np.count_nonzero(new)
+    if mesh.size + count > max_points:
         raise OracleFailureError("fine division exceeded the point budget")
-    points = np.insert(mesh, at[new], extra[new])
+    slots = at[new] + np.arange(count)  # where np.insert puts them
+    points = np.empty(mesh.size + count)
+    on_mesh = np.ones(points.size, dtype=bool)
+    on_mesh[slots] = False
+    points[on_mesh], points[slots] = mesh, extra[new]
     division = TaggedDivision(points, _forced_tags(points, forced))
-    gauge = Gauge.minimum(Gauge.forcing(forced, base=base), Gauge.constant(h))
+    gauge = Gauge.minimum(plan.gauge(cap), Gauge.constant(h))
     if not is_delta_fine(division, gauge):
         raise OracleFailureError(f"the division built at level {level} is not fine")
     return division
@@ -328,27 +346,29 @@ def oracle_integral(F: PiecewiseFunction, g: PiecewiseFunction,
     pairwise differ by less than ``tol`` wins; running past ``max_level``
     raises :class:`OracleFailureError`.
 
-    A level is built only while the rule can use it, at most once: ``k``
-    is skipped when the sums at ``k - 1`` and ``k - 2`` are apart, and a
-    missing neighbour is built only when ``k``'s sum is close to the known
-    ones.  The result or error is that of building every level in order.
+    A level is built only while the rule can use it, at most once.  From
+    ``k = start_level + 2`` on, ``k`` is skipped when the sums at ``k - 1``
+    and ``k - 2`` are apart.  Otherwise ``k`` is built and compared with
+    its known neighbours first, then with the missing ones, ``k - 1``
+    before ``k - 2``, each built only while every sum compared so far is
+    close; so ``start_level`` itself may go unbuilt.  The result or error
+    is that of building every level in order.
 
     This estimator shares nothing with the closed-form engine: it sees the
     functions only through pointwise evaluation.
     """
     check_pair(F, g)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if orientation not in ("dFg", "Fdg"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    for name, level in (("start_level", start_level), ("max_level", max_level)):
-        if not (isinstance(level, (int, np.integer)) and not isinstance(level, bool)
-                and level >= 0):
-            raise ValueError(f"{name} must be an integer >= 0, not {level!r}")
+    for name, value, least in (("start_level", start_level, 0), ("max_level", max_level, 0),
+                               ("max_points", max_points, 2)):
+        if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                and value >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
     if max_level < start_level:
         raise ValueError("max_level must not be below start_level")
-    if not max_points >= 2:
-        raise ValueError("max_points must be at least 2")
     plan = _ForcedPlan(F.a, F.b, np.concatenate([F.grid, g.grid]))
     rs_sum = rs_sum_dFg if orientation == "dFg" else rs_sum_Fdg
     sums: dict[int, np.ndarray] = {}
@@ -367,16 +387,18 @@ def oracle_integral(F: PiecewiseFunction, g: PiecewiseFunction,
     def apart(hi: int, lo: int) -> bool:
         return not sup_norm(sums[hi] - sums[lo]) < tol
 
-    for k in range(start_level, max_level + 1):
+    for k in range(start_level + 2, max_level + 1):
         if k - 1 in sums and k - 2 in sums and apart(k - 1, k - 2):
             continue
         build(k)
-        if k < start_level + 2 or any(j in sums and apart(k, j) for j in (k - 1, k - 2)):
-            continue
-        build(k - 1)
-        build(k - 2)
-        if not (apart(k, k - 1) or apart(k - 1, k - 2) or apart(k, k - 2)):
-            return sums[k]
+        # known neighbours first: a pair apart stops before a build
+        for j in sorted((k - 1, k - 2), key=lambda j: j not in sums):
+            build(j)
+            if apart(k, j):
+                break
+        else:
+            if not apart(k - 1, k - 2):
+                return sums[k]
     for level in range(start_level, max_level + 1):
         build(level)  # a skipped level may fail
     raise OracleFailureError(

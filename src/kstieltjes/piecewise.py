@@ -204,9 +204,9 @@ class PiecewiseFunction:
         """Index of the piece whose open interval contains each of ``ts``."""
         return self.grid.searchsorted(ts) - 1
 
-    def _polyval(self, j: int, t) -> np.ndarray:
+    def _polyval(self, j: int, t, out=None) -> np.ndarray:
         """Piece ``j``'s polynomial at ``t``, by its stored degree pattern."""
-        return _poly.polyval(self._block[j], t, self._pattern[j])
+        return _poly.polyval(self._block[j], t, self._pattern[j], out)
 
     # -- evaluation ------------------------------------------------------
 
@@ -223,13 +223,13 @@ class PiecewiseFunction:
     def eval_many(self, ts) -> np.ndarray:
         """Vectorised evaluation; returns shape ``vshape + ts.shape``."""
         ts = np.asarray(ts, dtype=float)
-        if ts.size and not (ts.min() >= self.a and ts.max() <= self.b):  # NaN fails too
-            raise DomainError("evaluation points outside the domain")
         srt = ts.reshape(-1)
         order = None
-        if not np.all(srt[1:] >= srt[:-1]):
+        if not (srt[1:] >= srt[:-1]).all():
             order = np.argsort(srt, kind="stable")
             srt = srt[order]
+        if srt.size and not (srt[0] >= self.a and srt[-1] <= self.b):  # NaN sorts last
+            raise DomainError("evaluation points outside the domain")
         # grid point k owns srt[lo[k]:hi[k]], piece j owns srt[hi[j]:lo[j + 1]]
         lo = np.searchsorted(srt, self.grid, side="left")
         hi = np.searchsorted(srt, self.grid, side="right")
@@ -249,10 +249,12 @@ class PiecewiseFunction:
                 _poly.polyval(self._block[j], srt[~on, np.newaxis], self._pattern[j])[..., 0],
                 0, -1)
         else:
-            for k in np.flatnonzero(hi > lo):
+            hits = np.flatnonzero(hi > lo).tolist()
+            lo, hi = lo.tolist(), hi.tolist()  # Python ints slice faster
+            for k in hits:
                 vals[..., lo[k]:hi[k]] = self.nodes[k][..., np.newaxis]
-            for j in touched:
-                vals[..., hi[j]:lo[j + 1]] = self._polyval(j, srt[hi[j]:lo[j + 1]])
+            for j in touched.tolist():
+                self._polyval(j, srt[hi[j]:lo[j + 1]], out=vals[..., hi[j]:lo[j + 1]])
         if order is not None:
             out = np.empty_like(vals)
             out[..., order] = vals
@@ -564,13 +566,14 @@ def break_truncate(f_b: PiecewiseFunction, jump_points: Iterable[float]) -> Piec
     """
     _require_break_function(f_b)
     points = np.fromiter(jump_points, dtype=float)
-    found = np.isin(points, [rec.t for rec in f_b.jumps()])
+    table = f_b._jump_table()
+    rows = np.flatnonzero((table.norm_minus > 0) | (table.norm_plus > 0))
+    found = np.isin(points, f_b.grid[rows])
     if not found.all():
         p = float(points[np.argmin(found)])
         raise ValueError(f"{p} is not a jump point of the break function")
     kept = np.searchsorted(f_b.grid, points)
     grid = np.unique(np.concatenate([[f_b.a, f_b.b], f_b.grid[kept]]))
-    table = f_b._jump_table()
     return _break_function(grid, np.searchsorted(grid, f_b.grid[kept]),
                            table.minus[kept], table.plus[kept])
 

@@ -296,6 +296,17 @@ class TestExitCodes:
                    "--ns", "1,2,4", "--threshold", "1", "--bound", "1"])
         assert rc == 4
 
+    @pytest.mark.parametrize("flag, value", [("--bound", "nan"), ("--bound", "inf"),
+                                             ("--threshold", "nan"), ("--threshold", "inf")])
+    def test_non_finite_bound_or_threshold(self, specs, capsys, flag, value):
+        # with --bound 0.5 the power family violates the bound (exit 4); a
+        # NaN bound used to switch that check off and exit 0
+        args = {"--threshold": "0.5", "--bound": "0.5", flag: value}
+        rc = main(["converge", "F_ramp.json", "--family", "power", "--ns", "1,2,4",
+                   *(item for pair in args.items() for item in pair)])
+        assert rc == 3
+        assert "must be finite" in capsys.readouterr().err
+
     def test_oracle_failure(self, specs):
         # quadratic integrator: the sums improve forever but never repeat
         # bitwise, so an absurd tolerance exhausts the level budget
@@ -304,7 +315,7 @@ class TestExitCodes:
         rc = main(["oracle", "F_quad.json", "g_ramp.json", "--tol", "1e-300"])
         assert rc == 5
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_non_positive_tol(self, specs, capsys, tol):
         assert main(["oracle", "F_ramp.json", "g_ramp.json", "--tol", tol]) == 3
         assert "tol must be positive" in capsys.readouterr().err

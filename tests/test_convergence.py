@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,18 @@ class TestRunBoundedConvergence:
     def test_ns_must_be_positive_integers(self, t_id, ns):
         with pytest.raises(ValueError, match="positive integers"):
             run_bounded_convergence(t_id, SequenceFamily.power(), ns, 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bound_or_threshold_rejected(self, t_id, bad):
+        # `actual > nan` is always False: a NaN bound would pass any member
+        power = SequenceFamily.power()
+        members = [realize(power, n) for n in (1, 2, 4)]
+        for family in (dataclasses.replace(power, bound=bad),
+                       SequenceFamily.custom(members, power.limit, bound=bad)):
+            with pytest.raises(ValueError, match="uniform bound must be finite"):
+                run_bounded_convergence(t_id, family, [1, 2, 4], 0.5)
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            run_bounded_convergence(t_id, power, [1, 2, 4], bad)
 
     def test_numpy_integer_ns_accepted(self, t_id):
         report = run_bounded_convergence(t_id, SequenceFamily.power(), np.array([2, 1]), 0.6)

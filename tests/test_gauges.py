@@ -51,6 +51,44 @@ class TestGauge:
             with pytest.raises(ValueError):
                 Gauge.forcing(points)
 
+    def test_forcing_checks_base_before_points(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            Gauge.forcing([np.nan], base=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            Gauge.forcing([np.nan], base=1.0)
+        assert Gauge.forcing([], base=0.25)(np.array([0.0, 3.0])).tolist() == [0.25, 0.25]
+
+
+def _forcing_reference(points, base, t):
+    """The forcing gauge at one float ``t``, from its definition."""
+    pts = sorted(set(float(p) for p in points))
+    dist = min(abs(t - p) for p in pts)
+    if dist > 0.0:
+        return dist / 2.0
+    others = [abs(t - q) for q in pts if q != t]
+    return min(base, min(others) / 2.0) if others else base
+
+
+class TestForcingAgainstPlan:
+    def test_plan_gauge_is_the_forcing_gauge(self, rng):
+        """The oracle's check gauge, the plan's forced set with the level's
+        caps, equals ``Gauge.forcing`` of the same points and the
+        definition byte for byte: at the forced points (the ends among
+        them), their adjacent floats, random points and points outside."""
+        for a, b in ((0.0, 1.0), (-3.5, -1.25), (1e4, 1e4 + 3.0)):
+            for forced in _forced_sets(rng, a, b, 4):
+                plan = gauges._ForcedPlan(a, b, forced)
+                p = plan.forced
+                ts = np.concatenate([p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf),
+                                     rng.uniform(a, b, 40), [a - 1.0, b + 0.5]])
+                for level in (0, 3, 9, 16):
+                    base = (b - a) * 4.0**-level
+                    via_plan = plan.gauge(np.minimum(base, plan.half_nearest))(ts)
+                    via_forcing = Gauge.forcing(forced, base=base)(ts)
+                    expected = [_forcing_reference(p, base, t) for t in ts.tolist()]
+                    assert via_plan.tobytes() == via_forcing.tobytes()
+                    assert via_plan.tolist() == expected
+
 
 class TestGaugeFloatTwin:
     """A Python float goes through the same array evaluator as a
@@ -219,8 +257,8 @@ class TestOracle:
         g = polynomial((0.0, 1.0), [0.0, 1.0])
         with pytest.raises(ValueError):
             oracle_integral(F, g, "sideways", 1e-8)
-        for tol in (-1.0, 0.0, float("nan")):
-            with pytest.raises(ValueError):
+        for tol in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
                 oracle_integral(F, g, "dFg", tol=tol)
 
     def test_bad_levels_and_budget(self):
@@ -233,13 +271,18 @@ class TestOracle:
                               ({"max_level": 12.5}, "max_level"),
                               ({"start_level": 5, "max_level": 4}, "below start_level"),
                               ({"max_points": 1}, "max_points"),
-                              ({"max_points": float("nan")}, "max_points")):
+                              ({"max_points": float("nan")}, "max_points"),
+                              ({"max_points": 2.5}, "max_points"),
+                              ({"max_points": np.float64(1e6)}, "max_points"),
+                              ({"max_points": True}, "max_points")):
             with pytest.raises(ValueError, match=match):
                 oracle_integral(F, g, "dFg", 1e-8, **kwargs)
         # a level whose mesh alone breaks the budget fails before allocating it
         with pytest.raises(OracleFailureError, match="point budget"):
             oracle_integral(F, g, "dFg", 1e-8, start_level=60, max_level=62)
         assert oracle_integral(F, g, "dFg", 1e-8, start_level=0)[0] == pytest.approx(0.5)
+        assert oracle_integral(F, g, "dFg", 1e-8, max_points=np.int64(1 << 12))[0] == \
+            pytest.approx(0.5)
 
     def test_bool_levels_rejected(self):
         # bool is an int subclass, but True is no level

@@ -129,9 +129,9 @@ def _count_routes(monkeypatch) -> list[str]:
     routes = []
     polyval = _poly.polyval
 
-    def counted(c, t, pattern=None):
+    def counted(c, t, pattern=None, out=None):
         routes.append("stacked" if np.ndim(pattern) == 2 else "piece")
-        return polyval(c, t, pattern)
+        return polyval(c, t, pattern, out)
 
     monkeypatch.setattr(_poly, "polyval", counted)
     return routes
@@ -188,12 +188,39 @@ class TestEvalReference:
                     _same(f.eval_many(pts), _masked_eval_many(f, pts))
                 assert routes == ["stacked", "stacked"]
 
+    def test_points_outside_the_domain(self, rng, monkeypatch):
+        """The domain is checked on the ends of the sorted points, where NaN
+        sorts last: NaN anywhere, or a point below ``a`` or above ``b``,
+        raises on both routes, in sorted and unsorted input."""
+        routes = _count_routes(monkeypatch)
+        a, b = -1.0, 3.0
+        for pieces, route in ((200, "stacked"), (2, "piece")):
+            f = _random_function(rng, "operator", 2, pieces, a, b)
+            ts = rng.uniform(a, b, size=60)
+            del routes[:]
+            f.eval_many(ts)
+            assert set(routes) == {route}
+            for bad in (np.nan, np.nextafter(a, -np.inf), np.nextafter(b, np.inf),
+                        -np.inf, np.inf):
+                for at in (0, 30, 60):
+                    pts = np.insert(ts, at, bad)
+                    for arg in (pts, np.sort(pts), pts.reshape(1, -1)):
+                        with pytest.raises(DomainError):
+                            f.eval_many(arg)
+            for lone in (np.array(np.nan), np.array([np.nan]), np.array([np.nan, np.nan])):
+                with pytest.raises(DomainError):
+                    f.eval_many(lone)
+
     def test_polyval(self, rng):
         for _ in range(300):
             vshape = [(), (1,), (3,), (2, 2), (3, 3)][int(rng.integers(5))]
             c = corpus.random_coeffs(rng, vshape)
             ts = rng.uniform(-3.0, 3.0, size=int(rng.integers(0, 40)))
             _same(_poly.polyval(c, ts), _step_horner(c, ts))
+            # a strided view as out receives the same bits
+            view = np.full(vshape + (ts.size + 2,), np.nan)[..., 1:-1]
+            assert _poly.polyval(c, ts, None, view) is view
+            _same(view, _step_horner(c, ts))
             t = float(rng.uniform(-3.0, 3.0))
             _same(_poly.polyval(c, t), _step_horner(c, t))
 
@@ -955,8 +982,12 @@ class TestBreakTruncate:
             break_truncate(ramp, [])
 
     def test_rejects_unknown_point(self, three_jumps):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="0.3 is not a jump point"):
             break_truncate(three_jumps, [0.3])
+        # a grid point without a jump, and the first unknown point is named
+        refined = three_jumps.refine([0.3, 0.6])
+        with pytest.raises(ValueError, match="0.6 is not a jump point"):
+            break_truncate(refined, [0.25, 0.6, 0.3])
 
 
 class TestRestrict:

@@ -61,10 +61,11 @@ def test_oracle_levels_go_through_the_traced_builder(monkeypatch):
         value = ks.oracle_integral(F, g, "dFg", 1e-8, start_level=2)
     finally:
         traced.uninstall()
-    # each level is built at most once, and the three highest built are the
-    # winning level K and the two below it, whose sums the rule compared
+    # each level is built at most once, none below start_level (which may
+    # go unbuilt), and the three highest built are the winning level K and
+    # the two below it, whose sums the rule compared
     top = max(levels)
-    assert len(set(levels)) == len(levels) and min(levels) == 2
+    assert len(set(levels)) == len(levels) and min(levels) >= 2
     assert sorted(levels)[-3:] == [top - 2, top - 1, top]
     assert all(type(d) is gauges.TaggedDivision for d in divisions)
     assert value.tobytes() == ks.rs_sum_dFg(F, g, divisions[levels.index(top)]).tobytes()

@@ -1,12 +1,13 @@
 """Digest of the library's outputs on fixed random inputs.
 
 For fixed seeds the script draws operator/vector pairs on six domains and
-passes them through evaluation, the structural operations, both engine
-orientations, interval integrals, variation and the bounded-convergence
-harness; it also digests the oracle's fine divisions at levels 0-16 and
-``oracle_integral`` on small pairs with its levels, budget and tolerance
-varied.  It prints one line per output kind: the number of items and a
-sha256 over their bytes.  Two trees that print the same lines computed the
+passes them through evaluation, the structural operations (``break_truncate``
+included), both engine orientations, interval integrals, variation and the
+bounded-convergence harness; it also digests the oracle's fine divisions at
+levels 0-16, ``oracle_integral`` on small pairs with its levels, budget and
+tolerance varied, and the forcing, constant and minimum gauges.  It prints
+one line per output kind: the number of items and a sha256 over their
+bytes.  Two trees that print the same lines computed the
 same bits, so a change meant to keep every output bitwise is checked with
 one command on each tree:
 
@@ -15,8 +16,9 @@ one command on each tree:
 
 The input values are drawn with numpy alone (a node value set to a limit
 comes from numpy's ``polyval``), so both trees get the same inputs.  An
-output that raises is hashed as its exception's name (the oracle's also
-with its message), so both trees must fail alike.
+output that raises is hashed as its exception's name (that of the oracle,
+the gauges and ``break_truncate`` also with its message), so both trees
+must fail alike.
 """
 
 from __future__ import annotations
@@ -151,6 +153,12 @@ def digest_seed(ks, seed, out: Digest):
                 region = ks.ElementarySet.of(*(random_interval(ks, rng, a, b) for _ in range(3)))
                 out.add("restrict", lambda: fn(f.restrict(region)))
                 out.add("jordan", lambda: [fn(part) for part in ks.jordan_decompose(f)])
+                fb = ks.jordan_decompose(f)[1]
+                # every other jump point, then every other grid point (some
+                # without a jump, which must fail alike)
+                for kept in ([rec.t for rec in fb.jumps()][::2], fb.grid[::2]):
+                    out.add("break_truncate", lambda: fn(ks.break_truncate(fb, kept)),
+                            message=True)
                 out.add("variation", lambda: [variation(ks.var_compact(f, c, d)),
                                               variation(ks.var_elementary(f, region))])
             for _ in range(3):
@@ -224,6 +232,36 @@ def digest_oracle(ks, seed, out: Digest):
                 out.add("oracle", lambda: ks.oracle_integral(F, g, orientation), message=True)
 
 
+def digest_gauges(ks, seed, out: Digest):
+    """Forcing gauges of the forced sets above, with and without the ends,
+    and their minimum with the oracle's constant gauge, at the oracle's
+    bases ``span 4**-k`` for k = 0-16; then invalid arguments."""
+    Gauge = ks.Gauge
+    rng = np.random.default_rng([seed, 17])
+    for a, b in DOMAINS:
+        span = b - a
+        for forced in forced_sets(rng, a, b):
+            for points in (forced, np.concatenate([forced, [b, a]])):
+                p = np.unique(np.concatenate([points, [a, b]]))
+                ts = np.concatenate([p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf),
+                                     rng.uniform(a, b, 20), [a - span, b + span]])
+                for k in range(17):
+                    base = span * 4.0**-k
+                    out.add("gauge", lambda: Gauge.forcing(points, base)(ts), message=True)
+                    out.add("gauge", lambda: Gauge.minimum(
+                        Gauge.forcing(points, base), Gauge.constant(span * 2.0**-k))(ts),
+                        message=True)
+                    out.add("gauge", lambda: Gauge.forcing(points, base)(float(ts[0])),
+                            message=True)
+    for points, base in (([np.nan], 1.0), ([0.5, np.inf], 1.0), ([0.5], 0.0), ([np.nan], -1.0),
+                         ([0.5], np.nan), ([], 0.0), ([], 1.0), ([0.5, 0.5, 0.25], 1.0)):
+        out.add("gauge", lambda: Gauge.forcing(points, base)(np.array([0.25, 0.5, 0.75])),
+                message=True)
+    for delta in (0.0, -1.0, np.nan, np.inf):
+        out.add("gauge", lambda: Gauge.constant(delta)(0.5), message=True)
+    out.add("gauge", lambda: Gauge.minimum()(0.5), message=True)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -236,6 +274,7 @@ def main(argv=None):
         for seed in SEEDS:
             digest_seed(ks, seed, out)
             digest_oracle(ks, seed, out)
+            digest_gauges(ks, seed, out)
     print(f"# kstieltjes from {Path(ks.__file__).parent}")
     print("\n".join(out.lines()))
 
