@@ -135,32 +135,23 @@ def running_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
     a loop from 0.0 does, so a ±0 term leaves the sum as it was.
     ``cumsum`` adds in turn from ``terms[0]``: its sum has the loop's bits
     except a -0.0 where every term is -0.0, which the final ``+ 0.0``
-    makes 0.0."""
+    makes 0.0.  An empty axis sums to 0.0."""
+    if not terms.shape[axis]:
+        return terms.sum(axis=axis)
     return terms.cumsum(axis=axis).take(-1, axis=axis) + 0.0
 
 
-def defint(c: np.ndarray, lo, hi) -> np.ndarray:
-    """Definite integral of the polynomial over ``[lo, hi]``.
+def defint(c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Definite integral of each polynomial of a stack ``(n, K, *vshape)``:
+    row ``i`` over ``[lo[i], hi[i]]``, for ``lo < hi`` arrays ``(n,)``.
 
     Computed as ``sum c[j] (hi**(j+1) - lo**(j+1)) / (j+1)`` over the
-    nonzero coefficients, in increasing degree order.
-
-    With ``lo < hi`` arrays ``(n,)``, row ``i`` of a stack
-    ``(n, K, *vshape)`` is integrated over ``[lo[i], hi[i]]`` by the same
-    operations as on its own: a degree that is zero in the row adds a ±0
-    term, weighted by 0 rather than by a power that may overflow.
+    nonzero coefficients, in increasing degree order from 0.0.  A degree
+    that is zero in a row adds a ±0 term there, weighted by 0 rather than
+    by a power that may overflow, so each row gets the bits of the loop
+    over its own nonzero coefficients.
     """
     c = np.asarray(c, dtype=float)
-    if getattr(lo, "ndim", 0) == 0:
-        nz = np.flatnonzero(c.reshape(c.shape[0], -1).any(axis=1))
-        out = np.zeros(c.shape[1:])
-        if nz.size == 0 or lo == hi:
-            return out
-        powers = nz + 1.0
-        weights = (hi**powers - lo**powers) / powers
-        for j, w in zip(nz, weights):
-            out = out + c[j] * w
-        return out
     present = c.any(axis=tuple(range(2, c.ndim)))
     rows, degrees = present.nonzero()
     # an array of powers, as the sum over one row's degrees takes them
@@ -295,13 +286,12 @@ def sup_norm_on(c: np.ndarray, lo: float, hi: float) -> float:
 
 def integral_of_norm(c: np.ndarray, lo: float, hi: float) -> float:
     """Exact ``integral of ||p(t)|| dt`` over ``[lo, hi]``: the sum of
-    ``defint`` over the norm pieces."""
+    ``defint`` over the norm pieces, one stacked call added in order from
+    0.0."""
     if hi <= lo or is_zero_poly(c):
         return 0.0
-    total = 0.0
-    for u, v, q in _norm_pieces(c, lo, hi):
-        total += float(defint(q, u, v))
-    return total
+    us, vs, qs = zip(*_norm_pieces(c, lo, hi))
+    return float(running_sum(defint(np.array(qs), np.array(us), np.array(vs))))
 
 
 def matvec_conv(ca: np.ndarray, cx: np.ndarray) -> np.ndarray:

@@ -53,10 +53,12 @@ class Gauge:
 
     @classmethod
     def constant(cls, delta: float) -> "Gauge":
+        """The gauge ``delta`` everywhere; its array values are a
+        read-only broadcast of the one value."""
         delta = float(delta)
         if not delta > 0.0:
             raise ValueError("a gauge must be strictly positive")
-        return cls(lambda t: np.full(t.shape, delta))
+        return cls(lambda t: np.broadcast_to(delta, t.shape))
 
     @classmethod
     def forcing(cls, points, base: float = 1.0) -> "Gauge":
@@ -93,7 +95,9 @@ class _ForcedSet:
     """What a forcing gauge keeps that does not depend on its base: the
     sorted finite forced points, half of each gap between them, half the
     gap from each point to its nearest neighbour, and the points between
-    ``-inf`` and ``inf`` sentinels."""
+    ``-inf`` and ``inf`` sentinels.  The oracle's set holds both ends of
+    the domain and is found once per call; ``_forced_fine_division`` also
+    reads the forced point of each graded side from it."""
 
     def __init__(self, points):
         self.forced = np.unique(np.asarray(points, dtype=float))
@@ -104,6 +108,9 @@ class _ForcedSet:
                                        np.concatenate([self.half_gap, [np.inf]]))
         # point i has neighbours ends[i] (left) and ends[i + 1]
         self.ends = np.concatenate([[-np.inf], self.forced, [np.inf]])
+        # side i is the left side of forced[i + 1], side n + i the right
+        # side of forced[i], both in gap i
+        self.sides = np.concatenate([self.forced[1:], self.forced[:-1]])
 
     def gauge(self, caps: np.ndarray) -> Gauge:
         """The forcing gauge that takes ``caps[i]`` at forced point ``i``;
@@ -242,25 +249,12 @@ def _forced_tags(points: np.ndarray, forced: np.ndarray) -> np.ndarray:
     return tags
 
 
-class _ForcedPlan(_ForcedSet):
-    """What ``_forced_fine_division`` needs at every level, found once per
-    oracle call: the forced set with both ends and the forced point of
-    each graded side."""
-
-    def __init__(self, a: float, b: float, forced):
-        super().__init__(np.concatenate([[a, b], forced]))
-        self.a, self.b = a, b
-        # the forced point of each graded side: side i is the left side of
-        # forced[i + 1], side n + i the right side of forced[i], both in gap i
-        self.sides = np.concatenate([self.forced[1:], self.forced[:-1]])
-
-
-def _forced_fine_division(plan: _ForcedPlan, level: int,
+def _forced_fine_division(plan: _ForcedSet, level: int,
                           max_points: int) -> TaggedDivision:
     """Fine division of ``[a, b]`` for the oracle's gauge at ``level``,
     written down without testing the gauge (Cousin's lemma made
     constructive for this gauge).  ``plan`` holds the forced points, the
-    ends ``a`` and ``b`` among them.
+    ends ``a`` and ``b`` of the domain first and last among them.
 
     With ``h = span 2**-level``, ``base = span 4**-level`` and, at each
     forced point ``p``, ``cap(p) = min(base, half the gap to its nearest
@@ -284,7 +278,8 @@ def _forced_fine_division(plan: _ForcedPlan, level: int,
     """
     if 2**level + 1 > max_points:
         raise OracleFailureError("fine division exceeded the point budget")
-    a, b, forced = plan.a, plan.b, plan.forced
+    forced = plan.forced
+    a, b = float(forced[0]), float(forced[-1])
     span = b - a
     h, base = span * 2.0**-level, span * 4.0**-level
     cap = np.minimum(base, plan.half_nearest)  # as Gauge.forcing rounds it
@@ -369,7 +364,7 @@ def oracle_integral(F: PiecewiseFunction, g: PiecewiseFunction,
             raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
     if max_level < start_level:
         raise ValueError("max_level must not be below start_level")
-    plan = _ForcedPlan(F.a, F.b, np.concatenate([F.grid, g.grid]))
+    plan = _ForcedSet(np.concatenate([F.grid, g.grid]))
     rs_sum = rs_sum_dFg if orientation == "dFg" else rs_sum_Fdg
     sums: dict[int, np.ndarray] = {}
 

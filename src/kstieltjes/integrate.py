@@ -82,35 +82,27 @@ def _jumps_within(H: PiecewiseFunction, c: float, d: float):
     there from ``H``'s table: both sides inside, ``0.0 +`` the right jump
     at ``c`` and the left jump ``+ 0.0`` at ``d``; ``None`` if it has no
     jump."""
-    if H._table is None:
-        H.jumps()  # a fresh function's table is built, and traced, in jumps()
     minus, plus, norm_minus, norm_plus = H._jump_table()
-    i, j = H.grid.searchsorted(c), H.grid.searchsorted(d, side="right")
-    t = H.grid[i:j]
+    rows = H._grid_slice(c, d)
+    t = H.grid[rows]
     left, right = t > c, t < d
-    at = ((left & (norm_minus[i:j] > 0.0)) | (right & (norm_plus[i:j] > 0.0))).nonzero()[0]
+    at = ((left & (norm_minus[rows] > 0.0)) | (right & (norm_plus[rows] > 0.0))).nonzero()[0]
     if not at.size:
         return None
     axes = (-1,) + (1,) * len(H.vshape)
-    return t[at], (np.where(left[at].reshape(axes), minus[i + at], 0.0)
-                   + np.where(right[at].reshape(axes), plus[i + at], 0.0))
+    return t[at], (np.where(left[at].reshape(axes), minus[rows][at], 0.0)
+                   + np.where(right[at].reshape(axes), plus[rows][at], 0.0))
 
 
 def _engine(F: PiecewiseFunction, g: PiecewiseFunction, orientation: str,
-            c: float | None = None, d: float | None = None) -> IntegralResult:
+            c: float, d: float) -> IntegralResult:
     """``integral d[F] g`` (``"dFg"``) or ``integral F d[g]`` (``"Fdg"``)
-    from ``c`` to ``d`` (default: over the whole domain), bit for bit what
-    the per-piece loop gives on the two functions clipped to ``[c, d]``
-    (see the module docstring)."""
+    from ``c`` to ``d``, bit for bit what the per-piece loop gives on the
+    two functions clipped to ``[c, d]`` (see the module docstring)."""
     check_pair(F, g)
     dFg = orientation == "dFg"
     H, G = (F, g) if dFg else (g, F)
-    if c is None:
-        c, d = F.a, F.b
-        pts = np.concatenate([F.grid, g.grid])
-    else:
-        pts = np.concatenate([[c, d]] + [f.grid[f.grid.searchsorted(c):f.grid.searchsorted(d, "right")]
-                                         for f in (F, g)])
+    pts = np.concatenate([[c, d]] + [f.grid[f._grid_slice(c, d)] for f in (F, g)])
     pts.sort()
     grid = pts[np.concatenate([[True], pts[1:] > pts[:-1]])]
     lo, hi = grid[:-1], grid[1:]
@@ -136,13 +128,13 @@ def _engine(F: PiecewiseFunction, g: PiecewiseFunction, orientation: str,
 def ks_dFg(F: PiecewiseFunction, g: PiecewiseFunction) -> IntegralResult:
     """``integral_a^b d[F] g`` for an operator integrator and vector
     integrand on a common domain."""
-    return _engine(F, g, "dFg")
+    return _engine(F, g, "dFg", F.a, F.b)
 
 
 def ks_Fdg(F: PiecewiseFunction, g: PiecewiseFunction) -> IntegralResult:
     """``integral_a^b F d[g]``: the operator applied to the increments of
     ``g``.  Returns a vector like the other orientation."""
-    return _engine(F, g, "Fdg")
+    return _engine(F, g, "Fdg", F.a, F.b)
 
 
 def integral_over_point(F: PiecewiseFunction, g: PiecewiseFunction,

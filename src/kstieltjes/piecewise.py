@@ -284,25 +284,25 @@ class PiecewiseFunction:
     # -- jumps -------------------------------------------------------------
 
     def _jump_table(self) -> _JumpTable:
-        """The jump table, built on first use and kept: the function is
-        immutable, so rebuilding it in a race is harmless.  Every piece's
-        polynomial is evaluated at both of its ends in one ``polyval`` of
-        the block, by the same operations as the one-sided limits, so every
-        row equals the jumps taken from ``limit_left``/``limit_right`` bit
-        for bit."""
-        table = self._table
-        if table is None:
-            # ends[j] holds piece j's values at its left and right end
-            ends = _poly.polyval(self._block, np.stack([self.grid[:-1], self.grid[1:]], axis=1),
-                                 self._pattern)
-            both = np.zeros((2,) + self.nodes.shape)
-            both[0, 1:] = self.nodes[1:] - ends[..., 1]
-            both[1, :-1] = ends[..., 0] - self.nodes[:-1]
-            norms = row_norms(both.reshape((-1,) + self.vshape)).reshape(2, -1)
-            both.setflags(write=False)
-            norms.setflags(write=False)
-            table = self._table = _JumpTable(both[0], both[1], norms[0], norms[1])
-        return table
+        """The jump table, built on first use by ``jumps()`` (so a trace
+        times it there) and kept: the function is immutable, so rebuilding
+        it in a race is harmless."""
+        if self._table is None:
+            self.jumps(np.inf)
+        return self._table
+
+    def _jump_rows(self, tol: float = 0.0) -> np.ndarray:
+        """The rows of the jump table with a one-sided jump norm above
+        ``tol``."""
+        table = self._jump_table()
+        return np.flatnonzero((table.norm_minus > tol) | (table.norm_plus > tol))
+
+    def _grid_slice(self, lo: float, hi: float, lo_closed: bool = True,
+                    hi_closed: bool = True) -> slice:
+        """The grid points in the interval from ``lo`` to ``hi`` with the
+        given closures, as a slice of grid (and jump-table) rows."""
+        return slice(int(self.grid.searchsorted(lo, "left" if lo_closed else "right")),
+                     int(self.grid.searchsorted(hi, "right" if hi_closed else "left")))
 
     def _records(self, rows: np.ndarray) -> list[JumpRecord]:
         """Records that view the jump-table rows ``rows``."""
@@ -327,11 +327,27 @@ class PiecewiseFunction:
         """Jump records, in grid order, at every grid point with a
         one-sided jump whose norm exceeds ``tol >= 0`` (default: exactly
         nonzero).  The left jump at ``a`` and the right jump at ``b`` are
-        zero by convention."""
+        zero by convention.
+
+        The jump table behind the records is built here on first use.
+        Every piece's polynomial is evaluated at both of its ends in one
+        ``polyval`` of the block, by the same operations as the one-sided
+        limits, so every row equals the jumps taken from
+        ``limit_left``/``limit_right`` bit for bit."""
         if not tol >= 0:
             raise ValueError(f"jump tolerance must be >= 0, got {tol}")
-        table = self._jump_table()
-        return self._records(np.flatnonzero((table.norm_minus > tol) | (table.norm_plus > tol)))
+        if self._table is None:
+            # ends[j] holds piece j's values at its left and right end
+            ends = _poly.polyval(self._block, np.stack([self.grid[:-1], self.grid[1:]], axis=1),
+                                 self._pattern)
+            both = np.zeros((2,) + self.nodes.shape)
+            both[0, 1:] = self.nodes[1:] - ends[..., 1]
+            both[1, :-1] = ends[..., 0] - self.nodes[:-1]
+            norms = row_norms(both.reshape((-1,) + self.vshape)).reshape(2, -1)
+            both.setflags(write=False)
+            norms.setflags(write=False)
+            self._table = _JumpTable(both[0], both[1], norms[0], norms[1])
+        return self._records(self._jump_rows(tol))
 
     # -- structural operations ----------------------------------------------
 
@@ -364,7 +380,7 @@ class PiecewiseFunction:
         c, d = float(c), float(d)
         if c < self.a or d > self.b or not c < d:
             raise DomainError(f"[{c}, {d}] is not a subdomain of [{self.a}, {self.b}]")
-        keep = (self.grid > c) & (self.grid < d)
+        keep = self._grid_slice(c, d, False, False)
         new_grid = np.concatenate([[c], self.grid[keep], [d]])
         owner = self._pieces_of(0.5 * (new_grid[:-1] + new_grid[1:]))
         # inner points keep their node values: only the new ends are evaluated
@@ -411,10 +427,9 @@ class PiecewiseFunction:
             if part.is_degenerate:
                 best = max(best, norm_of(self(part.lo)))
                 continue
-            k0 = np.searchsorted(self.grid, part.lo, "left" if part.lo_closed else "right")
-            k1 = np.searchsorted(self.grid, part.hi, "right" if part.hi_closed else "left")
-            if k1 > k0:
-                best = max(best, float(np.max(row_norms(self.nodes[k0:k1]))))
+            nodes = self.nodes[self._grid_slice(part.lo, part.hi, part.lo_closed, part.hi_closed)]
+            if len(nodes):
+                best = max(best, float(np.max(row_norms(nodes))))
             for lo, hi, c in self.spans_within(part.lo, part.hi):
                 best = max(best, _poly.sup_norm_on(c, lo, hi))
         return best
@@ -538,12 +553,11 @@ def jordan_decompose(f: PiecewiseFunction) -> tuple[PiecewiseFunction, Piecewise
     one-sided jumps of ``f_b`` agree with those of ``f`` at every point,
     so the other summand is continuous.
     """
-    records = f.jumps()
-    if not records:
+    rows = f._jump_rows()
+    if not rows.size:
         return f, zero_function((f.a, f.b), f.kind, f.dim)
     table = f._jump_table()
-    at = np.searchsorted(f.grid, [rec.t for rec in records])
-    fb = _break_function(f.grid, at, table.minus[at], table.plus[at])
+    fb = _break_function(f.grid, rows, table.minus[rows], table.plus[rows])
     block = np.array(f._block)
     block[:, 0] = block[:, 0] - fb._block[:, 0]
     fc = PiecewiseFunction(f.grid, _Columns(block, f._lens), f.nodes - fb.nodes)
@@ -567,8 +581,7 @@ def break_truncate(f_b: PiecewiseFunction, jump_points: Iterable[float]) -> Piec
     _require_break_function(f_b)
     points = np.fromiter(jump_points, dtype=float)
     table = f_b._jump_table()
-    rows = np.flatnonzero((table.norm_minus > 0) | (table.norm_plus > 0))
-    found = np.isin(points, f_b.grid[rows])
+    found = np.isin(points, f_b.grid[f_b._jump_rows()])
     if not found.all():
         p = float(points[np.argmin(found)])
         raise ValueError(f"{p} is not a jump point of the break function")

@@ -62,20 +62,14 @@ def _continuous_part(f: PiecewiseFunction, c: float, d: float) -> float:
     return total
 
 
-def _jump_part(f: PiecewiseFunction, c: float, d: float,
-               include_lo: bool, include_hi: bool) -> float:
-    """Summed jump norms: ``jump_plus`` over ``[c,d)`` or ``(c,d)`` and
-    ``jump_minus`` over ``(c,d]`` or ``(c,d)`` depending on the flags."""
-    plus = 0.0
-    minus = 0.0
-    for rec in f.jumps():
-        take_plus = (c <= rec.t < d) if include_lo else (c < rec.t < d)
-        take_minus = (c < rec.t <= d) if include_hi else (c < rec.t < d)
-        if take_plus:
-            plus += rec.norm_plus
-        if take_minus:
-            minus += rec.norm_minus
-    return plus + minus
+def _jump_part(f: PiecewiseFunction, part: Interval) -> float:
+    """Summed jump norms: ``jump_plus`` at the grid points of the part
+    with its upper end left out, ``jump_minus`` at those with its lower
+    end left out, each added in grid order from 0.0."""
+    table = f._jump_table()
+    plus = table.norm_plus[f._grid_slice(part.lo, part.hi, part.lo_closed, False)]
+    minus = table.norm_minus[f._grid_slice(part.lo, part.hi, False, part.hi_closed)]
+    return float(_poly.running_sum(plus) + _poly.running_sum(minus))
 
 
 def var_compact(f: PiecewiseFunction, c: float, d: float) -> VariationResult:
@@ -86,11 +80,7 @@ def var_compact(f: PiecewiseFunction, c: float, d: float) -> VariationResult:
     c, d = float(c), float(d)
     if not (f.a <= c <= d <= f.b):  # NaN fails too
         raise DomainError(f"[{c}, {d}] is not a subinterval of [{f.a}, {f.b}]")
-    if c == d:
-        return VariationResult.zero()
-    cont = _continuous_part(f, c, d)
-    jump = _jump_part(f, c, d, include_lo=True, include_hi=True)
-    return VariationResult(cont + jump, cont, jump)
+    return var_interval(f, Interval.closed(c, d))
 
 
 def var_interval(f: PiecewiseFunction, interval: Interval) -> VariationResult:
@@ -102,11 +92,8 @@ def var_interval(f: PiecewiseFunction, interval: Interval) -> VariationResult:
         raise DomainError(f"{interval} is not inside [{f.a}, {f.b}]")
     if interval.is_degenerate:
         return VariationResult.zero()
-    c, d = interval.lo, interval.hi
-    cont = _continuous_part(f, c, d)
-    jump = _jump_part(f, c, d,
-                      include_lo=interval.lo_closed,
-                      include_hi=interval.hi_closed)
+    cont = _continuous_part(f, interval.lo, interval.hi)
+    jump = _jump_part(f, interval)
     return VariationResult(cont + jump, cont, jump)
 
 
@@ -131,7 +118,7 @@ def contracting_variation(f: PiecewiseFunction,
     function returns them for inspection and merely validates the
     hypotheses (continuity of ``f`` and the contraction property).
     """
-    if f.jumps():
+    if f._jump_rows().size:
         raise ValueError("contracting_variation requires a continuous function")
     for earlier, later in zip(sets[:-1], sets[1:]):
         if not later.issubset(earlier):

@@ -12,9 +12,14 @@ from kstieltjes.intervals import Interval
 from kstieltjes.norms import sup_norm
 
 
+def _plan(a, b, forced):
+    """The oracle's per-call plan: the forced set of ``forced`` with the ends."""
+    return gauges._ForcedSet(np.concatenate([[a, b], forced]))
+
+
 def _forced_fine_division(a, b, forced, level, max_points):
     """The oracle's builder on the plan of ``forced`` with the ends."""
-    return gauges._forced_fine_division(gauges._ForcedPlan(a, b, forced), level, max_points)
+    return gauges._forced_fine_division(_plan(a, b, forced), level, max_points)
 
 
 class TestGauge:
@@ -77,7 +82,7 @@ class TestForcingAgainstPlan:
         them), their adjacent floats, random points and points outside."""
         for a, b in ((0.0, 1.0), (-3.5, -1.25), (1e4, 1e4 + 3.0)):
             for forced in _forced_sets(rng, a, b, 4):
-                plan = gauges._ForcedPlan(a, b, forced)
+                plan = _plan(a, b, forced)
                 p = plan.forced
                 ts = np.concatenate([p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf),
                                      rng.uniform(a, b, 40), [a - 1.0, b + 0.5]])
@@ -339,7 +344,8 @@ def _oracle_gauge(a, b, forced, level):
 def _rescan_builder(plan, level, max_points):
     """``_rescan_division`` behind the oracle builder's signature, on the
     level's gauge and the plan's forced set, which holds the ends."""
-    a, b, forced = plan.a, plan.b, plan.forced
+    forced = plan.forced
+    a, b = float(forced[0]), float(forced[-1])
     return _rescan_division(a, b, forced, level, _oracle_gauge(a, b, forced, level),
                             max_points)
 
@@ -453,7 +459,7 @@ class TestForcedFineDivision:
         # the reference builder the oracle is compared with below
         for level in (0, 3, 6):
             for forced in _forced_sets(rng, 0.0, 1.0, level):
-                plan = gauges._ForcedPlan(0.0, 1.0, forced)
+                plan = _plan(0.0, 1.0, forced)
                 division = _rescan_builder(plan, level, 1 << 21)
                 assert is_delta_fine(division, _oracle_gauge(0.0, 1.0, forced, level))
 
@@ -496,7 +502,7 @@ def _eager_oracle(F, g, orientation, tol, start_level, max_level, max_points):
     """Reference: the oracle's stopping rule with every level from
     ``start_level`` built and summed in order, as before levels were
     skipped."""
-    plan = gauges._ForcedPlan(F.a, F.b, np.concatenate([F.grid, g.grid]))
+    plan = gauges._ForcedSet(np.concatenate([F.grid, g.grid]))
     rs_sum = gauges.rs_sum_dFg if orientation == "dFg" else gauges.rs_sum_Fdg
     history = []
     for level in range(start_level, max_level + 1):

@@ -539,10 +539,9 @@ class TestEngineReference:
             assert not np.signbit(res.jump_contribution).any()
         block = np.full((3, 2, 2), -0.0)
         assert _poly.defint(block, np.zeros(3), np.ones(3)).tobytes() == np.zeros((3, 2)).tobytes()
-        assert _poly.defint(block[0], 0.0, 1.0).tobytes() == _ref_defint(block[0], 0.0, 1.0).tobytes()
 
     def test_stacked_defint_is_rowwise(self, rng):
-        """``defint`` of a stack gives every row the bits of the scalar
+        """``defint`` of a stack gives every row the bits of the reference
         loop over that row alone: ragged, sparse, zero and high-degree rows
         with -0.0 entries, on each domain."""
         for a, b in self.DOMAINS:
@@ -554,7 +553,7 @@ class TestEngineReference:
                 pts = np.sort(rng.uniform(a, b, 31))
                 stacked = _poly.defint(block, pts[:-1], pts[1:])
                 for i, c in enumerate(rows):
-                    assert stacked[i].tobytes() == _poly.defint(c, pts[i], pts[i + 1]).tobytes()
+                    assert stacked[i].tobytes() == _ref_defint(c, pts[i], pts[i + 1]).tobytes()
 
     def test_pair_checked_for_every_range(self):
         """The kernel checks the pair whatever the range: an interval

@@ -20,6 +20,11 @@ def _segments(lo, hi, cuts):
             yield u, v
 
 
+def _defint(c, lo, hi):
+    """``defint`` of one polynomial, as a 1-row stack."""
+    return float(_poly.defint(c[np.newaxis], np.array([lo]), np.array([hi]))[0])
+
+
 def _max_scalar(c, lo, hi):
     cands = [lo, hi] + _poly.real_roots(_poly.polyder(c), lo, hi)
     return max(float(_poly.polyval(c, x)) for x in cands)
@@ -29,7 +34,7 @@ def _abs_integral(c, lo, hi):
     total = 0.0
     for u, v in _segments(lo, hi, _poly.real_roots(c, lo, hi)):
         sign = 1.0 if float(_poly.polyval(c, 0.5 * (u + v))) >= 0.0 else -1.0
-        total += sign * float(_poly.defint(c, u, v))
+        total += sign * _defint(c, u, v)
     return total
 
 
@@ -78,7 +83,7 @@ def _integral_reference(c, lo, hi):
             vals = _poly.polyval(c, 0.5 * (u + v))
             i = int(np.argmax(np.abs(vals)))
             sign = 1.0 if vals[i] >= 0.0 else -1.0
-            total += sign * float(_poly.defint(c[:, i], u, v))
+            total += sign * _defint(c[:, i], u, v)
         return total
     total = 0.0
     for u, v in _segments(lo, hi, _entry_cuts(c, lo, hi)):
@@ -88,7 +93,7 @@ def _integral_reference(c, lo, hi):
         for uu, vv in _segments(u, v, inner):
             mid = 0.5 * (uu + vv)
             i = int(np.argmax([float(_poly.polyval(r, mid)) for r in rows]))
-            total += float(_poly.defint(rows[i], uu, vv))
+            total += _defint(rows[i], uu, vv)
     return total
 
 

@@ -74,7 +74,8 @@ def test_oracle_levels_go_through_the_traced_builder(monkeypatch):
     assert "gauges.division" in traced.self_times()
 
 
-@pytest.mark.parametrize("consumer", ["jordan_decompose", "ks_dFg"])
+@pytest.mark.parametrize("consumer", ["jordan_decompose", "ks_dFg", "break_truncate",
+                                      "integral_over_point", "var_compact"])
 def test_jump_table_is_built_inside_the_jumps_span(consumer):
     """``piecewise.jumps.self_s`` times the jump table, which is built on
     first use and cached: a consumer that meets a fresh function must reach
@@ -88,12 +89,16 @@ def test_jump_table_is_built_inside_the_jumps_span(consumer):
                               [[[1.0]], [[2.0]]]],
                              [[[0.0]], [[3.0]], [[-1.0]], [[4.0]]])
     g = ks.polynomial((0.0, 1.0), [1.0, -1.0])
+    # a fresh break function, its table not built
+    fb = ks.jordan_decompose(ks.PiecewiseFunction(F.grid, F.coeffs, F.nodes))[1]
+    run = {"jordan_decompose": lambda: ks.jordan_decompose(F),
+           "ks_dFg": lambda: ks.ks_dFg(F, g),
+           "break_truncate": lambda: ks.break_truncate(fb, [0.25]),
+           "integral_over_point": lambda: ks.integral_over_point(F, g, 0.25),
+           "var_compact": lambda: ks.var_compact(F, 0.0, 1.0)}[consumer]
     traced = tracer.Tracer().install(ks)
     try:
-        if consumer == "jordan_decompose":
-            ks.jordan_decompose(F)
-        else:
-            ks.ks_dFg(F, g)
+        run()
     finally:
         traced.uninstall()
     names = {span[0]: span[1] for span in traced.spans}

@@ -5,6 +5,8 @@ import corpus
 from kstieltjes import (DomainError, ElementarySet, Interval,
                         PiecewiseFunction, contracting_variation, polynomial,
                         step, var_compact, var_elementary, var_interval)
+from kstieltjes import _poly
+from kstieltjes.norms import norm_of, row_norms
 
 
 def hat():
@@ -267,3 +269,114 @@ class TestVariationResultInvariant:
             assert r.continuous_contribution >= 0.0
             assert r.jump_contribution >= 0.0
             assert abs(r.total - r.continuous_contribution - r.jump_contribution) < 1e-12
+
+
+# -- the closure rule at grid points, against the per-record references ------
+
+def _ref_jump_part(f, c, d, include_lo, include_hi):
+    """Jump norms summed record by record: ``jump_plus`` over ``[c, d)``
+    or ``(c, d)``, ``jump_minus`` over ``(c, d]`` or ``(c, d)``."""
+    plus = minus = 0.0
+    for rec in f.jumps():
+        if (c <= rec.t < d) if include_lo else (c < rec.t < d):
+            plus += rec.norm_plus
+        if (c < rec.t <= d) if include_hi else (c < rec.t < d):
+            minus += rec.norm_minus
+    return plus + minus
+
+
+def _ref_var_interval(f, part):
+    if part.is_degenerate:
+        return [0.0, 0.0, 0.0]
+    cont = 0.0
+    for lo, hi, coeffs in f.spans_within(part.lo, part.hi):
+        cont += _poly.integral_of_norm(_poly.polyder(coeffs), lo, hi)
+    jump = _ref_jump_part(f, part.lo, part.hi, part.lo_closed, part.hi_closed)
+    return [cont + jump, cont, jump]
+
+
+def _ref_sup_norm(f, region):
+    """The node rows of each part found by two ``searchsorted`` calls with
+    the sides its closures pick."""
+    best = 0.0
+    for part in region.parts:
+        if part.is_degenerate:
+            best = max(best, norm_of(f(part.lo)))
+            continue
+        k0 = np.searchsorted(f.grid, part.lo, "left" if part.lo_closed else "right")
+        k1 = np.searchsorted(f.grid, part.hi, "right" if part.hi_closed else "left")
+        if k1 > k0:
+            best = max(best, float(np.max(row_norms(f.nodes[k0:k1]))))
+        for lo, hi, c in f.spans_within(part.lo, part.hi):
+            best = max(best, _poly.sup_norm_on(c, lo, hi))
+    return best
+
+
+def _ref_clip(f, c, d):
+    """The inner grid points found by a boolean mask."""
+    keep = (f.grid > c) & (f.grid < d)
+    grid = np.concatenate([[c], f.grid[keep], [d]])
+    owner = f._pieces_of(0.5 * (grid[:-1] + grid[1:]))
+    ends = np.moveaxis(f.eval_many([c, d]), -1, 0)
+    return PiecewiseFunction(grid, [f.coeffs[j] for j in owner.tolist()],
+                             np.concatenate([ends[:1], f.nodes[keep], ends[1:]]))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestClosureRuleAtGridPoints:
+    """Parts whose ends are grid points, where each end's closure decides
+    which one-sided jumps and node values count: every closure pattern,
+    degenerate parts and parts ending at ``a`` or ``b``, bit for bit
+    against the per-record loop and the two-``searchsorted`` rows."""
+
+    def _functions(self, rng):
+        for domain in ((0.0, 1.0), (-3.5, -1.25)):
+            for kind in ("vector", "operator"):
+                made = 0
+                while made < 3:
+                    f = corpus.random_piecewise(rng, kind, int(rng.integers(1, 4)), domain,
+                                                max_pieces=5, max_jumps=6)
+                    if f.jumps():
+                        made += 1
+                        yield f
+
+    def _parts(self, f):
+        ends = f.grid.tolist()
+        for i, c in enumerate(ends):
+            for d in ends[i:]:
+                if c == d:
+                    yield Interval.at(c)
+                    continue
+                for lo_closed in (True, False):
+                    for hi_closed in (True, False):
+                        yield Interval(c, d, lo_closed, hi_closed)
+
+    def test_var_interval(self, rng):
+        for f in self._functions(rng):
+            for part in self._parts(f):
+                r = var_interval(f, part)
+                got = [r.total, r.continuous_contribution, r.jump_contribution]
+                assert _bits(got) == _bits(_ref_var_interval(f, part)), part
+
+    def test_sup_norm(self, rng):
+        for f in self._functions(rng):
+            parts = list(self._parts(f))
+            for part in parts:
+                assert _bits(f.sup_norm(part)) == _bits(_ref_sup_norm(f, ElementarySet.of(part)))
+            for _ in range(10):
+                i, j = rng.choice(len(parts), 2)
+                region = ElementarySet.of(parts[i], parts[j])
+                assert _bits(f.sup_norm(region)) == _bits(_ref_sup_norm(f, region))
+
+    def test_clip(self, rng):
+        for f in self._functions(rng):
+            ends = f.grid.tolist()
+            for i, c in enumerate(ends):
+                for d in ends[i + 1:]:
+                    got, ref = f.clip(c, d), _ref_clip(f, c, d)
+                    assert _bits(got.grid) == _bits(ref.grid)
+                    assert _bits(got.nodes) == _bits(ref.nodes)
+                    assert all(_bits(p) == _bits(q) for p, q in zip(got.coeffs, ref.coeffs))

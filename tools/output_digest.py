@@ -3,7 +3,10 @@
 For fixed seeds the script draws operator/vector pairs on six domains and
 passes them through evaluation, the structural operations (``break_truncate``
 included), both engine orientations, interval integrals, variation and the
-bounded-convergence harness; it also digests the oracle's fine divisions at
+bounded-convergence harness.  On further pairs it digests suprema over
+random regions (kind ``sup_norm``) and variation, interval integrals and
+bounds on intervals whose ends are grid points, with every closure pattern
+(kind ``grid_ends``).  It also digests the oracle's fine divisions at
 levels 0-16, ``oracle_integral`` on small pairs with its levels, budget and
 tolerance varied, and the forcing, constant and minimum gauges.  It prints
 one line per output kind: the number of items and a sha256 over their
@@ -176,6 +179,47 @@ def digest_seed(ks, seed, out: Digest):
                         lambda: ks.run_bounded_convergence(F1, power, ns, 0.1).errors)
 
 
+def grid_interval(ks, rng, points, a, b):
+    """An interval whose ends are drawn from ``points`` (both domain ends
+    among them, often taken), with random closures; degenerate and closed
+    when both ends coincide."""
+    c, d = np.sort(rng.choice(points, 2))
+    if rng.random() < 0.25:
+        c = a
+    if rng.random() < 0.25:
+        d = b
+    if c == d:
+        return ks.Interval.at(c)
+    return ks.Interval(c, d, bool(rng.random() < 0.5), bool(rng.random() < 0.5))
+
+
+def digest_closures(ks, seed, out: Digest):
+    """Suprema over random regions, and variation, interval integrals and
+    bounds on intervals whose ends are grid points, where each end's
+    closure decides which one-sided jumps and node values count."""
+    rng = np.random.default_rng([seed, 19])
+    for a, b in DOMAINS:
+        for _ in range(PAIRS // 2):
+            dim = int(rng.integers(1, 4))
+            F = random_function(ks, rng, "operator", dim, a, b)
+            g = random_function(ks, rng, "vector", dim, a, b)
+            points = np.union1d(F.grid, g.grid)
+            for f in (F, g):
+                out.add("sup_norm", lambda: f.sup_norm())
+                for _ in range(3):
+                    region = ks.ElementarySet.of(*(random_interval(ks, rng, a, b) for _ in range(3)))
+                    out.add("sup_norm", lambda: f.sup_norm(region))
+                    ends = ks.ElementarySet.of(*(grid_interval(ks, rng, points, a, b)
+                                                 for _ in range(2)))
+                    out.add("sup_norm", lambda: f.sup_norm(ends))
+            for _ in range(6):
+                interval = grid_interval(ks, rng, points, a, b)
+                out.add("grid_ends", lambda: [variation(ks.var_interval(F, interval)),
+                                              variation(ks.var_interval(g, interval)),
+                                              ks.integral_over_interval(F, g, interval),
+                                              ks.estimate_bound(F, g, interval)])
+
+
 def forced_sets(rng, a, b):
     """Random, clustered (gaps of 1e-9 of the span), on level-4 mesh nodes,
     ends-only and adjacent-float forced sets, unsorted and without the
@@ -208,9 +252,13 @@ def digest_oracle(ks, seed, out: Digest):
     rng = np.random.default_rng([seed, 13])
 
     def build(a, b, forced, level):
-        if hasattr(gauges, "_ForcedPlan"):  # the builder takes a per-call plan
-            return gauges._forced_fine_division(gauges._ForcedPlan(a, b, forced), level, 1 << 21)
-        return gauges._forced_fine_division(a, b, forced, level, 1 << 21)
+        if hasattr(gauges, "_ForcedPlan"):  # a per-call plan that keeps the ends apart
+            plan = gauges._ForcedPlan(a, b, forced)
+        elif hasattr(gauges, "_ForcedSet"):  # the forced set, the ends among its points
+            plan = gauges._ForcedSet(np.concatenate([[a, b], forced]))
+        else:  # no plan: the builder takes the ends and the points
+            return gauges._forced_fine_division(a, b, forced, level, 1 << 21)
+        return gauges._forced_fine_division(plan, level, 1 << 21)
 
     for a, b in DOMAINS:
         for forced in forced_sets(rng, a, b):
@@ -273,6 +321,7 @@ def main(argv=None):
     with np.errstate(all="ignore"):
         for seed in SEEDS:
             digest_seed(ks, seed, out)
+            digest_closures(ks, seed, out)
             digest_oracle(ks, seed, out)
             digest_gauges(ks, seed, out)
     print(f"# kstieltjes from {Path(ks.__file__).parent}")
