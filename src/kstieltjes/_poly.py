@@ -130,12 +130,26 @@ def polyder(c: np.ndarray, axis: int = 0) -> np.ndarray:
     return (c[:, 1:] if axis else c[1:]) * mult
 
 
-def running_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
+def running_sum(terms: np.ndarray, axis: int = 0, lengths=None) -> np.ndarray:
     """``0.0 + terms[0] + terms[1] + ...`` along ``axis``, added in turn as
     a loop from 0.0 does, so a ±0 term leaves the sum as it was.
     ``cumsum`` adds in turn from ``terms[0]``: its sum has the loop's bits
     except a -0.0 where every term is -0.0, which the final ``+ 0.0``
-    makes 0.0.  An empty axis sums to 0.0."""
+    makes 0.0.  An empty axis sums to 0.0.
+
+    With ``lengths``, the leading axis holds consecutive groups of those
+    lengths and row ``i`` of the result sums group ``i``: the groups are
+    laid out zero-padded as rows of one ``(groups, longest)`` block and
+    summed along the row, where a padding 0.0 leaves each sum as it was."""
+    if lengths is not None:
+        longest = max(lengths)
+        if min(lengths) == longest:  # nothing to pad
+            padded = terms.reshape((len(lengths), longest) + terms.shape[1:])
+        else:
+            padded = np.zeros((len(lengths), longest) + terms.shape[1:])
+            # row-major order of the mask is the order of the groups' terms
+            padded[np.arange(longest) < np.array(lengths)[:, np.newaxis]] = terms
+        return running_sum(padded, axis=1)
     if not terms.shape[axis]:
         return terms.sum(axis=axis)
     return terms.cumsum(axis=axis).take(-1, axis=axis) + 0.0

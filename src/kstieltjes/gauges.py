@@ -27,7 +27,7 @@ then guards the construction.
 
 from __future__ import annotations
 
-from math import isfinite
+from math import frexp, isfinite
 from typing import Callable
 
 import numpy as np
@@ -111,6 +111,19 @@ class _ForcedSet:
         # side i is the left side of forced[i + 1], side n + i the right
         # side of forced[i], both in gap i
         self.sides = np.concatenate([self.forced[1:], self.forced[:-1]])
+
+    def size_bound(self, level: int) -> int:
+        """An upper bound on the size of the oracle's division at ``level``
+        (see ``_forced_fine_division``), from the plan alone: the
+        ``2**level + 1`` mesh nodes, the forced points and the graded
+        points.  A side has at most as many graded points as the builder's
+        ``floor(log2(max r / cap)) + 3`` halvings, and with ``r <= h`` and
+        every cap at least the smallest, that is below ``e(h) - e(cap) + 4``
+        for binary exponents ``e``."""
+        span = float(self.forced[-1]) - float(self.forced[0])
+        cap = min(span * 4.0**-level, float(self.half_nearest.min()))
+        halvings = frexp(span * 2.0**-level)[1] - frexp(cap)[1] + 4
+        return 2**level + 1 + self.forced.size + self.sides.size * halvings
 
     def gauge(self, caps: np.ndarray) -> Gauge:
         """The forcing gauge that takes ``caps[i]`` at forced point ``i``;
@@ -346,8 +359,11 @@ def oracle_integral(F: PiecewiseFunction, g: PiecewiseFunction,
     and ``k - 2`` are apart.  Otherwise ``k`` is built and compared with
     its known neighbours first, then with the missing ones, ``k - 1``
     before ``k - 2``, each built only while every sum compared so far is
-    close; so ``start_level`` itself may go unbuilt.  The result or error
-    is that of building every level in order.
+    close; so ``start_level`` itself may go unbuilt.  Before a value is
+    returned, every skipped level whose size bound
+    (``_ForcedSet.size_bound``) exceeds ``max_points`` is built, in order,
+    since it might fail its budget.  The result or error is that of
+    building every level in order.
 
     This estimator shares nothing with the closed-form engine: it sees the
     functions only through pointwise evaluation.
@@ -393,6 +409,11 @@ def oracle_integral(F: PiecewiseFunction, g: PiecewiseFunction,
                 break
         else:
             if not apart(k - 1, k - 2):
+                # division size is not monotone in the level: a skipped
+                # level whose bound exceeds the budget is built in order
+                for level in range(start_level, k):
+                    if level not in sums and plan.size_bound(level) > max_points:
+                        build(level)
                 return sums[k]
     for level in range(start_level, max_level + 1):
         build(level)  # a skipped level may fail

@@ -16,7 +16,11 @@ are single polynomials:
   jump and at ``b`` the left jump.
 
 Each part adds its per-piece or per-jump terms in sequence from zero, so
-the result equals a loop over the pieces bit for bit.  Integrals over
+the result equals a loop over the pieces bit for bit.  The kernel takes a
+sequence of integrands against one integrator: the merged pieces of every
+pair go through the one block expression, and each integrand's terms are
+added apart, so a bounded-convergence run integrates the limit and all its
+members in one pass, each with the bits of a call of its own.  Integrals over
 arbitrary intervals add to the kernel over ``[c, d]`` the jump corrections
 dictated by which endpoints the interval contains; integrals over
 elementary sets sum those over the minimal decomposition.  Both routes —
@@ -94,47 +98,71 @@ def _jumps_within(H: PiecewiseFunction, c: float, d: float):
                    + np.where(right[at].reshape(axes), plus[rows][at], 0.0))
 
 
-def _engine(F: PiecewiseFunction, g: PiecewiseFunction, orientation: str,
-            c: float, d: float) -> IntegralResult:
+def _joined(arrays: list) -> np.ndarray:
+    """``np.concatenate(arrays)``, or the one array itself."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _engine(F: PiecewiseFunction, gs, orientation: str,
+            c: float, d: float) -> list[IntegralResult]:
     """``integral d[F] g`` (``"dFg"``) or ``integral F d[g]`` (``"Fdg"``)
-    from ``c`` to ``d``, bit for bit what the per-piece loop gives on the
-    two functions clipped to ``[c, d]`` (see the module docstring)."""
-    check_pair(F, g)
+    from ``c`` to ``d`` for every integrand ``g`` of the sequence ``gs``,
+    each bit for bit what the per-piece loop gives on ``F`` and ``g``
+    clipped to ``[c, d]`` (see the module docstring).  The merged pieces of
+    every pair go through one block expression, their rows of ``g``
+    zero-padded to the longest."""
+    for g in gs:
+        check_pair(F, g)
     dFg = orientation == "dFg"
-    H, G = (F, g) if dFg else (g, F)
-    pts = np.concatenate([[c, d]] + [f.grid[f._grid_slice(c, d)] for f in (F, g)])
-    pts.sort()
-    grid = pts[np.concatenate([[True], pts[1:] > pts[:-1]])]
-    lo, hi = grid[:-1], grid[1:]
-    mids = 0.5 * (lo + hi)
-    cF, cg = F._block[F._pieces_of(mids)], g._block[g._pieces_of(mids)]
+    head = np.concatenate([[c, d], F.grid[F._grid_slice(c, d)]])
+    los, his, mids, rows = [], [], [], []
+    for g in gs:
+        pts = np.concatenate([head, g.grid[g._grid_slice(c, d)]])
+        pts.sort()
+        grid = pts[np.concatenate([[True], pts[1:] > pts[:-1]])]
+        los.append(grid[:-1])
+        his.append(grid[1:])
+        mids.append(0.5 * (grid[:-1] + grid[1:]))
+        rows.append(g._block[g._pieces_of(mids[-1])])
+    counts = [len(lo) for lo in los]
+    lo, hi, mids = _joined(los), _joined(his), _joined(mids)
+    widths = [r.shape[1] for r in rows]
+    if min(widths) == max(widths):
+        cg = _joined(rows)
+    else:
+        cg = np.zeros((lo.size, max(widths)) + gs[0].vshape)
+        for start, r in zip(np.cumsum([0] + counts).tolist(), rows):
+            cg[start:start + len(r), :r.shape[1]] = r
+    cF = F._block[F._pieces_of(mids)]
     if dFg:
         prod = _poly.matvec_conv(_poly.polyder(cF, axis=1), cg)
     else:
         prod = _poly.matvec_conv(cF, _poly.polyder(cg, axis=1))
-    cont = _poly.running_sum(_poly.defint(prod, lo, hi))
-    jump = np.zeros(g.vshape)
-    within = _jumps_within(H, c, d)
-    if within:
-        t, full = within
-        # contiguous values: a stacked matmul over a strided view sums in
-        # another order than one matmul per point
-        vals = np.ascontiguousarray(np.moveaxis(G.eval_many(t), -1, 0))
-        terms = full @ vals[..., np.newaxis] if dFg else vals @ full[..., np.newaxis]
-        jump = _poly.running_sum(terms[..., 0])
-    return IntegralResult(cont + jump, cont, jump)
+    conts = _poly.running_sum(_poly.defint(prod, lo, hi), lengths=counts)
+    jumps = np.zeros(conts.shape)
+    shared = _jumps_within(F, c, d) if dFg else None
+    for i, g in enumerate(gs):
+        within = shared if dFg else _jumps_within(g, c, d)
+        if within:
+            t, full = within
+            # contiguous values: a stacked matmul over a strided view sums in
+            # another order than one matmul per point
+            vals = np.ascontiguousarray(np.moveaxis((g if dFg else F).eval_many(t), -1, 0))
+            terms = full @ vals[..., np.newaxis] if dFg else vals @ full[..., np.newaxis]
+            jumps[i] = _poly.running_sum(terms[..., 0])
+    return list(map(IntegralResult, conts + jumps, conts, jumps))
 
 
 def ks_dFg(F: PiecewiseFunction, g: PiecewiseFunction) -> IntegralResult:
     """``integral_a^b d[F] g`` for an operator integrator and vector
     integrand on a common domain."""
-    return _engine(F, g, "dFg", F.a, F.b)
+    return _engine(F, [g], "dFg", F.a, F.b)[0]
 
 
 def ks_Fdg(F: PiecewiseFunction, g: PiecewiseFunction) -> IntegralResult:
     """``integral_a^b F d[g]``: the operator applied to the increments of
     ``g``.  Returns a vector like the other orientation."""
-    return _engine(F, g, "Fdg", F.a, F.b)
+    return _engine(F, [g], "Fdg", F.a, F.b)[0]
 
 
 def integral_over_point(F: PiecewiseFunction, g: PiecewiseFunction,
@@ -159,7 +187,7 @@ def _interval_result(F: PiecewiseFunction, g: PiecewiseFunction,
                               continuous_contribution=np.zeros(g.vshape),
                               jump_contribution=point_value)
     c, d = interval.lo, interval.hi
-    base = _engine(F, g, "dFg", c, d)
+    base = _engine(F, [g], "dFg", c, d)[0]
     corr = np.zeros(g.vshape)
     if interval.lo_closed:
         corr = corr + F.jump_at(c).jump_minus @ g(c)

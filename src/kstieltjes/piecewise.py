@@ -427,11 +427,19 @@ class PiecewiseFunction:
             if part.is_degenerate:
                 best = max(best, norm_of(self(part.lo)))
                 continue
-            nodes = self.nodes[self._grid_slice(part.lo, part.hi, part.lo_closed, part.hi_closed)]
-            if len(nodes):
-                best = max(best, float(np.max(row_norms(nodes))))
-            for lo, hi, c in self.spans_within(part.lo, part.hi):
-                best = max(best, _poly.sup_norm_on(c, lo, hi))
+            rows = self._grid_slice(part.lo, part.hi, part.lo_closed, part.hi_closed)
+            # the pieces that meet the part's interior, as spans_within yields them
+            first = int(self.grid.searchsorted(part.lo, "right")) - 1
+            pieces = slice(first, int(self.grid.searchsorted(part.hi)))
+            flat = self._lens[pieces] == 1
+            # a constant piece's norm is its coefficient's, as sup_norm_on finds
+            # it: one pass over those and the node values in the part
+            values = np.concatenate([self.nodes[rows], self._block[pieces][flat, 0]])
+            if len(values):
+                best = max(best, float(np.max(row_norms(values))))
+            for j in (np.flatnonzero(~flat) + first).tolist():
+                lo, hi = max(float(self.grid[j]), part.lo), min(float(self.grid[j + 1]), part.hi)
+                best = max(best, _poly.sup_norm_on(self.coeffs[j], lo, hi))
         return best
 
     # -- arithmetic sugar ---------------------------------------------------
@@ -493,8 +501,27 @@ def zero_function(domain, kind: str = "vector", dim: int = 1) -> PiecewiseFuncti
 
 
 def step(domain, region: ElementarySet | Interval, value=1.0) -> PiecewiseFunction:
-    """``value`` times the indicator of ``region``, zero elsewhere."""
-    return constant(domain, value).restrict(region)
+    """``value`` times the indicator of ``region``, zero elsewhere: one
+    constructor call, byte for byte ``constant(domain, value).restrict(region)``,
+    whose refinement evaluates the constant as ``value + 0.0`` at the
+    region's inner endpoints."""
+    a, b = _domain_pair(domain)
+    value = np.atleast_1d(np.asarray(value, dtype=float))
+    if isinstance(region, Interval):
+        region = ElementarySet.of(region)
+    grid = np.unique(np.concatenate([[a, b], region.endpoints()]))
+    axes = (1,) * value.ndim
+    kept = region.contains_many(0.5 * (grid[:-1] + grid[1:]))
+    nodes = np.broadcast_to(value + 0.0, grid.shape + value.shape).copy()
+    nodes[[0, -1]] = value
+    nodes = np.where(region.contains_many(grid).reshape((-1,) + axes), nodes, 0.0)
+    # the constructor checks the value first, as constant() does
+    f = PiecewiseFunction(grid, _Columns(np.where(kept.reshape((-1, 1) + axes), value, 0.0),
+                                         np.ones(grid.size - 1, dtype=int)), nodes)
+    for part in region.parts:
+        if part.lo < a or part.hi > b:
+            raise DomainError(f"part {part} is not inside [{a}, {b}]")
+    return f
 
 
 def scaled_identity(domain, scalar_coeffs, dim: int = 1) -> PiecewiseFunction:

@@ -5,8 +5,8 @@ import pytest
 
 import corpus
 from kstieltjes import (HypothesisViolationError, Interval, SequenceFamily,
-                        constant, lincomb, polynomial, realize,
-                        run_bounded_convergence, scaled_identity, step,
+                        constant, ks_dFg, lincomb, polynomial, realize,
+                        run_bounded_convergence, scaled_identity, step, sup_norm,
                         verify_break_limit)
 
 
@@ -116,9 +116,10 @@ class TestRunBoundedConvergence:
         lying = SequenceFamily.custom(members, spike.limit, bound=1.0)
         calls = []
         import kstieltjes.convergence as conv
-        real_engine = conv.ks_dFg
-        monkeypatch.setattr(conv, "ks_dFg",
-                            lambda *a, **k: calls.append(1) or real_engine(*a, **k))
+        for name in ("ks_dFg", "_engine"):
+            real = getattr(conv, name)
+            monkeypatch.setattr(conv, name,
+                                lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
         with pytest.raises(HypothesisViolationError):
             run_bounded_convergence(t_id, lying, [1, 2, 3], 1.0)
         assert calls == []  # rejected before any integral was computed
@@ -142,6 +143,67 @@ class TestRunBoundedConvergence:
         report = run_bounded_convergence(F, fam, [1, 10, 39], 1.0)
         assert report.errors[-1] < report.errors[0] + 1e-12
         assert report.integral_limit[0] == 0.0
+
+
+def _per_member(F, family, ns):
+    """The harness as a loop: one ``ks_dFg`` call per member and one for
+    the limit."""
+    limit = ks_dFg(F, family.limit).value
+    values = [ks_dFg(F, realize(family, n)).value for n in sorted(ns)]
+    return limit, values, [sup_norm(v - limit) for v in values]
+
+
+class TestOneEnginePass:
+    """All members and the limit are integrated in one engine pass, with
+    the bits of a ``ks_dFg`` call per member."""
+
+    def families(self, rng, dim, a, b):
+        if dim == 1:
+            yield SequenceFamily.spike((a, b), float(rng.uniform(a, b)), float(rng.uniform(-4, 4)))
+            yield SequenceFamily.spike((a, b), a, 2.5)
+            yield SequenceFamily.spike((a, b), b, -1.0)
+            if (a, b) == (0.0, 1.0):
+                yield SequenceFamily.power()
+        fb = corpus.random_break_function(rng, "vector", dim, (a, b), n_jumps=5)
+        yield SequenceFamily.truncation(fb)
+        yield SequenceFamily.truncation(fb, rng.permutation([r.t for r in fb.jumps()]).tolist())
+        limit = corpus.random_piecewise(rng, "vector", dim, domain=(a, b))
+        bump = corpus.random_piecewise(rng, "vector", dim, domain=(a, b), max_degree=6)
+        members = [lincomb(1.0, limit, 1.0 / n, bump) for n in range(1, 9)]
+        scale = max(abs(a), abs(b)) ** -64.0  # a degree-64 member at most 1 in norm
+        members[3] = lincomb(1.0, limit, 1.0 / 4, polynomial((a, b), np.eye(65)[64][:, None]
+                                                             * np.full(dim, scale)))
+        yield SequenceFamily.custom(members, limit, 1e3)
+
+    def test_matches_a_per_member_loop(self, rng):
+        runs = 0
+        for a, b in ((0.0, 1.0), (-3.5, -1.25), (0.5, 1.5)):
+            for dim in (1, 2, 3):
+                for F in (corpus.random_piecewise(rng, "operator", dim, domain=(a, b)),
+                          corpus.random_continuous(rng, "operator", dim, (a, b))):
+                    for family in self.families(rng, dim, a, b):
+                        n_max = len(family.jump_order) if family.kind == "truncation" else 8
+                        ns = rng.choice(np.arange(1, n_max + 1), size=min(n_max, 4),
+                                        replace=False).tolist()
+                        try:
+                            report = run_bounded_convergence(F, family, ns, 0.1)
+                        except HypothesisViolationError:
+                            continue
+                        limit, values, errors = _per_member(F, family, ns)
+                        assert report.integral_limit.tobytes() == limit.tobytes()
+                        assert [e.integral.tobytes() for e in report.entries] == \
+                            [v.tobytes() for v in values]
+                        assert np.array(report.errors).tobytes() == np.array(errors).tobytes()
+                        runs += 1
+        assert runs >= 40
+
+    def test_one_engine_call_per_run(self, t_id, monkeypatch):
+        import kstieltjes.convergence as conv
+        calls, real = [], conv._engine
+        monkeypatch.setattr(conv, "_engine",
+                            lambda F, gs, *a: calls.append(len(gs)) or real(F, gs, *a))
+        run_bounded_convergence(t_id, SequenceFamily.power(), [1, 2, 4, 8, 16], 0.1)
+        assert calls == [6]
 
 
 class TestVerifyBreakLimit:

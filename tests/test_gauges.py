@@ -642,3 +642,58 @@ class TestOracleAgainstEager:
             assert got == expected, (np.ravel(sums).tolist(), first, args)
             outcomes.add(type(got).__name__ if isinstance(got, bytes) else got[1][:5])
         assert outcomes == {"bytes", "level", "sums "}
+
+
+#: Division size is not monotone in the level on this layout: four forced
+#: points, each with a second one 0.0041 above it.
+_DIPPING = np.concatenate([[0.0622, 0.3702, 0.6783, 0.9863],
+                           np.array([0.0622, 0.3702, 0.6783, 0.9863]) + 0.0041])
+
+
+class TestHiddenLevel:
+    def test_dipping_layout(self):
+        sizes = [_forced_fine_division(0.0, 1.0, _DIPPING, level, 1 << 21).points.size
+                 for level in range(11)]
+        assert any(hi < lo for lo, hi in zip(sizes, sizes[1:]))
+        plan = _plan(0.0, 1.0, _DIPPING)
+        assert all(plan.size_bound(level) >= size for level, size in enumerate(sizes))
+
+    def test_bound_covers_random_layouts(self, rng):
+        for a, b in ((0.0, 1.0), (-3.5, -1.25), (1e3, 1e3 + 2.0)):
+            for level in range(13):
+                for forced in _forced_sets(rng, a, b, level):
+                    plan = gauges._ForcedSet(forced)
+                    try:
+                        size = gauges._forced_fine_division(plan, level, 1 << 21).points.size
+                    except OracleFailureError:  # a cluster stalls at float resolution
+                        continue
+                    assert size <= plan.size_bound(level)
+
+    def test_skipped_level_over_budget_fails_as_in_order(self, rng, monkeypatch):
+        """A stand-in builder whose level ``hidden`` exceeds the budget
+        whenever its bound does, with sums that make the lazy rule skip
+        that level: the oracle raises the in-order loop's error when the
+        bound is above the budget and returns its value when it is not."""
+        F, g = corpus.random_piecewise(rng, "operator", 2), corpus.random_piecewise(rng, "vector", 2)
+        plan = gauges._ForcedSet(np.concatenate([F.grid, g.grid]))
+        # sums at start..start + 4: the pair (start + 2, start + 1) is apart,
+        # so start is skipped, and start + 4 wins with start + 3 and start + 2
+        for start in (0, 2, 5):
+            hidden, built = start, []
+            sums = {start + i: np.array([s]) for i, s in enumerate([0.0, 0.0, 1.0, 1.0, 1.0])}
+
+            def build(plan, level, max_points):
+                built.append(level)
+                if level == hidden and plan.size_bound(level) > max_points:
+                    raise OracleFailureError("fine division exceeded the point budget")
+                return level
+
+            monkeypatch.setattr(gauges, "_forced_fine_division", build)
+            monkeypatch.setattr(gauges, "rs_sum_dFg", lambda F, g, level: sums[level])
+            bound = plan.size_bound(hidden)
+            args = ("dFg", 0.5, start, start + 10)
+            assert _outcome(oracle_integral, F, g, *args, bound) == sums[start + 4].tobytes()
+            assert hidden not in built
+            expected = _outcome(_eager_oracle, F, g, *args, bound - 1)
+            assert expected == ("OracleFailureError", "fine division exceeded the point budget")
+            assert _outcome(oracle_integral, F, g, *args, bound - 1) == expected

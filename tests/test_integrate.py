@@ -9,7 +9,7 @@ from kstieltjes import (DimensionMismatchError, DomainError, ElementarySet,
                         integral_over_point, ks_Fdg, ks_dFg, lincomb, polynomial,
                         saks_identity_report, scaled_identity, step, sup_norm)
 from kstieltjes import _poly
-from kstieltjes.integrate import _interval_result
+from kstieltjes.integrate import _engine, _interval_result
 
 
 def chi_op(lo=0.5, hi=1.0):
@@ -581,3 +581,72 @@ class TestEngineReference:
                           _ref_interval(F, g, Interval(0.5, 2e5, False, True)))):
             assert np.isfinite(res.value).all()
             _same_result(res, ref)
+
+
+class TestManyIntegrands:
+    """One ``_engine`` call over many integrands gives each the bits of an
+    ``_engine`` call of its own, in both orientations, over the whole
+    domain and over random ranges: integrators with and without jumps,
+    dims 1-3, members of mixed degree (``t**1`` to ``t**64``, ragged
+    random pieces with jumps, constants)."""
+
+    @staticmethod
+    def members(rng, dim, a, b, top):
+        vshape = (dim,)
+        for k in sorted({1, 2, 3, 7, 16, top, int(rng.integers(1, top + 1))}):
+            c = np.zeros((k + 1,) + vshape)
+            c[k] = rng.uniform(-1.0, 1.0, vshape)
+            yield polynomial((a, b), c)
+        for pieces in (1, 3, int(rng.integers(4, 30))):
+            yield _engine_function(rng, "vector", dim, a, b, pieces, top)
+        yield constant((a, b), rng.uniform(-1.0, 1.0, vshape))
+
+    def test_each_integrand_as_alone(self, rng):
+        for a, b in TestEngineReference.DOMAINS:
+            top = 64 if max(abs(a), abs(b)) < 10.0 else 16
+            for dim in (1, 2, 3):
+                F = _engine_function(rng, "operator", dim, a, b, int(rng.integers(1, 20)), top)
+                smooth = corpus.random_continuous(rng, "operator", dim, (a, b), max_pieces=8)
+                assert F.jumps() and not smooth.jumps()
+                for integrator in (F, smooth):
+                    gs = list(self.members(rng, dim, a, b, top))
+                    gs = [gs[i] for i in rng.permutation(len(gs))]
+                    c, d = np.sort(rng.choice(np.concatenate(
+                        [integrator.grid, rng.uniform(a, b, 4)]), 2, replace=False))
+                    for orientation in ("dFg", "Fdg"):
+                        for lo, hi in ((a, b), (float(c), float(d))):
+                            together = _engine(integrator, gs, orientation, lo, hi)
+                            assert len(together) == len(gs)
+                            for g, got in zip(gs, together):
+                                _same_result(got, _engine(integrator, [g], orientation, lo, hi)[0])
+
+    def test_one_integrand_is_the_reference(self, rng):
+        """The one-integrand case is what ``ks_dFg`` and ``ks_Fdg`` return,
+        and the per-piece loop's bits."""
+        F = _engine_function(rng, "operator", 2, 0.0, 1.0, 12, 8)
+        g = _engine_function(rng, "vector", 2, 0.0, 1.0, 9, 8)
+        _same_result(_engine(F, [g], "dFg", 0.0, 1.0)[0], _ref_ks(F, g, "dFg"))
+        _same_result(_engine(F, [g], "Fdg", 0.0, 1.0)[0], _ref_ks(F, g, "Fdg"))
+
+    def test_every_pair_checked(self):
+        F = scaled_identity((0.0, 1.0), [0.0, 1.0])
+        good = polynomial((0.0, 1.0), [0.0, 1.0])
+        for bad in (polynomial((0.0, 2.0), [0.0, 1.0]), polynomial((0.0, 1.0), [[0.0, 1.0]])):
+            with pytest.raises(DimensionMismatchError):
+                _engine(F, [good, bad], "dFg", 0.0, 1.0)
+
+    def test_running_sum_by_groups(self, rng):
+        """Group sums of the padded layout equal a loop from 0.0 per group,
+        -0.0 terms and groups of one included."""
+        for _ in range(50):
+            lengths = rng.integers(1, 9, size=int(rng.integers(1, 7)))
+            terms = np.where(rng.random((int(lengths.sum()), 3)) < 0.2, -0.0,
+                             rng.uniform(-1.0, 1.0, (int(lengths.sum()), 3)) * 10.0**rng.integers(-8, 9))
+            got = _poly.running_sum(terms, lengths=lengths)
+            stop = 0
+            for i, n in enumerate(lengths.tolist()):
+                start, stop = stop, stop + n
+                want = np.zeros(3)
+                for row in terms[start:stop]:
+                    want = want + row
+                assert got[i].tobytes() == want.tobytes()

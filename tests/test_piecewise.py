@@ -1084,6 +1084,26 @@ class TestSupNorm:
                             got, want = f.sup_norm(region), _sup_norm_reference(f, region)
                             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
+    def test_constant_pieces(self, rng):
+        """Constant pieces (one coefficient) take their norms in one pass;
+        mixed with non-constant ones, padded constants and break
+        functions, the supremum is the per-piece walk's."""
+        for kind in ("vector", "operator"):
+            for dim in (1, 3):
+                vshape = (dim,) if kind == "vector" else (dim, dim)
+                for a, b in ((0.0, 1.0), (-3.5, -1.25)):
+                    grid = np.unique(np.concatenate([[a], rng.uniform(a, b, 15), [b]]))
+                    coeffs = [rng.uniform(-1, 1, (int(rng.choice([1, 1, 3])),) + vshape)
+                              for _ in grid[1:]]
+                    coeffs[0] = np.concatenate([coeffs[0][:1], np.zeros((2,) + vshape)])
+                    mixed = PiecewiseFunction(grid, coeffs,
+                                              rng.uniform(-1, 1, (grid.size,) + vshape))
+                    fb = jordan_decompose(mixed)[1]
+                    for f in (mixed, fb):
+                        for region in self.regions(rng, f):
+                            got, want = f.sup_norm(region), _sup_norm_reference(f, region)
+                            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_spans_within_match_the_clipped_pieces(self, rng):
         f = _random_function(rng, "vector", 1, 40, -3.5, -1.25)
         pts = np.concatenate([f.grid, rng.uniform(f.a, f.b, 30)])
@@ -1134,3 +1154,60 @@ class TestDegreeCap:
         assert f(0.5)[0] == 0.5**11
         g = PiecewiseFunction([0.0, 1.0], [np.zeros((12, 1)) + 1.0], [[0.0], [0.0]])
         assert g.limit_left(1.0)[0] == 12.0
+
+
+def _same_columns(f, ref):
+    """Grid, node values, block, piece lengths and patterns byte for byte."""
+    for name in ("grid", "nodes", "_block", "_lens", "_pattern"):
+        got, want = getattr(f, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestStepIsConstantRestricted:
+    """``step`` builds in one constructor call what
+    ``constant(domain, value).restrict(region)`` gives, byte for byte."""
+
+    @staticmethod
+    def region(rng, a, b):
+        points = np.concatenate([[a, b], a + (b - a) * np.arange(1, 4) / 4.0,
+                                 rng.uniform(a, b, 3)])
+        parts = []
+        for _ in range(int(rng.integers(1, 5))):
+            lo, hi = np.sort(rng.choice(points, 2))
+            if lo == hi or rng.random() < 0.15:
+                parts.append(Interval.at(float(lo)))
+            else:
+                parts.append(Interval(float(lo), float(hi), bool(rng.random() < 0.5),
+                                      bool(rng.random() < 0.5)))
+        return ElementarySet.of(*parts) if rng.random() < 0.8 else parts[0]
+
+    def test_random_regions(self, rng):
+        for a, b in ((0.0, 1.0), (-3.5, -1.25), (1e3, 1e3 + 2.0), (-1.0, 0.0)):
+            for _ in range(60):
+                dim = int(rng.integers(1, 4))
+                shape = [(), (dim,), (dim, dim)][int(rng.integers(3))]
+                value = np.where(rng.random(shape) < 0.3, -0.0, rng.uniform(-2, 2, shape))
+                region = self.region(rng, a, b)
+                _same_columns(step((a, b), region, value),
+                              constant((a, b), value).restrict(region))
+
+    def test_whole_domain_and_ends(self):
+        for region in (Interval.closed(0.0, 1.0), Interval.open(0.0, 1.0), Interval.at(0.0),
+                       Interval.at(1.0), ElementarySet.of(), Interval(0.0, 0.5, False, True)):
+            for value in (1.0, -0.0, [0.0, -0.0], [[1.0, -0.0], [0.0, 2.0]]):
+                _same_columns(step((0.0, 1.0), region, value),
+                              constant((0.0, 1.0), value).restrict(region))
+
+    def test_errors_as_constant_then_restrict(self):
+        """The value is checked before the region, as ``constant`` runs
+        before ``restrict``."""
+        outside = Interval.closed(-1.0, 0.5)
+        for value, region in ((1.0, outside), (np.nan, outside), (np.nan, Interval.at(0.5)),
+                              (np.ones((2, 3)), outside)):
+            raised = []
+            for build in (step, lambda d, r, v: constant(d, v).restrict(r)):
+                with pytest.raises((DomainError, ValueError)) as caught:
+                    build((0.0, 1.0), region, value)
+                raised.append((type(caught.value), str(caught.value)))
+            assert raised[0] == raised[1]

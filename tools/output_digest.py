@@ -6,7 +6,9 @@ included), both engine orientations, interval integrals, variation and the
 bounded-convergence harness.  On further pairs it digests suprema over
 random regions (kind ``sup_norm``) and variation, interval integrals and
 bounds on intervals whose ends are grid points, with every closure pattern
-(kind ``grid_ends``).  It also digests the oracle's fine divisions at
+(kind ``grid_ends``), every member's integral in bounded-convergence
+runs of all four families (kind ``convergence.members``) and indicator
+functions (kind ``step``).  It also digests the oracle's fine divisions at
 levels 0-16, ``oracle_integral`` on small pairs with its levels, budget and
 tolerance varied, and the forcing, constant and minimum gauges.  It prints
 one line per output kind: the number of items and a sha256 over their
@@ -220,6 +222,72 @@ def digest_closures(ks, seed, out: Digest):
                                               ks.estimate_bound(F, g, interval)])
 
 
+def convergence_report(r):
+    return [[e.integral for e in r.entries], r.errors, r.integral_limit]
+
+
+def digest_members(ks, seed, out: Digest):
+    """Every member's integral, the errors and the limit integral of
+    bounded-convergence runs of all four families against integrators
+    with jumps: power and spike (dim 1), truncations of random break
+    functions and custom families ``limit + bump / n`` with jumps (dims 1-3)."""
+    rng = np.random.default_rng([seed, 23])
+    for a, b in DOMAINS:
+        for _ in range(PAIRS // 4):
+            dim = int(rng.integers(1, 4))
+            F1 = random_function(ks, rng, "operator", 1, a, b)
+            F = random_function(ks, rng, "operator", dim, a, b)
+            ns = sorted(rng.choice(np.arange(1, 65), size=int(rng.integers(1, 9)),
+                                   replace=False).tolist())
+            center = float(rng.choice([a, b, float(rng.uniform(a, b))]))
+            spike = ks.SequenceFamily.spike((a, b), center, float(rng.uniform(-4.0, 4.0)))
+            out.add("convergence.members",
+                    lambda: convergence_report(ks.run_bounded_convergence(F1, spike, ns, 0.1)))
+            if (a, b) == (0.0, 1.0):
+                power = ks.SequenceFamily.power()
+                out.add("convergence.members",
+                        lambda: convergence_report(ks.run_bounded_convergence(F1, power, ns, 0.1)))
+            fb = ks.jordan_decompose(random_function(ks, rng, "vector", dim, a, b))[1]
+            points = [rec.t for rec in fb.jumps()]
+            if points:
+                order = rng.permutation(points).tolist()
+                kept = sorted(rng.choice(np.arange(1, len(order) + 1),
+                                         size=min(len(order), 3), replace=False).tolist())
+                family = ks.SequenceFamily.truncation(fb, order)
+                out.add("convergence.members",
+                        lambda: convergence_report(ks.run_bounded_convergence(F, family, kept, 0.1)))
+            limit = random_function(ks, rng, "vector", dim, a, b)
+            bump = random_function(ks, rng, "vector", dim, a, b)
+            members = [ks.lincomb(1.0, limit, 1.0 / n, bump) for n in range(1, 9)]
+            bound = max(f.sup_norm() for f in members + [limit]) + 1.0
+            custom = ks.SequenceFamily.custom(members, limit, bound)
+            picked = sorted(rng.choice(np.arange(1, 9), size=4, replace=False).tolist())
+            out.add("convergence.members",
+                    lambda: convergence_report(ks.run_bounded_convergence(F, custom, picked, 0.1)),
+                    message=True)
+
+
+def digest_step(ks, seed, out: Digest):
+    """Indicators of random regions (degenerate parts, every closure, parts
+    touching ``a`` or ``b`` or on a coarse lattice) times scalar, vector
+    and operator values with -0.0 entries, and regions outside the domain."""
+    rng = np.random.default_rng([seed, 29])
+    for a, b in DOMAINS:
+        points = np.concatenate([[a, b], a + (b - a) * np.arange(1, 8) / 8.0])
+        for _ in range(PAIRS):
+            dim = int(rng.integers(1, 4))
+            shape = [(), (dim,), (dim, dim)][int(rng.integers(3))]
+            value = np.where(rng.random(shape) < 0.2, -0.0, rng.uniform(-2.0, 2.0, shape))
+            parts = [grid_interval(ks, rng, points, a, b) if rng.random() < 0.5
+                     else random_interval(ks, rng, a, b) for _ in range(int(rng.integers(1, 4)))]
+            region = ks.ElementarySet.of(*parts)
+            out.add("step", lambda: fn(ks.step((a, b), region, value)), message=True)
+            out.add("step", lambda: fn(ks.step((a, b), parts[0], value)), message=True)
+        wide = ks.Interval.closed(a - 1.0, b)
+        out.add("step", lambda: fn(ks.step((a, b), wide, 1.0)), message=True)
+        out.add("step", lambda: fn(ks.step((a, b), wide, np.nan)), message=True)
+
+
 def forced_sets(rng, a, b):
     """Random, clustered (gaps of 1e-9 of the span), on level-4 mesh nodes,
     ends-only and adjacent-float forced sets, unsorted and without the
@@ -324,6 +392,8 @@ def main(argv=None):
             digest_closures(ks, seed, out)
             digest_oracle(ks, seed, out)
             digest_gauges(ks, seed, out)
+            digest_members(ks, seed, out)
+            digest_step(ks, seed, out)
     print(f"# kstieltjes from {Path(ks.__file__).parent}")
     print("\n".join(out.lines()))
 
