@@ -218,7 +218,7 @@ def run_bounded_convergence(F: PiecewiseFunction, family: SequenceFamily,
                 f"uniform bound {family.bound}")
     _check_pointwise(realized, family.limit)
     limit, *members = _engine(F, [family.limit] + [g_n for _, g_n in realized],
-                              "dFg", F.a, F.b)
+                              "dFg", [F.domain])
     integral_limit = limit.value
     values = [result.value for result in members]
     # row by row what sup_norm(value - integral_limit) gives: a max is exact

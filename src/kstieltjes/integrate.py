@@ -1,32 +1,27 @@
 """Closed-form Kurzweil-Stieltjes integration for representable functions.
 
-One kernel evaluates ``integral d[F] g`` and ``integral F d[g]`` over
-``[c, d]`` as whole-array expressions.  The merged grid of ``F`` and
-``g``, cut to ``[c, d]``, splits it into pieces on which both functions
-are single polynomials:
+One kernel evaluates ``integral d[F] g`` and ``integral F d[g]`` over the
+parts of an elementary set (one interval, or the domain) as whole-array
+expressions.  The merged grid of ``F``, ``g`` and the part ends splits the
+parts into pieces on which both functions are single polynomials:
 
 * the continuous part is the exact integral over each piece of the
   product with the orientation's factor differentiated (``F'(t) g~(t)``
   or ``F~(t) g'(t)``; isolated node values do not matter against a
   continuous factor), one block expression for all pieces;
-* the break part applies each jump ``H(t+) - H(t-)`` of the
-  differentiated function ``H`` to the other function's value there, one
-  stacked ``matmul`` for all jumps; at ``c`` only the right jump counts
-  and at ``d`` only the left one, so the full jump at ``a`` is the right
-  jump and at ``b`` the left jump.
+* the break part applies the jumps of the differentiated function to the
+  other function's values, one stacked ``matmul``.  On a part from ``c``
+  to ``d`` the kernel takes both jumps inside, the right jump at ``c`` and
+  the left jump at ``d``; the closure rule then corrects each end: a
+  closed end adds its outer jump and an open end takes away its inner
+  one, so a point part gets its full jump.
 
-Each part adds its per-piece or per-jump terms in sequence from zero, so
-the result equals a loop over the pieces bit for bit.  The kernel takes a
-sequence of integrands against one integrator: the merged pieces of every
-pair go through the one block expression, and each integrand's terms are
-added apart, so a bounded-convergence run integrates the limit and all its
-members in one pass, each with the bits of a call of its own.  Integrals over
-arbitrary intervals add to the kernel over ``[c, d]`` the jump corrections
-dictated by which endpoints the interval contains; integrals over
-elementary sets sum those over the minimal decomposition.  Both routes —
-corrections versus multiplying the integrand by the indicator and
-integrating over the whole domain — agree, and the test suite checks the
-equality.  Both orientations return vectors.
+Each part sums its pieces' terms in sequence from zero, its kernel's jump
+terms likewise plus its two closure terms, and the parts add in order from
+zero: the result equals a loop over the parts and pieces bit for bit.  The
+terms of a sequence of integrands are added apart, so a bounded-convergence
+run integrates the limit and its members in one pass.  Both orientations
+return vectors.
 """
 
 from __future__ import annotations
@@ -60,10 +55,9 @@ class IntegralResult:
 @dataclass(frozen=True)
 class SaksCorrections:
     """The two side corrections relating the integral over ``[c, d]`` to
-    the integral from ``c`` to ``d``: the left jump of the integrator at
-    ``c`` and its right jump at ``d``, each applied to the integrand value
-    there.  Recorded for documentation; no Lebesgue-Stieltjes integral is
-    computed."""
+    the integral from ``c`` to ``d``: the integrator's left jump at ``c``
+    and right jump at ``d`` applied to the integrand there (no
+    Lebesgue-Stieltjes integral is computed)."""
 
     at_lower: np.ndarray
     at_upper: np.ndarray
@@ -81,21 +75,46 @@ def check_pair(f_op: PiecewiseFunction, g_vec: PiecewiseFunction):
         raise DimensionMismatchError("functions live on different domains")
 
 
-def _jumps_within(H: PiecewiseFunction, c: float, d: float):
-    """The points where ``H`` clipped to ``[c, d]`` jumps, and its jump
-    there from ``H``'s table: both sides inside, ``0.0 +`` the right jump
-    at ``c`` and the left jump ``+ 0.0`` at ``d``; ``None`` if it has no
-    jump."""
+# The (left, right) jump weights of a part's three end terms, by its closure code: the
+# kernel's at ``hi`` where the next part starts, then the closure rule's at ``lo`` and ``hi``.
+_END_WEIGHTS = np.array([[[1, 0], [0, -1], [-1, 0]], [[1, 0], [1, 0], [-1, 0]],
+                         [[1, 0], [0, -1], [0, 1]], [[1, 0], [1, 0], [0, 1]]]
+                        + [[[0, 0]] * 3] * 3 + [[[0, 0], [1, 1], [0, 0]]], float).transpose(1, 0, 2)
+
+
+def _closure_jumps(H: PiecewiseFunction, bounds: np.ndarray):
+    """The jumps of ``H`` over the parts ``bounds`` (rows ``lo``, ``hi`` and
+    the closure code ``lo_closed + 2 hi_closed``, 7 for a point), or ``None``
+    if none counts: their points and values, the number of kernel terms on
+    each part and where the ``(3, parts)`` end terms are (``None`` for none,
+    as over the domain, where ``a`` and ``b`` have no outer jump).  Kernel
+    terms come first, in grid order: on each part both jumps inside, ``0.0
+    +`` the right jump at ``lo`` and the left jump ``+ 0.0`` at ``hi``,
+    unless the next part starts at ``hi``: that one is an end term."""
     minus, plus, norm_minus, norm_plus = H._jump_table()
-    rows = H._grid_slice(c, d)
-    t = H.grid[rows]
-    left, right = t > c, t < d
-    at = ((left & (norm_minus[rows] > 0.0)) | (right & (norm_plus[rows] > 0.0))).nonzero()[0]
-    if not at.size:
-        return None
-    axes = (-1,) + (1,) * len(H.vshape)
-    return t[at], (np.where(left[at].reshape(axes), minus[rows][at], 0.0)
-                   + np.where(right[at].reshape(axes), plus[rows][at], 0.0))
+    lo, hi, code = bounds[:, 0], bounds[:, 1], bounds[:, 2]
+    span = H._grid_slice(lo[0], hi[-1])
+    t = H.grid[span]
+    part = lo.searchsorted(t, "right") - 1  # the last part starting at or before t
+    left, right = t > lo[part], t < hi[part]
+    at = ((left & (t <= hi[part]) & (norm_minus[span] > 0.0))
+          | (right & (norm_plus[span] > 0.0))).nonzero()[0]
+    rows, live, axes = span.start + at, None, (-1,) + (1,) * len(H.vshape)
+    jump = (np.where(left[at].reshape(axes), minus[rows], 0.0)
+            + np.where(right[at].reshape(axes), plus[rows], 0.0))
+    if not (lo.size == 1 and code[0] == 3 and lo[0] == H.a and hi[0] == H.b):
+        points = np.concatenate([hi, lo, hi])
+        ends = H.grid.searchsorted(points)
+        weights = _END_WEIGHTS[:, code.astype(int)] * (H.grid[ends] == points).reshape(3, -1, 1)
+        weights[0] *= np.append(hi[:-1] == lo[1:], False)[:, np.newaxis]
+        wl, wr = weights.reshape(-1, 2).T
+        live = wl * norm_minus[ends] + wr * norm_plus[ends] != 0.0
+        ends, wl, wr = ends[live], wl[live].reshape(axes), wr[live].reshape(axes)
+        rows = np.concatenate([rows, ends])
+        jump = np.concatenate([jump, np.where(wl, wl * minus[ends], 0.0)
+                               + np.where(wr, wr * plus[ends], 0.0)])
+    return (H.grid[rows], jump, np.bincount(part[at], minlength=lo.size).tolist(), live
+            ) if rows.size else None
 
 
 def _joined(arrays: list) -> np.ndarray:
@@ -103,21 +122,29 @@ def _joined(arrays: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _engine(F: PiecewiseFunction, gs, orientation: str,
-            c: float, d: float) -> list[IntegralResult]:
+def _engine(F: PiecewiseFunction, gs, orientation: str, parts) -> list[IntegralResult]:
     """``integral d[F] g`` (``"dFg"``) or ``integral F d[g]`` (``"Fdg"``)
-    from ``c`` to ``d`` for every integrand ``g`` of the sequence ``gs``,
-    each bit for bit what the per-piece loop gives on ``F`` and ``g``
-    clipped to ``[c, d]`` (see the module docstring).  The merged pieces of
-    every pair go through one block expression, their rows of ``g``
-    zero-padded to the longest."""
+    over the sorted disjoint intervals ``parts`` for every integrand ``g``
+    of the sequence ``gs``, each bit for bit the loop over the parts and
+    pieces (see the module docstring).  The merged pieces of every pair go
+    through one block expression, their rows of ``g`` zero-padded to the
+    longest; the integrator's jumps are shared by all integrands."""
     for g in gs:
         check_pair(F, g)
-    dFg = orientation == "dFg"
-    head = np.concatenate([[c, d], F.grid[F._grid_slice(c, d)]])
+    n, vshape, P = len(gs), gs[0].vshape, len(parts)
+    if not parts:
+        return [IntegralResult(np.zeros(vshape), np.zeros(vshape), np.zeros(vshape)) for _ in gs]
+    a, b = F.a, F.b
+    if parts[0].lo < a or parts[-1].hi > b:  # the parts are sorted
+        part = next(p for p in parts if p.lo < a or p.hi > b)
+        raise DomainError(f"{part} is not inside [{a}, {b}]")
+    bounds = np.array([(p.lo, p.hi, p.lo_closed + 2 * p.hi_closed + 4 * (p.lo == p.hi))
+                       for p in parts])
+    cuts = bounds[:, :2].ravel()
+    head = np.concatenate([cuts, F.grid[F._grid_slice(cuts[0], cuts[-1])]])
     los, his, mids, rows = [], [], [], []
     for g in gs:
-        pts = np.concatenate([head, g.grid[g._grid_slice(c, d)]])
+        pts = np.concatenate([head, g.grid[g._grid_slice(cuts[0], cuts[-1])]])
         pts.sort()
         grid = pts[np.concatenate([[True], pts[1:] > pts[:-1]])]
         los.append(grid[:-1])
@@ -126,43 +153,58 @@ def _engine(F: PiecewiseFunction, gs, orientation: str,
         rows.append(g._block[g._pieces_of(mids[-1])])
     counts = [len(lo) for lo in los]
     lo, hi, mids = _joined(los), _joined(his), _joined(mids)
-    widths = [r.shape[1] for r in rows]
-    if min(widths) == max(widths):
-        cg = _joined(rows)
-    else:
-        cg = np.zeros((lo.size, max(widths)) + gs[0].vshape)
-        for start, r in zip(np.cumsum([0] + counts).tolist(), rows):
-            cg[start:start + len(r), :r.shape[1]] = r
-    cF = F._block[F._pieces_of(mids)]
-    if dFg:
-        prod = _poly.matvec_conv(_poly.polyder(cF, axis=1), cg)
-    else:
-        prod = _poly.matvec_conv(cF, _poly.polyder(cg, axis=1))
-    conts = _poly.running_sum(_poly.defint(prod, lo, hi), lengths=counts)
-    jumps = np.zeros(conts.shape)
-    shared = _jumps_within(F, c, d) if dFg else None
+    width = max(r.shape[1] for r in rows)
+    cg = _joined([np.concatenate([r, np.zeros((len(r), width - r.shape[1]) + vshape)], axis=1)
+                  if r.shape[1] < width else r for r in rows])
+    if P > 1:  # drop the pieces between parts, group the rest by integrand and part
+        slot = cuts.searchsorted(mids, "right") - 1
+        inside = slot % 2 == 0
+        group = (np.repeat(np.arange(n), counts) * P + slot // 2)[inside]
+        lo, hi, mids, cg = lo[inside], hi[inside], mids[inside], cg[inside]
+        counts = np.bincount(group, minlength=n * P)
+    cF, dFg = F._block[F._pieces_of(mids)], orientation == "dFg"
+    prod = (_poly.matvec_conv(_poly.polyder(cF, axis=1), cg) if dFg
+            else _poly.matvec_conv(cF, _poly.polyder(cg, axis=1)))
+    conts = _poly.running_sum(_poly.defint(prod, lo, hi), lengths=counts).reshape((n, P) + vshape)
+    kernel, lengths, edge = [], [], None
+    shared = _closure_jumps(F, bounds) if dFg else None
     for i, g in enumerate(gs):
-        within = shared if dFg else _jumps_within(g, c, d)
-        if within:
-            t, full = within
-            # contiguous values: a stacked matmul over a strided view sums in
-            # another order than one matmul per point
-            vals = np.ascontiguousarray(np.moveaxis((g if dFg else F).eval_many(t), -1, 0))
-            terms = full @ vals[..., np.newaxis] if dFg else vals @ full[..., np.newaxis]
-            jumps[i] = _poly.running_sum(terms[..., 0])
+        table = shared if dFg else _closure_jumps(g, bounds)
+        if not table:
+            lengths.append([0] * P)
+            continue
+        t, jump, counts, live = table
+        # contiguous values: a stacked matmul over a strided view sums in
+        # another order than one matmul per point
+        vals = (g if dFg else F).eval_many(t)
+        vals = np.ascontiguousarray(vals.transpose((-1,) + tuple(range(vals.ndim - 1))))
+        terms = (jump @ vals[..., np.newaxis] if dFg else vals @ jump[..., np.newaxis])[..., 0]
+        kernel.append(terms[:sum(counts)])
+        lengths.append(counts)
+        if live is not None:
+            edge = np.zeros((n, 3 * P) + vshape) if edge is None else edge
+            edge[i, live] = terms[sum(counts):]
+    jumps = (_poly.running_sum(_joined(kernel), lengths=_joined(lengths)).reshape((n, P) + vshape)
+             if kernel else np.zeros((n, P) + vshape))
+    if edge is not None:  # each part's kernel sum, its end terms added last
+        edge = edge.reshape((n, 3, P) + vshape)
+        jumps = jumps + edge[:, 0] + ((0.0 + edge[:, 1]) + edge[:, 2])
+    # the parts in order, both contributions side by side
+    conts, jumps = (np.split(_poly.running_sum(np.concatenate([conts, jumps], -1), axis=1), 2, -1)
+                    if P > 1 else (conts[:, 0], jumps[:, 0]))
     return list(map(IntegralResult, conts + jumps, conts, jumps))
 
 
 def ks_dFg(F: PiecewiseFunction, g: PiecewiseFunction) -> IntegralResult:
     """``integral_a^b d[F] g`` for an operator integrator and vector
     integrand on a common domain."""
-    return _engine(F, [g], "dFg", F.a, F.b)[0]
+    return _engine(F, [g], "dFg", [F.domain])[0]
 
 
 def ks_Fdg(F: PiecewiseFunction, g: PiecewiseFunction) -> IntegralResult:
     """``integral_a^b F d[g]``: the operator applied to the increments of
     ``g``.  Returns a vector like the other orientation."""
-    return _engine(F, [g], "Fdg", F.a, F.b)[0]
+    return _engine(F, [g], "Fdg", [F.domain])[0]
 
 
 def integral_over_point(F: PiecewiseFunction, g: PiecewiseFunction,
@@ -177,73 +219,34 @@ def integral_over_point(F: PiecewiseFunction, g: PiecewiseFunction,
     return F.jump_at(t).jump_full @ g(t)
 
 
-def _interval_result(F: PiecewiseFunction, g: PiecewiseFunction,
-                     interval: Interval) -> IntegralResult:
-    if interval.lo < F.a or interval.hi > F.b:
-        raise DomainError(f"{interval} is not inside [{F.a}, {F.b}]")
-    if interval.is_degenerate:
-        point_value = integral_over_point(F, g, interval.lo)
-        return IntegralResult(value=point_value,
-                              continuous_contribution=np.zeros(g.vshape),
-                              jump_contribution=point_value)
-    c, d = interval.lo, interval.hi
-    base = _engine(F, [g], "dFg", c, d)[0]
-    corr = np.zeros(g.vshape)
-    if interval.lo_closed:
-        corr = corr + F.jump_at(c).jump_minus @ g(c)
-    else:
-        corr = corr - F.jump_at(c).jump_plus @ g(c)
-    if interval.hi_closed:
-        corr = corr + F.jump_at(d).jump_plus @ g(d)
-    else:
-        corr = corr - F.jump_at(d).jump_minus @ g(d)
-    jump = base.jump_contribution + corr
-    return IntegralResult(base.continuous_contribution + jump,
-                          base.continuous_contribution, jump)
-
-
 def integral_over_interval(F: PiecewiseFunction, g: PiecewiseFunction,
                            interval: Interval) -> np.ndarray:
-    """Integral of ``g`` against ``d[F]`` over an arbitrary subinterval.
-
-    Computed as the plain integral from ``c`` to ``d`` (the kernel over
-    ``[c, d]``) plus the jump corrections selected by the interval's
-    openness: a closed lower end adds the left jump of ``F`` at ``c``
-    applied to ``g(c)``, an open lower end subtracts the right jump there,
-    and symmetrically at ``d``.  Equals integrating ``g`` times the
-    interval's indicator over the whole domain.
-
-    Raises ``DimensionMismatchError`` if ``F`` and ``g`` live on different
-    domains, for every interval (API change: a non-degenerate interval
-    used to be integrated on the functions clipped to it).
-    """
-    return _interval_result(F, g, interval).value
+    """Integral of ``g`` against ``d[F]`` over an arbitrary subinterval:
+    the kernel over it with its closure rule (see the module docstring),
+    or :func:`integral_over_point` for a degenerate one.  Raises
+    ``DimensionMismatchError`` for a mismatched pair, for every interval,
+    before ``DomainError`` for an interval outside the domain."""
+    if interval.is_degenerate:
+        return integral_over_point(F, g, interval.lo)
+    return _engine(F, [g], "dFg", [interval])[0].value
 
 
 def integral_over_elementary(F: PiecewiseFunction, g: PiecewiseFunction,
                              region: ElementarySet) -> IntegralResult:
     """Integral over an elementary set: the sum of the interval integrals
-    over the minimal decomposition."""
-    check_pair(F, g)
-    result = IntegralResult(np.zeros(g.vshape), np.zeros(g.vshape),
-                            np.zeros(g.vshape))
-    for part in region.parts:
-        result = result + _interval_result(F, g, part)
-    return result
+    over its parts, in one kernel pass.  Raises ``DimensionMismatchError``
+    for a mismatched pair before ``DomainError``, which names the first
+    part outside the domain."""
+    return _engine(F, [g], "dFg", region.parts)[0]
 
 
 def estimate_bound(F: PiecewiseFunction, g: PiecewiseFunction,
                    interval: Interval) -> float:
-    """A priori bound on ``||integral over the interval||``.
-
-    The bound is the variation of ``F`` over the interval times the
-    supremum of ``||g||`` there, plus ``||jump_minus of F at c|| ||g(c)||``
-    when the lower end is closed and ``||jump_plus of F at d|| ||g(d)||``
-    when the upper end is closed.  Open ends contribute no correction.
-    """
-    check_pair(F, g)
-    if interval.lo < F.a or interval.hi > F.b:
-        raise DomainError(f"{interval} is not inside [{F.a}, {F.b}]")
+    """A priori bound on ``||integral over the interval||``: the variation
+    of ``F`` over it times the supremum of ``||g||`` there, plus
+    ``||jump_minus of F at c|| ||g(c)||`` if the lower end is closed and
+    ``||jump_plus of F at d|| ||g(d)||`` if the upper end is closed."""
+    check_pair(F, g)  # var_interval refuses an interval outside the domain
     bound = var_interval(F, interval).total * g.sup_norm(interval)
     if interval.lo_closed:
         bound += F.jump_at(interval.lo).norm_minus * norm_of(g(interval.lo))
@@ -254,14 +257,10 @@ def estimate_bound(F: PiecewiseFunction, g: PiecewiseFunction,
 
 def estimate_bound_elementary(F: PiecewiseFunction, g: PiecewiseFunction,
                               region: ElementarySet) -> float:
-    """Bound ``var(F, E) * sup_E ||g||`` for the elementary-set integral.
-
-    Valid as an estimate when the integrator is continuous (its jumps
-    would otherwise need the per-part endpoint corrections).
-    """
+    """Bound ``var(F, E) * sup_E ||g||`` for the elementary-set integral,
+    valid when the integrator is continuous (its jumps would otherwise
+    need the per-part endpoint corrections)."""
     check_pair(F, g)
-    if region.is_empty:
-        return 0.0
     return var_elementary(F, region).total * g.sup_norm(region)
 
 

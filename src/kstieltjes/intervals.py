@@ -42,7 +42,7 @@ class Interval:
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-        if not np.isfinite(self.lo) or not np.isfinite(self.hi):
+        if not (abs(self.lo) < np.inf and abs(self.hi) < np.inf):  # NaN fails too
             raise ValueError("interval endpoints must be finite")
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")

@@ -26,6 +26,7 @@ identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -156,7 +157,7 @@ class PiecewiseFunction:
     def b(self) -> float:
         return float(self.grid[-1])
 
-    @property
+    @cached_property
     def domain(self) -> Interval:
         return Interval.closed(self.a, self.b)
 
@@ -231,9 +232,9 @@ class PiecewiseFunction:
         if srt.size and not (srt[0] >= self.a and srt[-1] <= self.b):  # NaN sorts last
             raise DomainError("evaluation points outside the domain")
         # grid point k owns srt[lo[k]:hi[k]], piece j owns srt[hi[j]:lo[j + 1]]
-        lo = np.searchsorted(srt, self.grid, side="left")
-        hi = np.searchsorted(srt, self.grid, side="right")
-        touched = np.flatnonzero(lo[1:] > hi[:-1])
+        lo = srt.searchsorted(self.grid, side="left")
+        hi = srt.searchsorted(self.grid, side="right")
+        touched = (lo[1:] > hi[:-1]).nonzero()[0]
         vals = np.empty(self.vshape + srt.shape)
         if touched.size**2 > srt.size:
             # more touched pieces than points per piece: write every grid
@@ -249,7 +250,7 @@ class PiecewiseFunction:
                 _poly.polyval(self._block[j], srt[~on, np.newaxis], self._pattern[j])[..., 0],
                 0, -1)
         else:
-            hits = np.flatnonzero(hi > lo).tolist()
+            hits = (hi > lo).nonzero()[0].tolist()
             lo, hi = lo.tolist(), hi.tolist()  # Python ints slice faster
             for k in hits:
                 vals[..., lo[k]:hi[k]] = self.nodes[k][..., np.newaxis]

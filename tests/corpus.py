@@ -195,3 +195,20 @@ def random_elementary(rng, a=0.0, b=1.0, max_parts=3) -> ElementarySet:
                                   bool(rng.random() < 0.5),
                                   bool(rng.random() < 0.5)))
     return ElementarySet.of(*parts)
+
+
+def random_region(rng, points, parts) -> ElementarySet:
+    """Up to ``parts`` parts cut at sorted draws from ``points``: neighbours
+    abut, often at two open ends, and some parts are dropped or shrunk to a
+    point (the minimal decomposition merges what touches)."""
+    cuts = np.unique(rng.choice(points, 4 * parts + 4)).tolist()
+    out = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        r = rng.random()
+        if r < 0.25:
+            continue
+        if r < 0.4:
+            out.append(Interval.at(lo if rng.random() < 0.5 else hi))
+        else:
+            out.append(Interval(lo, hi, bool(rng.random() < 0.3), bool(rng.random() < 0.3)))
+    return ElementarySet(ElementarySet.of(*out).parts[:parts])

@@ -11,6 +11,16 @@ the sum running over the union of both grids.  The right side uses only
 node values and the jump tables, so the identity ties the engine's shared
 kernel to quantities computed elsewhere, at any number of pieces.
 
+Over an interval ``I`` with ends ``c <= d`` the same identity reads
+
+    int_I F d[g] + int_I d[F] g
+        = F(d*) g(d*) - F(c*) g(c*) + sum_{t in I} (D-F D-g - D+F D+g)(t),
+
+with ``d* = d+`` if ``d`` is in ``I`` and ``d-`` otherwise, ``c* = c-``
+if ``c`` is in ``I`` and ``c+`` otherwise (``f(a-) = f(a)`` and
+``f(b+) = f(b)``).  Over an elementary set it holds summed over the
+parts, and the kernel takes all parts in one call.
+
 The tolerance is an a priori rounding bound fixed before any residual was
 measured.  With ``u`` the unit roundoff of float64 and
 ``gamma(k) = k u / (1 - k u)``, each side is a sum of ``N = n + J + 2``
@@ -19,14 +29,17 @@ is formed with at most ``k = 4 K + 8`` roundings, ``K`` the longest
 product polynomial.  With ``R = max(1, |a|, |b|)`` and
 ``A_f = max(max node norm, max over pieces of sum_j (j + 1) ||c_j|| R**j)``,
 every term is at most ``T = 4 K R A_F A_g`` in norm, so each side is off
-by at most ``gamma(k + N) N T`` and the residual by twice that.
+by at most ``gamma(k + N) N T`` and the residual by twice that.  Over
+``P`` parts each part adds at most two merged pieces, three jump terms,
+two end terms on the right side, and its sum, so ``N`` grows by ``8 P``.
 """
 
 import numpy as np
 import pytest
 
 import corpus
-from kstieltjes import PiecewiseFunction, ks_Fdg, ks_dFg
+from kstieltjes import ElementarySet, Interval, PiecewiseFunction, ks_Fdg, ks_dFg
+from kstieltjes.integrate import _engine
 from kstieltjes.norms import norm_of, row_norms
 
 U = np.finfo(float).eps / 2
@@ -44,12 +57,12 @@ def _size(f, r):
     return max(float(np.max(norms @ weights)), float(np.max(row_norms(f.nodes))))
 
 
-def _tolerance(F, g):
+def _tolerance(F, g, parts=0):
     a, b = F.a, F.b
     r = max(1.0, abs(a), abs(b))
     points = np.union1d(F.grid, g.grid)
     k = 4 * (F._block.shape[1] + g._block.shape[1]) + 8
-    terms = (points.size - 1) + points.size + 2
+    terms = (points.size - 1) + points.size + 2 + 8 * parts
     return 2 * _gamma(k + terms) * terms * 4 * k * r * _size(F, r) * _size(g, r)
 
 
@@ -105,3 +118,56 @@ def test_identity_has_teeth(rng):
     lhs = ks_Fdg(F, g).value + ks_dFg(F, g).value
     flipped = 2 * (F.nodes[-1] @ g.nodes[-1] - F.nodes[0] @ g.nodes[0]) - _by_parts_rhs(F, g)
     assert norm_of(lhs - flipped) > 1e6 * _tolerance(F, g)
+
+
+def _side(f, t, right):
+    """``f(t+)`` or ``f(t-)``, the end value beyond the domain."""
+    if right:
+        return f(t) if t == f.b else f.limit_right(t)
+    return f(t) if t == f.a else f.limit_left(t)
+
+
+def _by_parts_rhs_over(F, g, region, flip=False):
+    """The right side over every part of ``region``; ``flip`` takes each
+    upper end from the wrong side."""
+    total = np.zeros(g.vshape)
+    for part in region.parts:
+        upper, lower = part.hi_closed != flip, not part.lo_closed
+        total = total + (_side(F, part.hi, upper) @ _side(g, part.hi, upper)
+                         - _side(F, part.lo, lower) @ _side(g, part.lo, lower))
+    Fr, gr = F.refine(g.grid), g.refine(F.grid)
+    Fj, gj = Fr._jump_table(), gr._jump_table()
+    inside = region.contains_many(Fr.grid)
+    return total + (np.einsum("kij,kj->i", Fj.minus[inside], gj.minus[inside])
+                    - np.einsum("kij,kj->i", Fj.plus[inside], gj.plus[inside]))
+
+
+def _lhs_over(F, g, region):
+    """Both orientations, each one kernel call over all parts."""
+    return (_engine(F, [g], "Fdg", region.parts)[0].value
+            + _engine(F, [g], "dFg", region.parts)[0].value)
+
+
+@pytest.mark.parametrize("m", [5, 30, 100])
+def test_integration_by_parts_over_sets(rng, m):
+    for F, g in _pairs(rng, m):
+        for parts in (1, int(rng.integers(2, 20)), 60):
+            points = np.concatenate([F.grid, g.grid, rng.uniform(F.a, F.b, 4 * parts), [F.a, F.b]])
+            region = corpus.random_region(rng, points, parts)
+            residual = norm_of(_lhs_over(F, g, region) - _by_parts_rhs_over(F, g, region))
+            tol = _tolerance(F, g, len(region))
+            assert residual <= tol, (m, len(region), residual, tol)
+
+
+def test_identity_over_sets_has_teeth(rng):
+    """The upper ends taken from the wrong side are caught far above the
+    tolerance when both functions jump there."""
+    F = corpus.random_break_function(rng, "operator", 2, n_jumps=8)
+    g = _on_grid(rng, F)
+    ends = F.grid[1:-1]
+    region = ElementarySet.of(Interval(float(ends[0]), float(ends[2]), True, True),
+                              Interval(float(ends[3]), float(ends[5]), False, False))
+    lhs = _lhs_over(F, g, region)
+    assert norm_of(lhs - _by_parts_rhs_over(F, g, region)) <= _tolerance(F, g, 2)
+    flipped = _by_parts_rhs_over(F, g, region, flip=True)
+    assert norm_of(lhs - flipped) > 1e6 * _tolerance(F, g, 2)

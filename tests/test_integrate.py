@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from kstieltjes import (DimensionMismatchError, DomainError, ElementarySet,
                         integral_over_point, ks_Fdg, ks_dFg, lincomb, polynomial,
                         saks_identity_report, scaled_identity, step, sup_norm)
 from kstieltjes import _poly
-from kstieltjes.integrate import _engine, _interval_result
+from kstieltjes import integrate
+from kstieltjes.integrate import _engine
 
 
 def chi_op(lo=0.5, hi=1.0):
@@ -375,31 +378,35 @@ def _ref_ks(F, g, orientation):
     return IntegralResult(cont + jump, cont, jump)
 
 
-def _ref_interval(F, g, interval):
+def _ref_interval(F, g, interval, orientation="dFg"):
     """The whole-domain loop on both functions clipped to the interval,
-    plus the endpoint corrections."""
+    plus the endpoint corrections: the jumps of ``F`` applied to ``g``
+    (``"dFg"``) or ``F`` applied to the jumps of ``g`` (``"Fdg"``)."""
+    def term(jump, t):
+        return jump(F.jump_at(t)) @ g(t) if orientation == "dFg" else F(t) @ jump(g.jump_at(t))
+
     if interval.is_degenerate:
-        point_value = integral_over_point(F, g, interval.lo)
+        point_value = term(lambda rec: rec.jump_full, interval.lo)
         return IntegralResult(point_value, np.zeros(g.vshape), point_value)
     c, d = interval.lo, interval.hi
-    base = _ref_ks(F.clip(c, d), g.clip(c, d), "dFg")
+    base = _ref_ks(F.clip(c, d), g.clip(c, d), orientation)
     corr = np.zeros(g.vshape)
     if interval.lo_closed:
-        corr = corr + F.jump_at(c).jump_minus @ g(c)
+        corr = corr + term(lambda rec: rec.jump_minus, c)
     else:
-        corr = corr - F.jump_at(c).jump_plus @ g(c)
+        corr = corr - term(lambda rec: rec.jump_plus, c)
     if interval.hi_closed:
-        corr = corr + F.jump_at(d).jump_plus @ g(d)
+        corr = corr + term(lambda rec: rec.jump_plus, d)
     else:
-        corr = corr - F.jump_at(d).jump_minus @ g(d)
+        corr = corr - term(lambda rec: rec.jump_minus, d)
     jump = base.jump_contribution + corr
     return IntegralResult(base.continuous_contribution + jump, base.continuous_contribution, jump)
 
 
-def _ref_elementary(F, g, region):
+def _ref_elementary(F, g, region, orientation="dFg"):
     result = IntegralResult(np.zeros(g.vshape), np.zeros(g.vshape), np.zeros(g.vshape))
     for part in region.parts:
-        result = result + _ref_interval(F, g, part)
+        result = result + _ref_interval(F, g, part, orientation)
     return result
 
 
@@ -473,31 +480,97 @@ class TestEngineReference:
 
     def test_intervals(self, rng):
         """All four openness cases, with ends inside pieces, on either
-        grid, at the domain ends, and degenerate."""
-        for F, g in self.pairs(rng):
+        grid, at the domain ends, and degenerate; one-part kernel calls,
+        in both orientations for the first range of every other pair."""
+        for k, (F, g) in enumerate(self.pairs(rng)):
             a, b = F.a, F.b
             ends = [float(x) for x in rng.uniform(a, b, 2)] + [
                 float(rng.choice(F.grid)), float(rng.choice(g.grid)), a, b]
-            for _ in range(2):
+            # dFg last, for the value
+            for orientations in ((("Fdg", "dFg") if k % 2 else ("dFg",)), ("dFg",)):
                 c, d = sorted(rng.choice(ends, 2, replace=False).tolist())
                 for lc in (True, False):
                     for hc in (True, False):
                         if c == d and not (lc and hc):
                             continue
                         interval = Interval(c, d, lc, hc)
-                        ref = _ref_interval(F, g, interval)
-                        _same_result(_interval_result(F, g, interval), ref)
-                        assert integral_over_interval(F, g, interval).tobytes() == ref.value.tobytes()
+                        zero = np.zeros(g.vshape)
+                        for orientation in orientations:
+                            # summed from 0.0 as over a one-part set
+                            ref = IntegralResult(zero, zero, zero) + _ref_interval(
+                                F, g, interval, orientation)
+                            _same_result(_engine(F, [g], orientation, [interval])[0], ref)
+                        if not interval.is_degenerate:
+                            value = integral_over_interval(F, g, interval)
+                            assert value.tobytes() == ref.value.tobytes()
 
     def test_elementary(self, rng):
-        for F, g in self.pairs(rng):
-            pts = np.sort(rng.choice(np.concatenate(
-                [F.grid, g.grid, rng.uniform(F.a, F.b, 6)]), 6, replace=False))
-            parts = [Interval(float(pts[2 * k]), float(pts[2 * k + 1]),
-                              bool(rng.random() < 0.5), bool(rng.random() < 0.5))
-                     for k in range(3) if pts[2 * k] < pts[2 * k + 1]]
-            region = ElementarySet.of(*parts, Interval.at(float(pts[2])))
-            _same_result(integral_over_elementary(F, g, region), _ref_elementary(F, g, region))
+        """Regions of 1 to 60 parts cut at grid points of both functions,
+        at ``a`` and ``b`` and inside pieces: abutting open ends, point
+        parts, parts starting at ``a`` or ending at ``b``, and the empty
+        set and sets of points only; the public integral, and for every
+        other pair the kernel in the other orientation."""
+        seen = {"abutting": 0, "point": 0, "at a": 0, "at b": 0, "60 parts": 0}
+        for k, (F, g) in enumerate(self.pairs(rng)):
+            points = np.concatenate([F.grid, g.grid, rng.uniform(F.a, F.b, 200), [F.a, F.b]])
+            parts = 60 if k % 12 == 0 else int(rng.integers(1, 61))
+            region = corpus.random_region(rng, points, parts)
+            ps = region.parts
+            seen["abutting"] += sum(p.hi == q.lo for p, q in zip(ps, ps[1:]))
+            seen["point"] += sum(p.is_degenerate for p in ps)
+            seen["at a"] += sum(p.lo == F.a for p in ps)
+            seen["at b"] += sum(p.hi == F.b for p in ps)
+            seen["60 parts"] += len(ps) == 60
+            points_only = ElementarySet.of(*map(Interval.at, np.unique(rng.choice(points, 3))))
+            for e in (ElementarySet.empty(), ElementarySet.of(F.domain), region, points_only):
+                _same_result(integral_over_elementary(F, g, e), _ref_elementary(F, g, e))
+            if k % 2:
+                _same_result(_engine(F, [g], "Fdg", ps)[0], _ref_elementary(F, g, region, "Fdg"))
+        assert min(seen.values()) > 0, seen
+
+    def test_abutting_open_ends(self, rng):
+        """Two open parts meeting at a grid point where both functions
+        jump: the first part's left jump there ends its kernel sum, before
+        its closure terms are added; both orientations."""
+        for _ in range(100):
+            F = _engine_function(rng, "operator", 2, 0.0, 1.0, 10, 8)
+            g = _engine_function(rng, "vector", 2, 0.0, 1.0, 10, 8)
+            d = float(rng.choice(np.union1d(F.grid[1:-1], g.grid[1:-1])))
+            c, e = float(rng.uniform(0.0, d)), float(rng.uniform(d, 1.0))
+            region = ElementarySet.of(Interval(c, d, False, False),
+                                      Interval(d, e, False, bool(rng.random() < 0.5)))
+            assert len(region) == 2
+            for orientation in ("dFg", "Fdg"):
+                _same_result(_engine(F, [g], orientation, region.parts)[0],
+                             _ref_elementary(F, g, region, orientation))
+
+    def test_elementary_is_one_kernel_call(self, rng, monkeypatch):
+        F = _engine_function(rng, "operator", 2, 0.0, 1.0, 20, 8)
+        g = _engine_function(rng, "vector", 2, 0.0, 1.0, 20, 8)
+        region = corpus.random_region(rng, np.concatenate([F.grid, g.grid]), 30)
+        assert len(region) > 5
+        calls = []
+        monkeypatch.setattr(integrate, "_engine",
+                            lambda *args: calls.append(args[3]) or _engine(*args))
+        integral_over_elementary(F, g, region)
+        assert calls == [region.parts]
+
+    def test_elementary_errors(self):
+        """A mismatched pair is refused before a part outside the domain,
+        and the domain error names the first part outside."""
+        F = scaled_identity((0.0, 1.0), [0.0, 1.0], dim=2)
+        g = polynomial((0.0, 1.0), np.zeros((2, 2)))
+        narrow = polynomial((0.0, 1.0), [0.0, 1.0])
+        inside = Interval.closed(0.25, 0.5)
+        for first_out, region in (
+                (Interval.closed(-1.0, 0.0), ElementarySet.of(Interval.closed(-1.0, 0.0), inside)),
+                (Interval(1.0, 2.0, False, True), ElementarySet.of(
+                    inside, Interval(1.0, 2.0, False, True), Interval.at(3.0))),
+                (Interval.at(3.0), ElementarySet.of(inside, Interval.at(3.0)))):
+            with pytest.raises(DimensionMismatchError):
+                integral_over_elementary(F, narrow, region)
+            with pytest.raises(DomainError, match=f"^{re.escape(str(first_out))} is not inside"):
+                integral_over_elementary(F, g, region)
 
     def test_jump_values_are_contiguous(self, rng):
         """A stacked matmul over a strided view of ``eval_many`` adds in
@@ -577,7 +650,7 @@ class TestEngineReference:
                               [[0.0], [1.0], [-1e6]])
         for res, ref in ((ks_dFg(F, g), _ref_ks(F, g, "dFg")),
                          (ks_Fdg(F, g), _ref_ks(F, g, "Fdg")),
-                         (_interval_result(F, g, Interval(0.5, 2e5, False, True)),
+                         (_engine(F, [g], "dFg", [Interval(0.5, 2e5, False, True)])[0],
                           _ref_interval(F, g, Interval(0.5, 2e5, False, True)))):
             assert np.isfinite(res.value).all()
             _same_result(res, ref)
@@ -586,7 +659,7 @@ class TestEngineReference:
 class TestManyIntegrands:
     """One ``_engine`` call over many integrands gives each the bits of an
     ``_engine`` call of its own, in both orientations, over the whole
-    domain and over random ranges: integrators with and without jumps,
+    domain and over random regions: integrators with and without jumps,
     dims 1-3, members of mixed degree (``t**1`` to ``t**64``, ragged
     random pieces with jumps, constants)."""
 
@@ -611,29 +684,29 @@ class TestManyIntegrands:
                 for integrator in (F, smooth):
                     gs = list(self.members(rng, dim, a, b, top))
                     gs = [gs[i] for i in rng.permutation(len(gs))]
-                    c, d = np.sort(rng.choice(np.concatenate(
-                        [integrator.grid, rng.uniform(a, b, 4)]), 2, replace=False))
+                    region = corpus.random_region(rng, np.concatenate(
+                        [integrator.grid, gs[0].grid, rng.uniform(a, b, 20), [a, b]]), 12)
                     for orientation in ("dFg", "Fdg"):
-                        for lo, hi in ((a, b), (float(c), float(d))):
-                            together = _engine(integrator, gs, orientation, lo, hi)
+                        for parts in ([integrator.domain], region.parts):
+                            together = _engine(integrator, gs, orientation, parts)
                             assert len(together) == len(gs)
                             for g, got in zip(gs, together):
-                                _same_result(got, _engine(integrator, [g], orientation, lo, hi)[0])
+                                _same_result(got, _engine(integrator, [g], orientation, parts)[0])
 
     def test_one_integrand_is_the_reference(self, rng):
         """The one-integrand case is what ``ks_dFg`` and ``ks_Fdg`` return,
         and the per-piece loop's bits."""
         F = _engine_function(rng, "operator", 2, 0.0, 1.0, 12, 8)
         g = _engine_function(rng, "vector", 2, 0.0, 1.0, 9, 8)
-        _same_result(_engine(F, [g], "dFg", 0.0, 1.0)[0], _ref_ks(F, g, "dFg"))
-        _same_result(_engine(F, [g], "Fdg", 0.0, 1.0)[0], _ref_ks(F, g, "Fdg"))
+        _same_result(_engine(F, [g], "dFg", [F.domain])[0], _ref_ks(F, g, "dFg"))
+        _same_result(_engine(F, [g], "Fdg", [F.domain])[0], _ref_ks(F, g, "Fdg"))
 
     def test_every_pair_checked(self):
         F = scaled_identity((0.0, 1.0), [0.0, 1.0])
         good = polynomial((0.0, 1.0), [0.0, 1.0])
         for bad in (polynomial((0.0, 2.0), [0.0, 1.0]), polynomial((0.0, 1.0), [[0.0, 1.0]])):
             with pytest.raises(DimensionMismatchError):
-                _engine(F, [good, bad], "dFg", 0.0, 1.0)
+                _engine(F, [good, bad], "dFg", [F.domain])
 
     def test_running_sum_by_groups(self, rng):
         """Group sums of the padded layout equal a loop from 0.0 per group,

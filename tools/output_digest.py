@@ -8,7 +8,10 @@ random regions (kind ``sup_norm``) and variation, interval integrals and
 bounds on intervals whose ends are grid points, with every closure pattern
 (kind ``grid_ends``), every member's integral in bounded-convergence
 runs of all four families (kind ``convergence.members``) and indicator
-functions (kind ``step``).  It also digests the oracle's fine divisions at
+functions (kind ``step``), and integrals over elementary sets of up to 60
+parts (abutting open ends, point parts, parts on ``a``, ``b`` and grid
+points, the empty set) and over each of their parts, with their errors
+(kind ``elementary``).  It also digests the oracle's fine divisions at
 levels 0-16, ``oracle_integral`` on small pairs with its levels, budget and
 tolerance varied, and the forcing, constant and minimum gauges.  It prints
 one line per output kind: the number of items and a sha256 over their
@@ -288,6 +291,51 @@ def digest_step(ks, seed, out: Digest):
         out.add("step", lambda: fn(ks.step((a, b), wide, np.nan)), message=True)
 
 
+def random_region(ks, rng, points):
+    """Up to 60 parts cut at sorted draws from ``points``: neighbours
+    abut, often at two open ends, and some parts are dropped or shrunk to a
+    point (the minimal decomposition merges what touches)."""
+    cuts = np.unique(rng.choice(points, int(rng.integers(2, 200)))).tolist()
+    parts = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        r = rng.random()
+        if r < 0.25:
+            continue
+        if r < 0.4:
+            parts.append(ks.Interval.at(lo if rng.random() < 0.5 else hi))
+        else:
+            parts.append(ks.Interval(lo, hi, bool(rng.random() < 0.3), bool(rng.random() < 0.3)))
+    return ks.ElementarySet(ks.ElementarySet.of(*parts).parts[:60])
+
+
+def digest_elementary(ks, seed, out: Digest):
+    """Integrals over elementary sets of 1 to 60 parts cut at grid points
+    of both functions, at ``a`` and ``b`` and at random points (abutting
+    open ends, point parts), over the empty set and over each part alone;
+    then a part outside the domain, a mismatched pair, and both."""
+    rng = np.random.default_rng([seed, 31])
+    for a, b in DOMAINS:
+        for _ in range(PAIRS // 2):
+            dim = int(rng.integers(1, 4))
+            F = random_function(ks, rng, "operator", dim, a, b)
+            g = random_function(ks, rng, "vector", dim, a, b)
+            points = np.concatenate([F.grid, g.grid, rng.uniform(a, b, 150), [a, b, a, b]])
+            for region in [ks.ElementarySet.empty()] + [
+                    random_region(ks, rng, points) for _ in range(3)]:
+                out.add("elementary", lambda: integral(ks.integral_over_elementary(F, g, region)))
+                out.add("elementary", lambda: [ks.integral_over_interval(F, g, part)
+                                               for part in region.parts])
+        g2 = random_function(ks, rng, "vector", 2, a, b)
+        F3 = random_function(ks, rng, "operator", 3, a, b)
+        span = b - a
+        for outside in (ks.Interval.closed(a - span, a), ks.Interval(b, b + span, False, True),
+                        ks.Interval.at(b + span)):
+            region = ks.ElementarySet.of(ks.Interval.closed(a, a + span / 4), outside)
+            for G in (g2, random_function(ks, rng, "vector", 3, a, b)):
+                out.add("elementary", lambda: integral(ks.integral_over_elementary(F3, G, region)),
+                        message=True)
+
+
 def forced_sets(rng, a, b):
     """Random, clustered (gaps of 1e-9 of the span), on level-4 mesh nodes,
     ends-only and adjacent-float forced sets, unsorted and without the
@@ -394,6 +442,7 @@ def main(argv=None):
             digest_gauges(ks, seed, out)
             digest_members(ks, seed, out)
             digest_step(ks, seed, out)
+            digest_elementary(ks, seed, out)
     print(f"# kstieltjes from {Path(ks.__file__).parent}")
     print("\n".join(out.lines()))
 
