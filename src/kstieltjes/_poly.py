@@ -77,7 +77,9 @@ def polyval(c: np.ndarray, t, pattern=None, out=None) -> np.ndarray:
     stack ``(n, K, *vshape)`` of coefficient arrays and ``t`` has shape
     ``(n, p)``: array ``i`` is evaluated at ``t[i]`` and the result has
     shape ``(n, *vshape, p)``.  Arrays that share a pattern are evaluated
-    together, by the same operations as one at a time.
+    together, by the same operations as one at a time; so are the arrays
+    whose own operations Horner from the stack's highest degree repeats
+    bit for bit (see ``_polyval_stack``).
     """
     c = np.asarray(c, dtype=float)
     if pattern is None:
@@ -97,7 +99,8 @@ def polyval(c: np.ndarray, t, pattern=None, out=None) -> np.ndarray:
 
 
 def _polyval_stack(c: np.ndarray, t: np.ndarray, pattern: np.ndarray) -> np.ndarray:
-    """``polyval`` of a stack: one ``_horner`` pass per pattern group."""
+    """``polyval`` of a stack: one ``_horner`` pass per group of rows that
+    take the same operations."""
     n, p = t.shape
     ts = t.reshape((n,) + (1,) * (c.ndim - 2) + (p,))
     out = np.empty((n,) + c.shape[2:] + (p,))
@@ -105,16 +108,29 @@ def _polyval_stack(c: np.ndarray, t: np.ndarray, pattern: np.ndarray) -> np.ndar
         _horner(c.swapaxes(0, 1)[..., np.newaxis], ts, pattern[0].tolist(), out)
         return out
     count, low, top = pattern.T
+    # Horner from a higher top gives a row its own bits when its leading
+    # +0.0 coefficients leave +0.0 at every step: rows of more than two
+    # degrees, zero rows, constants and dense linears, if they hold no -0.0
+    # (which the row's own first step, 0.0 + c, would have made 0.0)
+    safe = (count > 2) | (count == 0) | ((top <= 1) & (count == top + 1))
+    safe &= ~((c == 0.0) & np.signbit(c)).reshape(n, -1).any(axis=1)
+    horner = [3, 0, int(np.max(top, where=safe & (count > 0), initial=0))]
+    if safe.all():
+        _horner(c.swapaxes(0, 1)[..., np.newaxis], ts, horner, out)
+        return out
     # Horner depends on the top degree alone, the sparse path on both degrees
     width = c.shape[1] + 1
     key = (np.minimum(count, 3) * width + np.where(count > 2, 0, low)) * width + top
+    key[safe] = -1
     # sorted by group, each group is one slice of the stack
     order = np.argsort(key, kind="stable")
     starts = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
     cols = c[order].swapaxes(0, 1)[..., np.newaxis]
     ts = ts[order]
     for lo, hi in zip([0] + starts, starts + [n]):
-        _horner(cols[:, lo:hi], ts[lo:hi], pattern[order[lo]].tolist(), out[lo:hi])
+        row = order[lo]
+        _horner(cols[:, lo:hi], ts[lo:hi], horner if safe[row] else pattern[row].tolist(),
+                out[lo:hi])
     out[order] = out.copy()
     return out
 
@@ -272,8 +288,9 @@ def _norm_pieces(c: np.ndarray, lo: float, hi: float):
 
 def max_abs_scalar(c: np.ndarray, lo: float, hi: float) -> float:
     """Maximum of ``|p(t)|`` on ``[lo, hi]`` for a scalar polynomial."""
-    cands = [lo, hi] + real_roots(polyder(c), lo, hi)
-    return max(abs(float(polyval(c, x))) for x in cands)
+    cands = np.array([lo, hi] + real_roots(polyder(c), lo, hi))
+    # one polyval gives each candidate the bits of its own, and a max is exact
+    return float(np.max(np.abs(polyval(c, cands))))
 
 
 def integral_of_abs_scalar(c: np.ndarray, lo: float, hi: float) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import re
 import sys
 import time
@@ -245,7 +246,10 @@ def _ns_list(text: str) -> list[int]:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    as it was, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="kstieltjes",
         description="Stieltjes integration and variation calculus for "

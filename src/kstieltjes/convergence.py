@@ -5,9 +5,11 @@ variation, the integrands ``g_n`` converge pointwise to ``g`` and are
 uniformly bounded in the sup norm, then the integrals converge to the
 integral of the limit.  The harness realises concrete sequences, verifies
 the two hypotheses as far as finite data allows, computes every integral
-through the closed-form engine and reports the error curve.  The limit and
-all realised members are integrated in one kernel pass, each with the bits
-of an integral of its own.
+through the closed-form engine and reports the error curve.  The members
+are handled as one stack from end to end: realised in one vectorised step
+per family kind, their sup norms taken in one pass, their jump tables
+built in one ``polyval`` and, with the limit, their integrals computed in
+one kernel pass, each with the bits of a member handled on its own.
 
 Built-in families:
 
@@ -39,12 +41,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _poly
 from .errors import HypothesisViolationError
-from ._poly import running_sum
 from .integrate import _engine, check_pair, ks_dFg
 from .intervals import Interval
-from .piecewise import (PiecewiseFunction, break_truncate, jordan_decompose,
-                        polynomial, step)
+from .piecewise import (PiecewiseFunction, _break_truncations, _Columns, _jump_tables,
+                        _sup_norms, jordan_decompose, step)
 
 #: Size of the deterministic sample grid for the pointwise check.
 SAMPLE_GRID_SIZE = 210
@@ -96,7 +98,7 @@ class SequenceFamily:
                     raise ValueError(f"{t} is not a jump of the break function")
         table = break_function._jump_table()
         # in record order from 0.0, as a loop over the records adds them
-        bound = float(running_sum(table.norm_minus[rows] + table.norm_plus[rows]))
+        bound = float(_poly.running_sum(table.norm_minus[rows] + table.norm_plus[rows]))
         # partial sums can round a hair above the exact tail bound
         bound = bound * (1.0 + 1e-12)
         return cls(kind="truncation", limit=break_function, bound=bound,
@@ -115,24 +117,68 @@ def realize(family: SequenceFamily, n: int) -> PiecewiseFunction:
     """The concrete ``n``-th member of the family (an integer ``n >= 1``)."""
     if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
         raise ValueError("n must be a positive integer")
+    return _members(family, [int(n)])[0]
+
+
+def _members(family: SequenceFamily, ns: list[int]) -> list[PiecewiseFunction]:
+    """The members ``ns`` (sorted positive ints) of the family, realised in
+    one vectorised step per kind: each one byte for byte what its public
+    builder gives, ``polynomial``, ``step`` or ``break_truncate``, and
+    handed to the constructor with its degree patterns."""
     if family.kind == "power":
-        coeffs = np.zeros((n + 1, 1))
-        coeffs[n, 0] = 1.0
-        return polynomial((0.0, 1.0), coeffs)
+        return _powers(ns)
     if family.kind == "spike":
-        a, b = family.limit.a, family.limit.b
-        hi = min(family.center + 1.0 / n, b)
-        support = Interval.at(family.center) if hi == family.center \
-            else Interval.closed(family.center, hi)
-        return step((a, b), support, family.height)
+        return _spikes(family, ns)
     if family.kind == "truncation":
-        kept = family.jump_order[:n]
-        return break_truncate(family.break_function, kept)
+        return _break_truncations(family.break_function, family.jump_order, ns)
     if family.kind == "custom":
-        if n > len(family.members):
+        if ns[-1] > len(family.members):
             raise ValueError(f"custom family has only {len(family.members)} members")
-        return family.members[n - 1]
+        return [family.members[n - 1] for n in ns]
     raise ValueError(f"unknown family kind {family.kind!r}")
+
+
+def _powers(ns: list[int]) -> list[PiecewiseFunction]:
+    """``polynomial((0, 1), e_n)`` for every ``n``: one piece whose only
+    nonzero coefficient is a 1 at degree ``n``, so its node values are
+    exactly 0 and 1.  The blocks are consecutive slices of one buffer."""
+    ends = np.cumsum([0] + [n + 1 for n in ns])
+    buffer = np.zeros(ends[-1])
+    buffer[ends[1:] - 1] = 1.0
+    grid, nodes = np.array([0.0, 1.0]), np.array([[0.0], [1.0]])
+    return [PiecewiseFunction(grid, _Columns(buffer[start:stop].reshape(1, -1, 1),
+                                             np.array([n + 1]),
+                                             np.array([[1, n, n]], dtype=np.intp)), nodes)
+            for n, start, stop in zip(ns, ends[:-1].tolist(), ends[1:].tolist())]
+
+
+def _spikes(family: SequenceFamily, ns: list[int]) -> list[PiecewiseFunction]:
+    """``step(domain, [c, min(c + 1/n, b)], K)`` for every ``n`` (the point
+    ``c`` where the interval collapses), laid end to end: the same grid
+    points, node values and pieces as ``step`` builds one at a time."""
+    a, b, c = family.limit.a, family.limit.b, family.center
+    value = np.atleast_1d(np.asarray(family.height, dtype=float))
+    his = np.minimum(c + 1.0 / np.array(ns, dtype=float), b)
+    # np.unique of [a, b, c, hi] keeps the first of equal points, as a
+    # stable sort of that row followed by dropping repeats does
+    rows = np.sort(np.stack(np.broadcast_arrays(a, b, c, his), axis=1), axis=1, kind="stable")
+    new = np.ones(rows.shape, dtype=bool)
+    new[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    grid, sizes = rows[new], new.sum(axis=1)
+    # nodes: value + 0.0 inside the support, value itself at a and b
+    inside = (grid >= c) & (grid <= np.repeat(his, sizes))
+    nodes = np.where(((grid == a) | (grid == b))[:, np.newaxis], value, value + 0.0)
+    nodes = np.where(inside[:, np.newaxis], nodes, 0.0)
+    last = np.cumsum(sizes)
+    mids = np.delete(0.5 * (grid[:-1] + grid[1:]), last[:-1] - 1)
+    kept = (mids >= c) & (mids <= np.repeat(his, sizes - 1))
+    block = np.where(kept[:, np.newaxis, np.newaxis], value, 0.0)
+    pattern = _poly.degree_patterns(block)
+    return [PiecewiseFunction(grid[stop - m:stop],
+                              _Columns(block[cut - m + 1:cut], np.ones(m - 1, dtype=int),
+                                       pattern[cut - m + 1:cut]), nodes[stop - m:stop])
+            for m, stop, cut in zip(sizes.tolist(), last.tolist(),
+                                    np.cumsum(sizes - 1).tolist())]
 
 
 @dataclass(frozen=True)
@@ -164,18 +210,20 @@ def _sample_grid(a: float, b: float, jump_points: Sequence[float]) -> np.ndarray
     return np.unique(np.concatenate([cheb, special]))
 
 
-def _check_pointwise(realized: list[tuple[int, PiecewiseFunction]],
-                     limit: PiecewiseFunction):
+def _check_pointwise(members: list[PiecewiseFunction], limit: PiecewiseFunction):
     """Necessary-condition check for pointwise convergence on the sample
     grid: at every sample point the error at the largest n must not exceed
-    the error at the smallest n (or must already be negligible)."""
-    jumps = limit.grid[limit._jump_rows()].tolist()
-    for _, g in realized:
-        jumps.extend(g.grid[g._jump_rows()].tolist())
+    the error at the smallest n (or must already be negligible).  The jump
+    tables of the limit and every member are built in one stack."""
+    fs = [limit] + members
+    _jump_tables(fs)
+    grids, minus, plus = (np.concatenate(columns) for columns in
+                          zip(*((f.grid, f._table.norm_minus, f._table.norm_plus) for f in fs)))
+    jumps = grids[(minus > 0.0) | (plus > 0.0)].tolist()
     ts = _sample_grid(limit.a, limit.b, jumps)
     lim_vals = limit.eval_many(ts)
-    first_err = np.max(np.abs(realized[0][1].eval_many(ts) - lim_vals), axis=0)
-    final_err = np.max(np.abs(realized[-1][1].eval_many(ts) - lim_vals), axis=0)
+    first_err = np.max(np.abs(members[0].eval_many(ts) - lim_vals), axis=0)
+    final_err = np.max(np.abs(members[-1].eval_many(ts) - lim_vals), axis=0)
     bad = (final_err > first_err + 1e-12) & (final_err > 1e-9)
     if np.any(bad):
         t = float(ts[np.argmax(bad)])
@@ -209,22 +257,20 @@ def run_bounded_convergence(F: PiecewiseFunction, family: SequenceFamily,
     for name, value in (("threshold", threshold), ("uniform bound", family.bound)):
         if not np.isfinite(value):
             raise ValueError(f"the {name} must be finite, got {value!r}")
-    realized = [(n, realize(family, n)) for n in ns]
-    for n, g_n in realized:
-        actual = g_n.sup_norm()
+    members = _members(family, ns)
+    for n, actual in zip(ns, _sup_norms(members)):
         if actual > family.bound:
             raise HypothesisViolationError(
                 f"member n={n} has sup norm {actual} above the declared "
                 f"uniform bound {family.bound}")
-    _check_pointwise(realized, family.limit)
-    limit, *members = _engine(F, [family.limit] + [g_n for _, g_n in realized],
-                              "dFg", [F.domain])
+    _check_pointwise(members, family.limit)
+    limit, *results = _engine(F, [family.limit] + members, "dFg", [F.domain])
     integral_limit = limit.value
-    values = [result.value for result in members]
+    values = [result.value for result in results]
     # row by row what sup_norm(value - integral_limit) gives: a max is exact
     errors = np.abs(np.stack(values) - integral_limit).max(axis=1).tolist()
     entries = [ConvergenceEntry(n, value, error)
-               for (n, _), value, error in zip(realized, values, errors)]
+               for n, value, error in zip(ns, values, errors)]
     return ConvergenceReport(entries=tuple(entries),
                              integral_limit=integral_limit,
                              threshold=float(threshold),

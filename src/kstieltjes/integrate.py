@@ -34,7 +34,7 @@ from . import _poly
 from .errors import DimensionMismatchError, DomainError
 from .intervals import ElementarySet, Interval
 from .norms import norm_of
-from .piecewise import PiecewiseFunction
+from .piecewise import PiecewiseFunction, _joined, _stacked
 from .variation import var_elementary, var_interval
 
 
@@ -103,23 +103,21 @@ def _closure_jumps(H: PiecewiseFunction, bounds: np.ndarray):
     jump = (np.where(left[at].reshape(axes), minus[rows], 0.0)
             + np.where(right[at].reshape(axes), plus[rows], 0.0))
     if not (lo.size == 1 and code[0] == 3 and lo[0] == H.a and hi[0] == H.b):
-        points = np.concatenate([hi, lo, hi])
-        ends = H.grid.searchsorted(points)
-        weights = _END_WEIGHTS[:, code.astype(int)] * (H.grid[ends] == points).reshape(3, -1, 1)
-        weights[0] *= np.append(hi[:-1] == lo[1:], False)[:, np.newaxis]
-        wl, wr = weights.reshape(-1, 2).T
-        live = wl * norm_minus[ends] + wr * norm_plus[ends] != 0.0
-        ends, wl, wr = ends[live], wl[live].reshape(axes), wr[live].reshape(axes)
-        rows = np.concatenate([rows, ends])
-        jump = np.concatenate([jump, np.where(wl, wl * minus[ends], 0.0)
-                               + np.where(wr, wr * plus[ends], 0.0)])
+        ends = H.grid.searchsorted(bounds[:, 1::-1].T)  # at hi, then lo
+        on = H.grid[ends] == bounds[:, 1::-1].T
+        live = np.zeros(3 * lo.size, dtype=bool)  # no end on the grid, no end term
+        if on.any():
+            ends, on = ends[[0, 1, 0]].ravel(), on[[0, 1, 0], :, np.newaxis]
+            weights = _END_WEIGHTS[:, code.astype(int)] * on
+            weights[0] *= np.append(hi[:-1] == lo[1:], False)[:, np.newaxis]
+            wl, wr = weights.reshape(-1, 2).T
+            live = wl * norm_minus[ends] + wr * norm_plus[ends] != 0.0
+            ends, wl, wr = ends[live], wl[live].reshape(axes), wr[live].reshape(axes)
+            rows = np.concatenate([rows, ends])
+            jump = np.concatenate([jump, np.where(wl, wl * minus[ends], 0.0)
+                                   + np.where(wr, wr * plus[ends], 0.0)])
     return (H.grid[rows], jump, np.bincount(part[at], minlength=lo.size).tolist(), live
             ) if rows.size else None
-
-
-def _joined(arrays: list) -> np.ndarray:
-    """``np.concatenate(arrays)``, or the one array itself."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _engine(F: PiecewiseFunction, gs, orientation: str, parts) -> list[IntegralResult]:
@@ -153,9 +151,7 @@ def _engine(F: PiecewiseFunction, gs, orientation: str, parts) -> list[IntegralR
         rows.append(g._block[g._pieces_of(mids[-1])])
     counts = [len(lo) for lo in los]
     lo, hi, mids = _joined(los), _joined(his), _joined(mids)
-    width = max(r.shape[1] for r in rows)
-    cg = _joined([np.concatenate([r, np.zeros((len(r), width - r.shape[1]) + vshape)], axis=1)
-                  if r.shape[1] < width else r for r in rows])
+    cg = _stacked(rows)
     if P > 1:  # drop the pieces between parts, group the rest by integrand and part
         slot = cuts.searchsorted(mids, "right") - 1
         inside = slot % 2 == 0

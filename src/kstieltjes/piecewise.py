@@ -34,7 +34,7 @@ import numpy as np
 from . import _poly
 from .errors import DimensionMismatchError, DomainError
 from .intervals import ElementarySet, Interval
-from .norms import norm_of, row_norms
+from .norms import row_norms
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,14 @@ class JumpRecord:
 
 
 class _Columns(NamedTuple):
-    """A zero-padded coefficient block ``(m, K, *vshape)`` and the length
-    of each piece's polynomial, handed to the constructor as they are."""
+    """A zero-padded coefficient block ``(m, K, *vshape)``, the length of
+    each piece's polynomial and, when the caller has them, the pieces'
+    degree patterns (``_poly.degree_patterns(block)``), handed to the
+    constructor as they are."""
 
     block: np.ndarray
     lens: np.ndarray
+    pattern: np.ndarray | None = None
 
 
 def _pad(coeffs, m: int, vshape) -> _Columns:
@@ -131,8 +134,8 @@ class PiecewiseFunction:
             raise ValueError(f"value shape {vshape} is neither a vector nor a square matrix")
         if vshape[0] < 1:
             raise ValueError("values need dimension at least 1")
-        block, lens = (coeffs if isinstance(coeffs, _Columns)
-                       else _pad(coeffs, grid.size - 1, vshape))
+        block, lens, pattern = (coeffs if isinstance(coeffs, _Columns)
+                                else _pad(coeffs, grid.size - 1, vshape))
         if not (np.isfinite(grid).all() and np.isfinite(nodes).all()
                 and np.isfinite(block).all()):
             raise ValueError("grid, node values and coefficients must be finite")
@@ -143,7 +146,7 @@ class PiecewiseFunction:
         self.kind = kind
         self.dim = int(vshape[0])
         self._block, self._lens = block, lens
-        self._pattern = _poly.degree_patterns(block)
+        self._pattern = _poly.degree_patterns(block) if pattern is None else pattern
         self._views: tuple[np.ndarray, ...] | None = None
         self._table: _JumpTable | None = None
 
@@ -205,6 +208,11 @@ class PiecewiseFunction:
         """Index of the piece whose open interval contains each of ``ts``."""
         return self.grid.searchsorted(ts) - 1
 
+    def _rows(self, owner: np.ndarray) -> _Columns:
+        """The coefficient rows ``owner`` of the block, with their lengths
+        and degree patterns."""
+        return _Columns(self._block[owner], self._lens[owner], self._pattern[owner])
+
     def _polyval(self, j: int, t, out=None) -> np.ndarray:
         """Piece ``j``'s polynomial at ``t``, by its stored degree pattern."""
         return _poly.polyval(self._block[j], t, self._pattern[j], out)
@@ -244,11 +252,11 @@ class PiecewiseFunction:
             # the loop's contiguous slices are cheaper than the gather
             at = self.grid.searchsorted(srt, side="right") - 1
             on = self.grid[at] == srt
-            vals[..., on] = np.moveaxis(self.nodes[at[on]], 0, -1)
+            last = tuple(range(1, vals.ndim)) + (0,)  # the point axis last
+            vals[..., on] = self.nodes[at[on]].transpose(last)
             j = at[~on]
-            vals[..., ~on] = np.moveaxis(
-                _poly.polyval(self._block[j], srt[~on, np.newaxis], self._pattern[j])[..., 0],
-                0, -1)
+            vals[..., ~on] = _poly.polyval(self._block[j], srt[~on, np.newaxis],
+                                           self._pattern[j])[..., 0].transpose(last)
         else:
             hits = (hi > lo).nonzero()[0].tolist()
             lo, hi = lo.tolist(), hi.tolist()  # Python ints slice faster
@@ -330,24 +338,12 @@ class PiecewiseFunction:
         nonzero).  The left jump at ``a`` and the right jump at ``b`` are
         zero by convention.
 
-        The jump table behind the records is built here on first use.
-        Every piece's polynomial is evaluated at both of its ends in one
-        ``polyval`` of the block, by the same operations as the one-sided
-        limits, so every row equals the jumps taken from
-        ``limit_left``/``limit_right`` bit for bit."""
+        The jump table behind the records is built here on first use, by
+        ``_jump_tables`` for this one function."""
         if not tol >= 0:
             raise ValueError(f"jump tolerance must be >= 0, got {tol}")
         if self._table is None:
-            # ends[j] holds piece j's values at its left and right end
-            ends = _poly.polyval(self._block, np.stack([self.grid[:-1], self.grid[1:]], axis=1),
-                                 self._pattern)
-            both = np.zeros((2,) + self.nodes.shape)
-            both[0, 1:] = self.nodes[1:] - ends[..., 1]
-            both[1, :-1] = ends[..., 0] - self.nodes[:-1]
-            norms = row_norms(both.reshape((-1,) + self.vshape)).reshape(2, -1)
-            both.setflags(write=False)
-            norms.setflags(write=False)
-            self._table = _JumpTable(both[0], both[1], norms[0], norms[1])
+            _jump_tables([self])
         return self._records(self._jump_rows(tol))
 
     # -- structural operations ----------------------------------------------
@@ -372,7 +368,7 @@ class PiecewiseFunction:
         nodes[~old] = _poly.polyval(self._block[host], new_grid[~old, np.newaxis],
                                     self._pattern[host])[..., 0]
         owner = self._pieces_of(0.5 * (new_grid[:-1] + new_grid[1:]))
-        return PiecewiseFunction(new_grid, _Columns(self._block[owner], self._lens[owner]), nodes)
+        return PiecewiseFunction(new_grid, self._rows(owner), nodes)
 
     def clip(self, c: float, d: float) -> "PiecewiseFunction":
         """The function restricted to the subdomain ``[c, d]`` (values kept
@@ -385,8 +381,9 @@ class PiecewiseFunction:
         new_grid = np.concatenate([[c], self.grid[keep], [d]])
         owner = self._pieces_of(0.5 * (new_grid[:-1] + new_grid[1:]))
         # inner points keep their node values: only the new ends are evaluated
-        ends = np.moveaxis(self.eval_many([c, d]), -1, 0)
-        return PiecewiseFunction(new_grid, _Columns(self._block[owner], self._lens[owner]),
+        ends = self.eval_many([c, d])
+        ends = ends.transpose((-1,) + tuple(range(ends.ndim - 1)))
+        return PiecewiseFunction(new_grid, self._rows(owner),
                                  np.concatenate([ends[:1], self.nodes[keep], ends[1:]]))
 
     def restrict(self, region: ElementarySet | Interval) -> "PiecewiseFunction":
@@ -403,8 +400,10 @@ class PiecewiseFunction:
         kept = region.contains_many(0.5 * (grid[:-1] + grid[1:]))
         block = np.where(kept.reshape((-1, 1) + axes), refined._block, 0.0)
         lens = np.where(kept, refined._lens, 1)
+        # the pattern degree_patterns gives a zero row of this block
+        pattern = np.where(kept[:, np.newaxis], refined._pattern, [0, 0, block.shape[1] - 1])
         nodes = np.where(region.contains_many(grid).reshape((-1,) + axes), refined.nodes, 0.0)
-        return PiecewiseFunction(grid, _Columns(block, lens), nodes)
+        return PiecewiseFunction(grid, _Columns(block, lens, pattern), nodes)
 
     # -- suprema ---------------------------------------------------------
 
@@ -415,33 +414,10 @@ class PiecewiseFunction:
         Node values count only at points belonging to the region, while the
         polynomial closures of the pieces meeting the region's interior
         always count — that is exactly the supremum over a set that may
-        exclude its endpoints.
+        exclude its endpoints.  ``_sup_norms`` takes it for this one
+        function.
         """
-        if region is None:
-            region = self.domain
-        if isinstance(region, Interval):
-            region = ElementarySet.of(region)
-        best = 0.0
-        for part in region.parts:
-            if part.lo < self.a or part.hi > self.b:
-                raise DomainError(f"part {part} is not inside [{self.a}, {self.b}]")
-            if part.is_degenerate:
-                best = max(best, norm_of(self(part.lo)))
-                continue
-            rows = self._grid_slice(part.lo, part.hi, part.lo_closed, part.hi_closed)
-            # the pieces that meet the part's interior, as spans_within yields them
-            first = int(self.grid.searchsorted(part.lo, "right")) - 1
-            pieces = slice(first, int(self.grid.searchsorted(part.hi)))
-            flat = self._lens[pieces] == 1
-            # a constant piece's norm is its coefficient's, as sup_norm_on finds
-            # it: one pass over those and the node values in the part
-            values = np.concatenate([self.nodes[rows], self._block[pieces][flat, 0]])
-            if len(values):
-                best = max(best, float(np.max(row_norms(values))))
-            for j in (np.flatnonzero(~flat) + first).tolist():
-                lo, hi = max(float(self.grid[j]), part.lo), min(float(self.grid[j + 1]), part.hi)
-                best = max(best, _poly.sup_norm_on(self.coeffs[j], lo, hi))
-        return best
+        return _sup_norms([self], region)[0]
 
     # -- arithmetic sugar ---------------------------------------------------
 
@@ -459,6 +435,143 @@ class PiecewiseFunction:
 
     def __neg__(self) -> "PiecewiseFunction":
         return self * -1.0
+
+
+# -- function stacks -----------------------------------------------------------
+#
+# Kernels over a sequence of functions of one value shape laid end to end,
+# as a bounded-convergence run's members are; a method on one function is
+# the one-function case.
+
+
+def _joined(arrays: list) -> np.ndarray:
+    """``np.concatenate(arrays)``, or the one array itself."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _stacked(blocks: list) -> np.ndarray:
+    """Coefficient blocks one after another, zero-padded to the widest."""
+    if len(blocks) == 1:
+        return blocks[0]
+    out = np.zeros((sum(len(b) for b in blocks), max(b.shape[1] for b in blocks))
+                   + blocks[0].shape[2:])
+    start = 0
+    for b in blocks:
+        out[start:start + len(b), :b.shape[1]] = b
+        start += len(b)
+    return out
+
+
+def _ranges(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integers of the ranges ``[start[k], stop[k])`` in turn (empty
+    where ``stop[k] <= start[k]``), and the ``k`` of each."""
+    if len(start) == 1:  # one range: no offsets to spread
+        count = max(stop[0] - start[0], 0)
+        return np.arange(start[0], start[0] + count), np.zeros(count, dtype=int)
+    counts = np.maximum(stop - start, 0)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return np.arange(len(owner)) + (start - np.cumsum(counts) + counts)[owner], owner
+
+
+def _one_shape(fs) -> bool:
+    """Whether the functions ``fs`` share a value shape and so stack."""
+    return len({f.nodes.shape[1:] for f in fs}) == 1
+
+
+def _jump_tables(fs):
+    """Build and keep the jump table of every function of ``fs``.
+
+    Every piece of every function is evaluated at both of its ends in one
+    ``polyval`` of the stacked blocks, which applies each row's own pattern
+    operations, the one-sided limits' operations: every row equals the
+    jumps taken from ``limit_left``/``limit_right`` bit for bit.  The
+    norms are taken row by row, in one ``row_norms``.  Functions of
+    several value shapes are stacked one at a time."""
+    if not _one_shape(fs):
+        for f in fs:
+            _jump_tables([f])
+        return
+    sizes = [f.grid.size for f in fs]
+    grid, nodes = _joined([f.grid for f in fs]), _joined([f.nodes for f in fs])
+    block = _stacked([f._block for f in fs])
+    if len(fs) == 1:
+        lo, hi = slice(None, -1), slice(1, None)
+    else:  # piece q of the stack lies between grid rows lo[q] and lo[q] + 1
+        lo = np.arange(len(block)) + np.repeat(np.arange(len(fs)), np.subtract(sizes, 1))
+        hi = lo + 1
+    # ends[q] holds piece q's values at its left and right end
+    ends = _poly.polyval(block, np.stack([grid[lo], grid[hi]], axis=1),
+                         _joined([f._pattern for f in fs]))
+    both = np.zeros((2,) + nodes.shape)
+    both[0, hi] = nodes[hi] - ends[..., 1]
+    both[1, lo] = ends[..., 0] - nodes[lo]
+    norms = row_norms(both.reshape((-1,) + nodes.shape[1:])).reshape(2, -1)
+    both.setflags(write=False)
+    norms.setflags(write=False)
+    start = 0
+    for f, size in zip(fs, sizes):
+        f._table = _JumpTable(*(column[start:start + size]
+                                for column in (both[0], both[1], norms[0], norms[1])))
+        start += size
+
+
+def _sup_norms(fs, region: ElementarySet | Interval | None = None) -> list[float]:
+    """``f.sup_norm(region)`` for every function of ``fs`` (``None``: each
+    one's domain).
+
+    One ``row_norms`` pass takes, for all functions and parts at once, the
+    node values in the region, the values at its points off the grid and
+    the constant pieces meeting its interior; every other piece meeting a
+    part's interior goes through ``sup_norm_on`` on their overlap.  A max
+    is exact, so each function gets the bits of a max taken part by part.
+    Functions of several value shapes are stacked one at a time.
+    """
+    if not _one_shape(fs):
+        return [norm for f in fs for norm in _sup_norms([f], region)]
+    if isinstance(region, Interval):
+        region = ElementarySet.of(region)
+    if region is not None:
+        parts = region.parts
+        table = np.array([(p.lo, p.hi, p.lo_closed, p.hi_closed) for p in parts]).reshape(-1, 4).T
+        ends, (lo_closed, hi_closed) = table[:2], table[2:] == 1.0
+        lo, hi = ends
+        point = lo == hi
+    zero = np.zeros((1,) + fs[0].vshape)  # the supremum over nothing
+    values, firsts, curved, size = [], [], [], 0
+    for i, f in enumerate(fs):
+        grid, own = f.grid, [zero]
+        if region is None:
+            rows, pieces, inner = slice(None), np.arange(f.npieces), (grid[:-1], grid[1:])
+        else:
+            a, b = f.a, f.b
+            if parts and (parts[0].lo < a or parts[-1].hi > b):  # the parts are sorted
+                part = next(p for p in parts if p.lo < a or p.hi > b)
+                raise DomainError(f"part {part} is not inside [{a}, {b}]")
+            (lo_left, hi_left), (lo_right, hi_right) = (grid.searchsorted(ends, side)
+                                                        for side in ("left", "right"))
+            rows = _ranges(np.where(lo_closed, lo_left, lo_right),
+                           np.where(hi_closed, hi_right, hi_left))[0]
+            # the pieces that meet each part's interior, as spans_within yields
+            # them, and their overlaps with it
+            pieces, part = _ranges(lo_right - 1, np.where(point, lo_right - 1, hi_left))
+            inner = (np.maximum(grid[pieces], lo[part]), np.minimum(grid[pieces + 1], hi[part]))
+            off = point & (lo_left == lo_right)  # a point off the grid: its piece's value
+            if off.any():
+                j = lo_right[off] - 1
+                own.append(_poly.polyval(f._block[j], lo[off, np.newaxis], f._pattern[j])[..., 0])
+        flat = f._lens[pieces] == 1
+        # a constant piece's norm is its coefficient's, as sup_norm_on finds it
+        own += [f.nodes[rows], f._block[pieces[flat], 0]]
+        firsts.append(size)
+        size += sum(map(len, own))
+        values += own
+        curved += [(i, f._block[j, :f._lens[j]], u, v) for j, u, v in
+                   zip(pieces[~flat].tolist(), inner[0][~flat].tolist(),
+                       inner[1][~flat].tolist())]
+    best = np.maximum.reduceat(row_norms(np.concatenate(values)), firsts).tolist()
+    for i, c, u, v in curved:
+        best[i] = max(best[i], _poly.sup_norm_on(c, u, v))
+    return best
 
 
 # -- factories ---------------------------------------------------------------
@@ -553,22 +666,25 @@ def lincomb(c1: float, f1: PiecewiseFunction,
     return PiecewiseFunction(r1.grid, _Columns(block, np.maximum(r1._lens, r2._lens)), nodes)
 
 
-def _break_function(grid, at, jump_minus, jump_plus) -> PiecewiseFunction:
-    """The break function on ``grid`` with the jumps ``jump_minus[i]`` and
-    ``jump_plus[i]`` at grid point ``at[i]`` (the other grid points carry
-    none): at ``t`` it sums the right jumps before ``t`` and the left jumps
-    up to ``t``, so it vanishes at ``a`` and is constant on every open
-    piece."""
-    grid = np.asarray(grid, dtype=float)
-    steps = np.zeros((grid.size, 2) + jump_minus.shape[1:])
-    steps[at, 0] = jump_minus
-    steps[at, 1] = jump_plus
+def _break_functions(grids, member, at, jump_minus, jump_plus) -> list[PiecewiseFunction]:
+    """The break functions on ``grids``, where function ``member[i]`` has
+    the jumps ``jump_minus[i]`` and ``jump_plus[i]`` at its grid point
+    ``at[i]`` (the other grid points carry none): at ``t`` each sums the
+    right jumps before ``t`` and the left jumps up to ``t``, so it vanishes
+    at ``a`` and is constant on every open piece."""
+    sizes, vshape = [grid.size for grid in grids], jump_minus.shape[1:]
+    steps = np.zeros((len(grids), max(sizes), 2) + vshape)
+    steps[member, at, 0] = jump_minus
+    steps[member, at, 1] = jump_plus
     # cumsum adds strictly in sequence (left jump at t_0, right jump at t_0,
-    # left jump at t_1, ...), so every value is the running loop's float sum
-    running = np.cumsum(steps.reshape((-1,) + jump_minus.shape[1:]), axis=0)
-    return PiecewiseFunction(grid, _Columns(running[1:-1:2, np.newaxis],
-                                            np.ones(grid.size - 1, dtype=int)),
-                             running[0::2])
+    # left jump at t_1, ...), so every value is the running loop's float
+    # sum; the zeros that pad a shorter grid's row come after its sums
+    running = np.cumsum(steps.reshape((len(grids), -1) + vshape), axis=1)
+    pieces = running[:, 1::2, np.newaxis]
+    pattern = _poly.degree_patterns(pieces.reshape((-1, 1) + vshape)).reshape(len(grids), -1, 3)
+    return [PiecewiseFunction(grid, _Columns(pieces[i, :m - 1], np.ones(m - 1, dtype=int),
+                                             pattern[i, :m - 1]), running[i, 0:2 * m:2])
+            for i, (grid, m) in enumerate(zip(grids, sizes))]
 
 
 def jordan_decompose(f: PiecewiseFunction) -> tuple[PiecewiseFunction, PiecewiseFunction]:
@@ -585,7 +701,8 @@ def jordan_decompose(f: PiecewiseFunction) -> tuple[PiecewiseFunction, Piecewise
     if not rows.size:
         return f, zero_function((f.a, f.b), f.kind, f.dim)
     table = f._jump_table()
-    fb = _break_function(f.grid, rows, table.minus[rows], table.plus[rows])
+    fb, = _break_functions([f.grid], np.zeros_like(rows), rows, table.minus[rows],
+                           table.plus[rows])
     block = np.array(f._block)
     block[:, 0] = block[:, 0] - fb._block[:, 0]
     fc = PiecewiseFunction(f.grid, _Columns(block, f._lens), f.nodes - fb.nodes)
@@ -606,17 +723,33 @@ def break_truncate(f_b: PiecewiseFunction, jump_points: Iterable[float]) -> Piec
     canonical approximation scheme: the variation of the difference is the
     summed norm of the dropped jumps.
     """
+    return _break_truncations(f_b, jump_points)[0]
+
+
+def _break_truncations(f_b: PiecewiseFunction, jump_points: Iterable[float],
+                       ns=None) -> list[PiecewiseFunction]:
+    """``break_truncate(f_b, jump_points[:n])`` for every ``n`` of the
+    sorted ``ns`` (default: one, with every point), built together."""
     _require_break_function(f_b)
-    points = np.fromiter(jump_points, dtype=float)
+    order = np.fromiter(jump_points, dtype=float)
+    ns = [order.size] if ns is None else ns
+    order = order[:ns[-1]]
     table = f_b._jump_table()
-    found = np.isin(points, f_b.grid[f_b._jump_rows()])
+    at = np.minimum(f_b.grid.searchsorted(order), f_b.npieces)  # NaN sorts last
+    found = (f_b.grid[at] == order) & ((table.norm_minus[at] > 0.0) | (table.norm_plus[at] > 0.0))
     if not found.all():
-        p = float(points[np.argmin(found)])
+        p = float(order[np.argmin(found)])
         raise ValueError(f"{p} is not a jump point of the break function")
-    kept = np.searchsorted(f_b.grid, points)
-    grid = np.unique(np.concatenate([[f_b.a, f_b.b], f_b.grid[kept]]))
-    return _break_function(grid, np.searchsorted(grid, f_b.grid[kept]),
-                           table.minus[kept], table.plus[kept])
+    # first[k]: the place of grid point k in the order, the first if repeated
+    first = np.full(f_b.grid.size, order.size)
+    np.minimum.at(first, at, np.arange(order.size))
+    kept = first < np.array(ns)[:, np.newaxis]  # truncation i keeps order[:ns[i]]
+    on = kept.copy()
+    on[:, [0, -1]] = True  # its grid: the kept jumps and the domain's ends
+    member, k = kept.nonzero()
+    return _break_functions([f_b.grid[row] for row in on], member,
+                            (np.cumsum(on, axis=1) - 1)[member, k],
+                            table.minus[k], table.plus[k])
 
 
 def restrict(f: PiecewiseFunction, region: ElementarySet | Interval) -> PiecewiseFunction:

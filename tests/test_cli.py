@@ -236,6 +236,28 @@ class TestGolden:
                   for line in body if line.startswith("n=")]
         assert errors == [1.0, 0.5, 0.25, 0.125]
 
+    def test_successive_calls_share_one_parser(self, specs, capsys):
+        """The parser is built once per process and left as it was by every
+        parse: calls in a row, a bad ``--set`` among them, each print their
+        golden."""
+        from kstieltjes import cli
+        calls = [(["integrate", "F_ramp.json", "g_one.json", "--set", "[0,1]"],
+                  GOLDEN_INTEGRATE_RAMP),
+                 (["variation", "f_hat.json", "--set", "[0,1]"], GOLDEN_VARIATION_HAT),
+                 (["variation", "f_hat.json", "--set", "[0,0.5"], None),
+                 (["converge", "F_ramp.json", "--family", "power", "--threshold", "1e-3",
+                   "--ns", "1,2,4,8,16,32,64,128,256,512,1024"], GOLDEN_CONVERGE_POWER),
+                 (["variation", "f_hat.json", "--set", ""], GOLDEN_VARIATION_EMPTY),
+                 (["integrate", "F_step.json", "g_ramp.json", "--set", "[0,1]"],
+                  GOLDEN_INTEGRATE_STEP)]
+        for argv, golden in calls:
+            rc, body, _ = run_cli(argv)
+            if golden is None:
+                assert rc == 2 and "error:" in capsys.readouterr().err
+            else:
+                assert rc == 0 and "\n".join(body) == golden
+        assert cli._build_parser.cache_info().currsize == 1
+
     def test_reports_are_deterministic(self, specs):
         _, body1, _ = run_cli(["integrate", "F_ramp.json", "g_one.json"])
         _, body2, _ = run_cli(["integrate", "F_ramp.json", "g_one.json"])

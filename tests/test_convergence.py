@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 import corpus
-from kstieltjes import (HypothesisViolationError, Interval, SequenceFamily,
-                        constant, ks_dFg, lincomb, polynomial, realize,
-                        run_bounded_convergence, scaled_identity, step, sup_norm,
-                        verify_break_limit)
+from kstieltjes import _poly
+from kstieltjes import (HypothesisViolationError, Interval, PiecewiseFunction,
+                        SequenceFamily, break_truncate, constant, ks_dFg, lincomb,
+                        polynomial, realize, run_bounded_convergence, scaled_identity,
+                        step, sup_norm, verify_break_limit)
+from kstieltjes.convergence import _members
+from kstieltjes.norms import norm_of
+from kstieltjes.piecewise import _jump_tables
 
 
 @pytest.fixture
@@ -204,6 +208,119 @@ class TestOneEnginePass:
                             lambda F, gs, *a: calls.append(len(gs)) or real(F, gs, *a))
         run_bounded_convergence(t_id, SequenceFamily.power(), [1, 2, 4, 8, 16], 0.1)
         assert calls == [6]
+
+
+def _same_columns(f, ref):
+    """Grid, node values, block, piece lengths and patterns byte for byte."""
+    for name in ("grid", "nodes", "_block", "_lens", "_pattern"):
+        got, want = getattr(f, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert f._pattern.tobytes() == _poly.degree_patterns(f._block).tobytes()
+
+
+def _truncated(fb, points):
+    """``break_truncate`` as a loop: the kept jumps and the domain's ends
+    make the grid, and the value runs over the steps in grid order."""
+    points = [float(t) for t in points]
+    grid = sorted({fb.a, fb.b} | set(points))
+    jm, jp = np.zeros((len(grid),) + fb.vshape), np.zeros((len(grid),) + fb.vshape)
+    for k, t in enumerate(grid):
+        if t in points:
+            rec = fb.jump_at(t)
+            jm[k], jp[k] = rec.jump_minus, rec.jump_plus
+    running, nodes, pieces = np.zeros(fb.vshape), [], []
+    for k in range(len(grid)):
+        running = running + jm[k]
+        nodes.append(running)
+        running = running + jp[k]
+        pieces.append(running[np.newaxis])
+    return PiecewiseFunction(grid, pieces[:-1], nodes)
+
+
+class TestMemberStack:
+    """A run realises its members together, takes their sup norms in one
+    pass and builds their jump tables in one stack: each member is what
+    its public builder gives, byte for byte."""
+
+    def test_power_members_are_polynomials(self):
+        ns = [1, 2, 3, 5, 17, 64, 200]
+        for n, g in zip(ns, _members(SequenceFamily.power(), ns)):
+            _same_columns(g, polynomial((0.0, 1.0), np.eye(n + 1)[n][:, np.newaxis]))
+            _same_columns(realize(SequenceFamily.power(), n), g)
+
+    def test_spike_members_are_steps(self, rng):
+        ns = [1, 2, 3, 4, 7, 10, 64, 1000]
+        cases = [((0.0, 1.0), 0.0, 5.0), ((0.0, 1.0), 1.0, -1.0), ((0.0, 1.0), 0.75, 2.5),
+                 ((0.0, 1.0), -0.0, 1.0), ((-1.0, 0.0), -0.0, 2.0), ((-1.0, 0.0), -0.5, -0.0),
+                 ((-3.5, -1.25), -3.5, 0.5), ((1e17, 1e17 + 1e3), 1e17 + 512.0, 3.0)]
+        cases += [((a, b), float(rng.uniform(a, b)), float(rng.uniform(-4, 4)))
+                  for a, b in ((0.0, 1.0), (-3.5, -1.25), (0.5, 1.5)) for _ in range(5)]
+        for domain, c, height in cases:
+            family = SequenceFamily.spike(domain, c, height)
+            for n, g in zip(ns, _members(family, ns)):
+                hi = min(c + 1.0 / n, domain[1])
+                support = Interval.at(c) if hi == c else Interval.closed(c, hi)
+                _same_columns(g, step(domain, support, height))
+                _same_columns(realize(family, n), g)
+
+    def test_truncation_members_are_break_truncations(self, rng):
+        for a, b in ((0.0, 1.0), (-3.5, -1.25)):
+            for dim in (1, 2):
+                fb = corpus.random_break_function(rng, "vector", dim, (a, b), n_jumps=6)
+                points = [r.t for r in fb.jumps()]
+                for order in (points, rng.permutation(points).tolist(),
+                              points[:2] + points[:3] + points[::-1]):
+                    family = SequenceFamily.truncation(fb, order)
+                    ns = sorted(set(rng.integers(1, len(order) + 3, size=4).tolist()))
+                    for n, g in zip(ns, _members(family, ns)):
+                        _same_columns(g, _truncated(fb, order[:n]))
+                        _same_columns(break_truncate(fb, order[:n]), g)
+                        _same_columns(realize(family, n), g)
+
+    def test_jump_tables_match_the_one_sided_limits(self, rng):
+        """Stacked tables of functions with -0.0 coefficients on negative
+        domains hold the jumps taken from ``limit_left``/``limit_right``."""
+        for a, b in ((-3.5, -1.25), (-1.0, 0.0), (0.0, 1.0)):
+            for shape in ((1,), (2,), (2, 2)):
+                fs = []
+                for _ in range(5):
+                    grid = np.unique(np.concatenate([[a, b], rng.uniform(a, b, 3)]))
+                    coeffs = [corpus.random_coeffs(rng, shape) for _ in range(len(grid) - 1)]
+                    nodes = np.where(rng.random((len(grid),) + shape) < 0.2, -0.0,
+                                     rng.uniform(-1.0, 1.0, (len(grid),) + shape))
+                    fs.append(PiecewiseFunction(grid, coeffs, nodes))
+                _jump_tables(fs)
+                for f in fs:
+                    minus, plus, norm_minus, norm_plus = f._table
+                    for k, t in enumerate(f.grid.tolist()):
+                        want_minus = f.nodes[k] - f.limit_left(t) if k else np.zeros(shape)
+                        want_plus = (f.limit_right(t) - f.nodes[k] if k < f.npieces
+                                     else np.zeros(shape))
+                        assert minus[k].tobytes() == want_minus.tobytes()
+                        assert plus[k].tobytes() == want_plus.tobytes()
+                        assert norm_minus[k] == norm_of(want_minus)
+                        assert norm_plus[k] == norm_of(want_plus)
+
+    def test_first_member_above_the_bound_is_reported(self, t_id, monkeypatch):
+        """The 2nd and 4th members break the bound: the 2nd is reported,
+        before the pointwise check or any integral."""
+        import kstieltjes.convergence as conv
+        ok, over = constant((0.0, 1.0), 1.0), step((0.0, 1.0), Interval.closed(0.5, 1.0), 3.0)
+        family = SequenceFamily.custom([ok, over, ok, 2.0 * over], constant((0.0, 1.0), 1.0),
+                                       bound=2.0)
+        calls = []
+        for name in ("_check_pointwise", "_engine"):
+            monkeypatch.setattr(conv, name, lambda *a, name=name: calls.append(name))
+        with pytest.raises(HypothesisViolationError, match=r"member n=2 has sup norm 3\.0 "):
+            run_bounded_convergence(t_id, family, [4, 3, 2, 1], 1.0)
+        assert calls == []
+
+    def test_realize_errors_come_first(self, t_id):
+        members = [constant((0.0, 1.0), 5.0)] * 2
+        family = SequenceFamily.custom(members, constant((0.0, 1.0), 0.0), bound=1.0)
+        with pytest.raises(ValueError, match="only 2 members"):
+            run_bounded_convergence(t_id, family, [1, 2, 3], 1.0)
 
 
 class TestVerifyBreakLimit:

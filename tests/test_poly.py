@@ -244,3 +244,42 @@ class TestSupNormSingleEntry:
         monkeypatch.setattr(_poly, "_norm_pieces", kernel)
         for c in ([0.5, -1.0, 1.0], [[0.5], [-1.0], [1.0]], [[[0.5]], [[-1.0]], [[1.0]]]):
             assert _poly.sup_norm_on(np.array(c), 0.0, 1.0) == 0.5
+
+
+def _stack_row(rng, vshape, width):
+    """One row of a mixed stack: a constant, a dense linear, a sparse
+    monomial or binomial, a dense row of higher degree or a zero row, with
+    entries -0.0 now and then."""
+    c = np.zeros((width,) + vshape)
+    kind = int(rng.integers(5))
+    if kind == 0:
+        c[0] = rng.uniform(-2.0, 2.0, vshape)
+    elif kind == 1 and width > 1:
+        c[:2] = rng.uniform(-2.0, 2.0, (2,) + vshape)
+    elif kind == 2:
+        for j in rng.choice(width, size=min(width, int(rng.integers(1, 3))), replace=False):
+            c[j] = rng.uniform(-2.0, 2.0, vshape)
+    elif kind == 3:
+        c[:int(rng.integers(1, width + 1))] = rng.uniform(-2.0, 2.0, (1,) + vshape)
+    if rng.random() < 0.3:
+        c = np.where(rng.random(c.shape) < 0.3, -0.0, c)
+    return c
+
+
+class TestPolyvalStack:
+    """A stack of mixed degree patterns evaluates its Horner-safe rows as
+    one group; every row still gets the bits of a ``polyval`` of its own,
+    -0.0 coefficients and negative ``t`` included."""
+
+    def test_matches_one_row_at_a_time(self, rng):
+        for vshape in ((), (1,), (3,), (2, 2)):
+            for _ in range(150):
+                n, width = int(rng.integers(1, 12)), int(rng.integers(1, 8))
+                block = np.stack([_stack_row(rng, vshape, width) for _ in range(n)])
+                pattern = _poly.degree_patterns(block)
+                ts = rng.uniform(-3.0, 0.5, size=(n, 4))
+                ts[:, 0] = -0.0
+                stacked = _poly.polyval(block, ts, pattern)
+                for i in range(n):
+                    row = _poly.polyval(block[i], ts[i], pattern[i])
+                    assert stacked[i].tobytes() == row.tobytes()
