@@ -39,7 +39,7 @@ def degree_patterns(block: np.ndarray) -> np.ndarray:
     return pattern
 
 
-def _horner(cols, ts, pattern, out):
+def horner(cols, ts, pattern, out):
     """Write ``sum cols[j] ts**j`` into ``out`` with the operations that
     ``pattern``, ``(count, low, top)`` as Python ints, selects; ``cols[j]``
     and ``ts`` broadcast against ``out``.
@@ -94,29 +94,37 @@ def polyval(c: np.ndarray, t, pattern=None, out=None) -> np.ndarray:
     ts = tarr.reshape(1) if scalar else tarr
     if out is None:
         out = np.empty(c.shape[1:] + ts.shape)
-    _horner(c[..., np.newaxis], ts, pattern, out)
+    horner(c[..., np.newaxis], ts, pattern, out)
     return out[..., 0] if scalar else out
 
 
+def horner_safe(c: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+    """Which rows of a stack ``c`` ``(n, K, ...)`` with degree patterns
+    ``pattern`` Horner from any higher top degree evaluates with the row's
+    own bits.  It does when the leading +0.0 coefficients leave +0.0 at
+    every step: rows of more than two degrees, zero rows, constants and
+    dense linears, if they hold no -0.0 (which the row's own first step,
+    0.0 + c, would have made 0.0)."""
+    count, top = pattern[:, 0], pattern[:, 2]
+    safe = (count > 2) | (count == 0) | ((top <= 1) & (count == top + 1))
+    safe &= ~((c == 0.0) & np.signbit(c)).reshape(len(c), -1).any(axis=1)
+    return safe
+
+
 def _polyval_stack(c: np.ndarray, t: np.ndarray, pattern: np.ndarray) -> np.ndarray:
-    """``polyval`` of a stack: one ``_horner`` pass per group of rows that
+    """``polyval`` of a stack: one ``horner`` pass per group of rows that
     take the same operations."""
     n, p = t.shape
     ts = t.reshape((n,) + (1,) * (c.ndim - 2) + (p,))
     out = np.empty((n,) + c.shape[2:] + (p,))
     if (pattern == pattern[0]).all():  # one piece, or pieces of one pattern
-        _horner(c.swapaxes(0, 1)[..., np.newaxis], ts, pattern[0].tolist(), out)
+        horner(c.swapaxes(0, 1)[..., np.newaxis], ts, pattern[0].tolist(), out)
         return out
     count, low, top = pattern.T
-    # Horner from a higher top gives a row its own bits when its leading
-    # +0.0 coefficients leave +0.0 at every step: rows of more than two
-    # degrees, zero rows, constants and dense linears, if they hold no -0.0
-    # (which the row's own first step, 0.0 + c, would have made 0.0)
-    safe = (count > 2) | (count == 0) | ((top <= 1) & (count == top + 1))
-    safe &= ~((c == 0.0) & np.signbit(c)).reshape(n, -1).any(axis=1)
-    horner = [3, 0, int(np.max(top, where=safe & (count > 0), initial=0))]
+    safe = horner_safe(c, pattern)
+    from_top = [3, 0, int(np.max(top, where=safe & (count > 0), initial=0))]
     if safe.all():
-        _horner(c.swapaxes(0, 1)[..., np.newaxis], ts, horner, out)
+        horner(c.swapaxes(0, 1)[..., np.newaxis], ts, from_top, out)
         return out
     # Horner depends on the top degree alone, the sparse path on both degrees
     width = c.shape[1] + 1
@@ -129,8 +137,8 @@ def _polyval_stack(c: np.ndarray, t: np.ndarray, pattern: np.ndarray) -> np.ndar
     ts = ts[order]
     for lo, hi in zip([0] + starts, starts + [n]):
         row = order[lo]
-        _horner(cols[:, lo:hi], ts[lo:hi], horner if safe[row] else pattern[row].tolist(),
-                out[lo:hi])
+        horner(cols[:, lo:hi], ts[lo:hi], from_top if safe[row] else pattern[row].tolist(),
+               out[lo:hi])
     out[order] = out.copy()
     return out
 

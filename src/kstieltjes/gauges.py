@@ -129,14 +129,29 @@ class _ForcedSet:
         """The forcing gauge that takes ``caps[i]`` at forced point ``i``;
         ``caps`` must not exceed ``half_nearest``."""
         forced, ends = self.forced, self.ends
+        lefts, rights = ends[:-1], ends[1:]
 
         def evaluate(t: np.ndarray) -> np.ndarray:
-            i = forced.searchsorted(t)
-            dist = np.minimum(t - ends[i], ends[i + 1] - t)
-            out = dist / 2.0
-            hit = dist == 0.0
-            if hit.any():
-                out[hit] = caps[i[hit]]
+            # t lies in gap i, between ends[i] and ends[i + 1]
+            if t.ndim == 1 and (t[1:] >= t[:-1]).all():
+                # sorted: gap i holds the counts[i] points before t[bounds[i]]
+                bounds = t.searchsorted(forced, side="right")
+                counts = np.empty(bounds.size + 1, dtype=np.intp)
+                counts[:-1], counts[-1] = bounds, t.size
+                counts[1:] -= bounds
+                lo, dist = np.repeat(lefts, counts), np.repeat(rights, counts)
+                np.subtract(t, lo, out=lo)
+                np.subtract(dist, t, out=dist)
+                np.minimum(lo, dist, out=dist)
+                hit = (dist == 0.0).nonzero()[0]
+                i = bounds.searchsorted(hit, side="right")
+            else:
+                i = forced.searchsorted(t)
+                dist = np.minimum(t - ends[i], ends[i + 1] - t)
+                hit = dist == 0.0
+                i = i[hit]
+            out = np.divide(dist, 2.0, out=dist)
+            out[hit] = caps[i]
             return out
 
         return Gauge(evaluate)
@@ -157,7 +172,9 @@ class TaggedDivision:
             raise ValueError("division points must be strictly increasing")
         if tags.shape != (points.size - 1,):
             raise ValueError("need exactly one tag per subinterval")
-        if not ((points[:-1] <= tags) & (tags <= points[1:])).all():
+        inside = points[:-1] <= tags
+        inside &= tags <= points[1:]
+        if not inside.all():
             raise ValueError("tags must lie inside their subintervals")
         points.setflags(write=False)
         tags.setflags(write=False)
@@ -182,7 +199,9 @@ def is_delta_fine(division: TaggedDivision, gauge: Gauge) -> bool:
     radius ``gauge(tag)`` around its tag."""
     u, v = division.points[:-1], division.points[1:]
     tags = division.tags
-    return bool((np.maximum(v - tags, tags - u) < gauge(tags)).all())
+    reach = v - tags
+    np.maximum(reach, tags - u, out=reach)
+    return bool((reach < gauge(tags)).all())
 
 
 def cousin_partition(gauge: Gauge, a: float, b: float,
@@ -227,10 +246,9 @@ def rs_sum_dFg(F: PiecewiseFunction, g: PiecewiseFunction,
     """``sum_j [F(alpha_j) - F(alpha_{j-1})] g(tau_j)``."""
     check_pair(F, g)
     _check_spans(F, division)
-    f_vals = F.eval_many(division.points)
+    f_vals = _at_sorted(F, division.points)
     increments = f_vals[..., 1:] - f_vals[..., :-1]
-    g_tags = g.eval_many(division.tags)
-    return np.einsum("ijm,jm->i", increments, g_tags)
+    return np.einsum("ijm,jm->i", increments, _at_sorted(g, division.tags))
 
 
 def rs_sum_Fdg(F: PiecewiseFunction, g: PiecewiseFunction,
@@ -238,10 +256,16 @@ def rs_sum_Fdg(F: PiecewiseFunction, g: PiecewiseFunction,
     """``sum_j F(tau_j) [g(alpha_j) - g(alpha_{j-1})]``."""
     check_pair(F, g)
     _check_spans(F, division)
-    g_vals = g.eval_many(division.points)
+    g_vals = _at_sorted(g, division.points)
     increments = g_vals[..., 1:] - g_vals[..., :-1]
-    f_tags = F.eval_many(division.tags)
-    return np.einsum("ijm,jm->i", f_tags, increments)
+    return np.einsum("ijm,jm->i", _at_sorted(F, division.tags), increments)
+
+
+def _at_sorted(f: PiecewiseFunction, ts: np.ndarray) -> np.ndarray:
+    """``f.eval_many(ts)`` for a division's points or tags, which are sorted
+    and, once ``_check_spans`` has passed, inside the domain: evaluated by
+    the function's kept evaluator, with no check or sort."""
+    return f._eval_sorted(ts, f._evaluator())
 
 
 def _check_spans(f: PiecewiseFunction, division: TaggedDivision):

@@ -94,6 +94,92 @@ class TestForcingAgainstPlan:
                     assert via_plan.tobytes() == via_forcing.tobytes()
                     assert via_plan.tolist() == expected
 
+    def test_sorted_route_is_the_general_route(self, rng):
+        """Sorted 1-d input is evaluated gap by gap; any other input by a
+        search per point (a 2-d view of the same points takes that route).
+        Both give the same bytes, and the definition's values, on sorted
+        and shuffled points, points on forced points (which take their
+        caps), adjacent floats, points outside the hull, repeated points,
+        one point and no point."""
+        for a, b in ((0.0, 1.0), (-3.5, -1.25), (1e4, 1e4 + 3.0)):
+            for forced in _forced_sets(rng, a, b, 4):
+                plan = _plan(a, b, forced)
+                p = plan.forced
+                near = np.concatenate([np.nextafter(p, -np.inf), np.nextafter(p, np.inf)])
+                for level in (0, 5, 16):
+                    gauge = plan.gauge(np.minimum((b - a) * 4.0**-level, plan.half_nearest))
+                    for ts in (np.concatenate([p, near, rng.uniform(a, b, 60),
+                                               [a - 1.0, b + 0.5, a - 1e-300]]),
+                               np.repeat(p, 3), np.concatenate([near, near]),
+                               p[:1], near[-1:], np.array([b + 2.0]), np.empty(0)):
+                        ts = np.sort(ts)
+                        general = gauge(ts.reshape(1, -1)).reshape(-1)
+                        assert gauge(ts).tobytes() == general.tobytes()
+                        perm = rng.permutation(ts.size)
+                        shuffled = np.empty_like(ts)
+                        shuffled[perm] = gauge(ts[perm])
+                        assert shuffled.tobytes() == general.tobytes()
+                        assert general.tolist() == [
+                            _forcing_reference(p, (b - a) * 4.0**-level, t) for t in ts.tolist()]
+                        on = np.isin(ts, p)
+                        assert (general[on] == plan.gauge(np.minimum(
+                            (b - a) * 4.0**-level, plan.half_nearest))(ts[on])).all()
+
+    def test_widened_interval_is_not_fine(self, rng, monkeypatch):
+        """Mutation check on the fineness guard: one interval of the
+        oracle's division widened, by absorbing its neighbours until it
+        reaches the gauge at its tag, fails ``is_delta_fine`` against the
+        level's gauge, and a builder whose division comes out so widened
+        raises ``OracleFailureError``."""
+
+        def widen(points, tags, j, gauge):
+            # interval j keeps its tag and absorbs its right neighbours,
+            # or else its left ones, up to the first point out of reach
+            tag = tags[j]
+            reach = gauge(float(tag))
+            right = np.flatnonzero(points - tag >= reach)
+            if right.size:
+                hi = right[0]
+                return (np.concatenate([points[:j + 1], points[hi:]]),
+                        np.concatenate([tags[:j + 1], tags[hi:]]))
+            left = np.flatnonzero(tag - points >= reach)
+            if not left.size:
+                return None  # the gauge at this tag reaches past both ends
+            lo = left[-1]
+            return (np.concatenate([points[:lo + 1], points[j + 1:]]),
+                    np.concatenate([tags[:lo], tags[j:]]))
+
+        a, b = -3.5, -1.25
+        widened_any = 0
+        for forced in _forced_sets(rng, a, b, 6):
+            plan = _plan(a, b, forced)
+            for level in (2, 6, 11):
+                d = gauges._forced_fine_division(plan, level, 1 << 21)
+                gauge = _oracle_gauge(a, b, plan.forced, level)
+                assert is_delta_fine(d, gauge)
+                # both ends, a random interval and both sides of every
+                # forced point
+                at = d.points.searchsorted(plan.forced)
+                picks = {0, d.count - 1, int(rng.integers(d.count))}
+                picks |= {int(j) for j in at if j < d.count} | {int(j) - 1 for j in at if j > 0}
+                for j in sorted(picks):
+                    mutant = widen(d.points, d.tags, j, gauge)
+                    if mutant is not None:
+                        widened_any += 1
+                        assert not is_delta_fine(TaggedDivision(*mutant), gauge)
+                j = int(rng.integers(d.count))
+                if widen(d.points, d.tags, j, gauge) is None:
+                    continue
+
+                def widened(points, tags):
+                    return TaggedDivision(*widen(points, tags, j, gauge))
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(gauges, "TaggedDivision", widened)
+                    with pytest.raises(OracleFailureError, match="not fine"):
+                        gauges._forced_fine_division(plan, level, 1 << 21)
+        assert widened_any > 50
+
 
 class TestGaugeFloatTwin:
     """A Python float goes through the same array evaluator as a

@@ -8,7 +8,7 @@ from kstieltjes import (DomainError, ElementarySet, Interval,
                         PiecewiseFunction, break_truncate, constant,
                         jordan_decompose, lincomb, polynomial,
                         scaled_identity, step, var_compact)
-from kstieltjes import _poly
+from kstieltjes import _poly, gauges
 from kstieltjes.norms import norm_of
 
 
@@ -223,6 +223,114 @@ class TestEvalReference:
             _same(view, _step_horner(c, ts))
             t = float(rng.uniform(-3.0, 3.0))
             _same(_poly.polyval(c, t), _step_horner(c, t))
+
+
+def _safe_coeffs(rng, vshape):
+    """Coefficients every Horner-safe rule admits: dense up to degree 5, a
+    dense linear, a constant or zero, never a -0.0."""
+    style = rng.integers(4)
+    if style == 0:
+        return rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 7)),) + vshape)
+    if style == 1:
+        return rng.uniform(0.5, 1.0, size=(2,) + vshape) * rng.choice([-1.0, 1.0])
+    if style == 2:
+        return rng.uniform(-1.0, 1.0, size=(1,) + vshape)
+    return np.zeros((int(rng.integers(1, 4)),) + vshape)
+
+
+def _monomial_function(rng, kind, dim, a, b):
+    """A mixed random function with one degree-64 monomial piece holding
+    -0.0 entries."""
+    f = _random_function(rng, kind, dim, 12, a, b)
+    monomial = np.zeros((65,) + f.vshape)
+    monomial[64] = rng.uniform(-1.0, 1.0, size=f.vshape)
+    coeffs = list(f.coeffs)
+    coeffs[int(rng.integers(len(coeffs)))] = np.where(
+        rng.random(monomial.shape) < 0.3, -0.0, monomial)
+    return PiecewiseFunction(f.grid, coeffs, f.nodes)
+
+
+def _count_horner(monkeypatch, f) -> list[str]:
+    """Record each ``_poly.horner`` call as ``"piece"`` (a piece's kept
+    coefficients) or ``"stacked"`` (rows gathered per point)."""
+    routes, horner = [], _poly.horner
+    kept = {id(c) for c in f._evaluator().cols}
+
+    def counted(cols, ts, pattern, out):
+        routes.append("piece" if id(cols) in kept else "stacked")
+        return horner(cols, ts, pattern, out)
+
+    monkeypatch.setattr(_poly, "horner", counted)
+    return routes
+
+
+class TestSortedEvaluator:
+    """The kept evaluator of the Riemann-Stieltjes sums, called on sorted
+    points inside the domain, equals ``eval_many`` byte for byte."""
+
+    def check(self, f, ts, monkeypatch, seen):
+        with monkeypatch.context() as patch:
+            routes = _count_horner(patch, f)
+            got = f._eval_sorted(ts, f._evaluator())
+        _same(got, f.eval_many(ts))
+        seen.update(routes)
+        return routes
+
+    def test_matches_eval_many(self, rng, monkeypatch):
+        seen = set()
+        for a, b in ((0.0, 1.0), (-3.5, -1.25), (1e3, 1e3 + 2.0)):
+            for kind in ("vector", "operator"):
+                for dim in (1, 2, 3):
+                    vshape = (dim,) if kind == "vector" else (dim, dim)
+                    grid = np.unique(np.concatenate([[a], rng.uniform(a, b, 5), [b]]))
+                    safe = PiecewiseFunction(
+                        grid, [_safe_coeffs(rng, vshape) for _ in range(grid.size - 1)],
+                        rng.uniform(-1.0, 1.0, size=(grid.size,) + vshape))
+                    assert safe._evaluator().stack is not None
+                    mixed = _random_function(rng, kind, dim, 6, a, b)
+                    monomial = _monomial_function(rng, kind, dim, a, b)
+                    assert monomial._evaluator().stack is None
+                    for f in (safe, mixed, monomial):
+                        # the oracle's divisions of the function's grid
+                        plan = gauges._ForcedSet(f.grid)
+                        for level in range(17):
+                            d = gauges._forced_fine_division(plan, level, 1 << 21)
+                            for ts in (d.points, d.tags):
+                                self.check(f, ts, monkeypatch, seen)
+                        # grid nodes only, repeated; one point per piece;
+                        # many random points, some repeated
+                        inside = np.sort(rng.uniform(a, b, 300))
+                        for ts in (np.sort(np.concatenate([f.grid, f.grid[::2]])),
+                                   rng.uniform(f.grid[:-1], f.grid[1:]),
+                                   np.sort(np.concatenate([inside, inside[::7], f.grid])),
+                                   np.array([a]), np.array([]), np.array([b, b])):
+                            self.check(f, ts, monkeypatch, seen)
+        assert seen == {"piece", "stacked"}
+
+    def test_routes(self, rng, monkeypatch):
+        """A Horner-safe function takes one stacked pass for few points
+        per piece and one pass per piece for many; with a -0.0 entry it has
+        no stack and goes through its pieces, or ``polyval``'s stack when
+        the pieces outnumber the points per piece, with the same bits."""
+        grid = np.linspace(0.0, 1.0, 9)
+        coeffs = [_safe_coeffs(rng, (2, 2)) for _ in range(8)]
+        coeffs[3] = rng.uniform(-1.0, 1.0, size=(4, 2, 2))
+        f = PiecewiseFunction(grid, coeffs, rng.uniform(-1.0, 1.0, size=(9, 2, 2)))
+        few = np.sort(rng.uniform(0.0, 1.0, 64))
+        many = np.sort(rng.uniform(0.0, 1.0, 4096))
+        seen = set()
+        assert self.check(f, few, monkeypatch, seen) == ["stacked"]
+        routes = self.check(f, many, monkeypatch, seen)
+        assert set(routes) == {"piece"} and len(routes) == 8
+        coeffs[3] = np.where(np.arange(4)[:, None, None] == 1, -0.0, coeffs[3])
+        g = PiecewiseFunction(grid, coeffs, f.nodes)
+        assert g._evaluator().stack is None
+        assert set(self.check(g, many, monkeypatch, seen)) == {"piece"}
+        # more pieces than points per piece: polyval's stack, grouped
+        for ts in (few, f.grid[1:-1] + 1e-3):
+            self.check(g, ts, monkeypatch, seen)
+        # the kept evaluator is built once
+        assert g._evaluator() is g._evaluator()
 
 
 def _mixed_jumps(rng, f):

@@ -74,6 +74,56 @@ def test_oracle_levels_go_through_the_traced_builder(monkeypatch):
     assert "gauges.division" in traced.self_times()
 
 
+@pytest.mark.parametrize("orientation", ["dFg", "Fdg"])
+def test_oracle_sums_and_fineness_go_through_module_globals(monkeypatch, orientation):
+    """``gauges.rs_sum.self_s`` and ``gauges.gauge_evals`` are taken from
+    the tracer's wrappers on ``rs_sum_dFg``/``rs_sum_Fdg``, ``is_delta_fine``
+    and ``Gauge.__call__``: the oracle must look the sum of its orientation
+    and the fineness check up as module globals and call each once per
+    built level, the check on the level's tags."""
+    from kstieltjes import gauges
+
+    calls = {"levels": 0, "rs_sum_dFg": 0, "rs_sum_Fdg": 0, "is_delta_fine": 0}
+    tags = []
+
+    def counted(name):
+        fn = getattr(gauges, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            if name == "is_delta_fine":
+                tags.append(args[0].tags.size)
+            return fn(*args)
+
+        return wrapper
+
+    build = gauges._forced_fine_division
+
+    def counting(plan, level, max_points):
+        calls["levels"] += 1
+        return build(plan, level, max_points)
+
+    for name in ("rs_sum_dFg", "rs_sum_Fdg", "is_delta_fine"):
+        monkeypatch.setattr(gauges, name, counted(name))
+    monkeypatch.setattr(gauges, "_forced_fine_division", counting)
+    F = ks.PiecewiseFunction([0.0, 0.25, 1.0], [[[[1.0]], [[2.0]]], [[[0.5]], [[-1.0]], [[3.0]]]],
+                             [[[0.0]], [[2.0]], [[1.0]]])
+    g = ks.polynomial((0.0, 1.0), [0.0, 1.0, 1.0])
+    traced = tracer.Tracer().install(ks)
+    try:
+        ks.oracle_integral(F, g, orientation, 1e-8, start_level=2)
+    finally:
+        traced.uninstall()
+    other = "rs_sum_Fdg" if orientation == "dFg" else "rs_sum_dFg"
+    assert calls["levels"] >= 3
+    assert calls[f"rs_sum_{orientation}"] == calls["is_delta_fine"] == calls["levels"]
+    assert calls[other] == 0
+    assert traced.counts["gauges.rs_sum.calls"] == calls["levels"]
+    assert traced.counts["gauges.is_delta_fine.calls"] == calls["levels"]
+    assert traced.counts["gauges.gauge_evals"] == sum(tags)
+    assert {"gauges.rs_sum", "gauges.is_delta_fine"} <= set(traced.self_times())
+
+
 @pytest.mark.parametrize("consumer", ["jordan_decompose", "ks_dFg", "break_truncate",
                                       "integral_over_point", "var_compact"])
 def test_jump_table_is_built_inside_the_jumps_span(consumer):

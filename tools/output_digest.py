@@ -13,7 +13,9 @@ parts (abutting open ends, point parts, parts on ``a``, ``b`` and grid
 points, the empty set) and over each of their parts, with their errors
 (kind ``elementary``).  It also digests the oracle's fine divisions at
 levels 0-16, ``oracle_integral`` on small pairs with its levels, budget and
-tolerance varied, and the forcing, constant and minimum gauges.  It prints
+tolerance varied, both Riemann-Stieltjes sums on the oracle's divisions and
+on ``cousin_partition`` divisions (kind ``rs_sum``), and the forcing,
+constant and minimum gauges.  It prints
 one line per output kind: the number of items and a sha256 over their
 bytes.  Two trees that print the same lines computed the
 same bits, so a change meant to keep every output bitwise is checked with
@@ -396,6 +398,34 @@ def digest_oracle(ks, seed, out: Digest):
                 out.add("oracle", lambda: ks.oracle_integral(F, g, orientation), message=True)
 
 
+def digest_rs_sum(ks, seed, out: Digest):
+    """Both Riemann-Stieltjes sums of a random pair (mixed degree patterns,
+    -0.0 entries, monomials up to degree 64) and of a small pair (at most 5
+    pieces of degree at most 3) on the oracle's divisions of their grids at
+    levels 0-16, and on ``cousin_partition`` divisions for constant gauges
+    and the forcing gauges of a dyadic lattice."""
+    gauges = ks.gauges
+    rng = np.random.default_rng([seed, 37])
+    for a, b in DOMAINS:
+        dim = int(rng.integers(1, 4))
+        pairs = [(random_function(ks, rng, "operator", dim, a, b),
+                  random_function(ks, rng, "vector", dim, a, b)),
+                 (small_function(ks, rng, "operator", dim, a, b),
+                  small_function(ks, rng, "vector", dim, a, b))]
+        for F, g in pairs:
+            grids = np.concatenate([F.grid, g.grid])
+            plan = gauges._ForcedSet(grids)
+            divisions = [gauges._forced_fine_division(plan, level, 1 << 21)
+                         for level in range(17)]
+            span = b - a
+            lattice = a + span * np.arange(9) / 8.0  # points bisection reaches
+            for gauge in [ks.Gauge.constant(span * 2.0**-k) for k in (0, 3, 6)] + [
+                    ks.Gauge.forcing(lattice, span * 4.0**-k) for k in (1, 3)]:
+                divisions.append(ks.cousin_partition(gauge, a, b))
+            for d in divisions:
+                out.add("rs_sum", lambda: [ks.rs_sum_dFg(F, g, d), ks.rs_sum_Fdg(F, g, d)])
+
+
 def digest_gauges(ks, seed, out: Digest):
     """Forcing gauges of the forced sets above, with and without the ends,
     and their minimum with the oracle's constant gauge, at the oracle's
@@ -440,6 +470,7 @@ def main(argv=None):
             digest_closures(ks, seed, out)
             digest_oracle(ks, seed, out)
             digest_gauges(ks, seed, out)
+            digest_rs_sum(ks, seed, out)
             digest_members(ks, seed, out)
             digest_step(ks, seed, out)
             digest_elementary(ks, seed, out)
