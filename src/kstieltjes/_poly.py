@@ -44,14 +44,19 @@ def horner(cols, ts, pattern, out):
     ``pattern``, ``(count, low, top)`` as Python ints, selects; ``cols[j]``
     and ``ts`` broadcast against ``out``.
     ``0.0 + x`` starts the sum as adding into zeros would, so a -0.0 comes
-    out as 0.0."""
+    out as 0.0.  Two terms are summed as ``0.0 + low + top``, written top
+    first, since addition commutes; ``t**0`` and ``t**1`` are not taken,
+    as the products by them are exact."""
     count, low, top = pattern
     if count == 0:
         out[...] = 0.0
     elif count <= 2:
-        np.add(0.0, cols[low] * ts**low, out=out)
+        term = cols[low] if low == 0 else cols[low] * (ts if low == 1 else ts**low)
         if count == 2:
-            out += cols[top] * ts**top
+            np.multiply(cols[top], ts if top == 1 else ts**top, out=out)
+            out += 0.0 + term
+        else:
+            np.add(0.0, term, out=out)
     else:
         np.add(0.0, cols[top], out=out)
         for j in range(top - 1, -1, -1):
@@ -59,12 +64,11 @@ def horner(cols, ts, pattern, out):
             out += cols[j]
 
 
-def polyval(c: np.ndarray, t, pattern=None, out=None) -> np.ndarray:
+def polyval(c: np.ndarray, t, pattern=None) -> np.ndarray:
     """Evaluate the polynomial ``sum c[j] t**j`` at ``t``.
 
     ``t`` may be a scalar or a 1-d array; the result has shape
-    ``c.shape[1:] + t.shape``.  For a 1-d ``t``, an ``out`` array of that
-    shape (a view is fine) receives the values and is returned.  Sparse high-degree coefficient arrays
+    ``c.shape[1:] + t.shape``.  Sparse high-degree coefficient arrays
     (single monomials, as produced by the power family) take a fast path
     that avoids Horner over the zero coefficients.
 
@@ -92,8 +96,7 @@ def polyval(c: np.ndarray, t, pattern=None, out=None) -> np.ndarray:
     tarr = np.asarray(t, dtype=float)
     scalar = tarr.ndim == 0
     ts = tarr.reshape(1) if scalar else tarr
-    if out is None:
-        out = np.empty(c.shape[1:] + ts.shape)
+    out = np.empty(c.shape[1:] + ts.shape)
     horner(c[..., np.newaxis], ts, pattern, out)
     return out[..., 0] if scalar else out
 

@@ -76,8 +76,6 @@ class SequenceFamily:
     def spike(cls, domain, center: float, height: float) -> "SequenceFamily":
         """``height * χ_{[center, center + 1/n]}``, shrinking onto the point."""
         limit = step(domain, Interval.at(center), height)
-        if not limit.domain.contains(center):
-            raise ValueError("spike center must lie in the domain")
         return cls(kind="spike", limit=limit, bound=abs(height),
                    center=float(center), height=float(height))
 

@@ -246,9 +246,9 @@ def rs_sum_dFg(F: PiecewiseFunction, g: PiecewiseFunction,
     """``sum_j [F(alpha_j) - F(alpha_{j-1})] g(tau_j)``."""
     check_pair(F, g)
     _check_spans(F, division)
-    f_vals = _at_sorted(F, division.points)
+    f_vals = F._eval_sorted(division.points)
     increments = f_vals[..., 1:] - f_vals[..., :-1]
-    return np.einsum("ijm,jm->i", increments, _at_sorted(g, division.tags))
+    return np.einsum("ijm,jm->i", increments, g._eval_sorted(division.tags))
 
 
 def rs_sum_Fdg(F: PiecewiseFunction, g: PiecewiseFunction,
@@ -256,19 +256,15 @@ def rs_sum_Fdg(F: PiecewiseFunction, g: PiecewiseFunction,
     """``sum_j F(tau_j) [g(alpha_j) - g(alpha_{j-1})]``."""
     check_pair(F, g)
     _check_spans(F, division)
-    g_vals = _at_sorted(g, division.points)
+    g_vals = g._eval_sorted(division.points)
     increments = g_vals[..., 1:] - g_vals[..., :-1]
-    return np.einsum("ijm,jm->i", _at_sorted(F, division.tags), increments)
-
-
-def _at_sorted(f: PiecewiseFunction, ts: np.ndarray) -> np.ndarray:
-    """``f.eval_many(ts)`` for a division's points or tags, which are sorted
-    and, once ``_check_spans`` has passed, inside the domain: evaluated by
-    the function's kept evaluator, with no check or sort."""
-    return f._eval_sorted(ts, f._evaluator())
+    return np.einsum("ijm,jm->i", F._eval_sorted(division.tags), increments)
 
 
 def _check_spans(f: PiecewiseFunction, division: TaggedDivision):
+    """A division's points and tags are sorted, so once it spans the domain
+    the sums evaluate them by ``_eval_sorted``, ``eval_many`` after its
+    checks and sort."""
     if division.points[0] != f.a or division.points[-1] != f.b:
         raise ValueError("division does not span the functions' domain")
 

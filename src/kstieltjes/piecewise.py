@@ -100,25 +100,6 @@ class _JumpTable(NamedTuple):
     norm_plus: np.ndarray
 
 
-class _Evaluator(NamedTuple):
-    """A function's pieces as ``_poly.horner`` takes them: each piece's
-    coefficients with a point axis and its degree pattern as Python ints,
-    and, when every piece is Horner-safe (``_poly.horner_safe``), the block
-    up to the highest degree with the piece axis last, for Horner from that
-    degree (``from_top``)."""
-
-    cols: list
-    patterns: list
-    stack: np.ndarray | None
-    from_top: list
-
-
-#: Below this many points per touched piece, a function whose pieces are all
-#: Horner-safe evaluates sorted points in one stacked pass (timed at 1-30
-#: pieces of degree 1 and 3: the pass wins up to 64 points per piece).
-_FEW_POINTS = 64
-
-
 def _domain_pair(domain) -> tuple[float, float]:
     if isinstance(domain, Interval):
         if not (domain.lo_closed and domain.hi_closed):
@@ -168,7 +149,6 @@ class PiecewiseFunction:
         self._pattern = _poly.degree_patterns(block) if pattern is None else pattern
         self._views: tuple[np.ndarray, ...] | None = None
         self._table: _JumpTable | None = None
-        self._evaluation: _Evaluator | None = None
 
     # -- basic queries -------------------------------------------------
 
@@ -233,9 +213,24 @@ class PiecewiseFunction:
         and degree patterns."""
         return _Columns(self._block[owner], self._lens[owner], self._pattern[owner])
 
-    def _polyval(self, j: int, t, out=None) -> np.ndarray:
+    def _polyval(self, j: int, t) -> np.ndarray:
         """Piece ``j``'s polynomial at ``t``, by its stored degree pattern."""
-        return _poly.polyval(self._block[j], t, self._pattern[j], out)
+        return _poly.polyval(self._block[j], t, self._pattern[j])
+
+    @cached_property
+    def _one_pass(self) -> list | None:
+        """The ``_poly.horner`` pattern that gives every piece its own bits
+        in one stacked pass: the pieces' common pattern, or Horner from
+        their highest degree when every piece is Horner-safe
+        (``_poly.horner_safe``); ``None`` otherwise.  Found on first use and
+        kept."""
+        pattern = self._pattern
+        if (pattern == pattern[0]).all():
+            return pattern[0].tolist()
+        if not _poly.horner_safe(self._block, pattern).all():
+            return None
+        count, _, top = pattern.T
+        return [3, 0, int(np.max(top, where=count > 0, initial=0))]
 
     # -- evaluation ------------------------------------------------------
 
@@ -266,72 +261,41 @@ class PiecewiseFunction:
             vals = out
         return vals.reshape(self.vshape + ts.shape)
 
-    def _evaluator(self) -> _Evaluator:
-        """The pieces as ``_poly.horner`` takes them, built on first use and
-        kept, as the jump table is."""
-        if self._evaluation is None:
-            block, rows = self._block, self._pattern.tolist()
-            safe = _poly.horner_safe(block, self._pattern).tolist()
-            # a Horner-safe piece takes Horner from its own top, which spares
-            # a sparse constant or linear piece its powers of t
-            own = [[3, 0, top] if ok and count else [count, low, top]
-                   for (count, low, top), ok in zip(rows, safe)]
-            highest = max((top for count, _, top in rows if count), default=0)
-            stack = None
-            if all(safe):
-                last = tuple(range(1, block.ndim)) + (0,)  # the piece axis last
-                stack = np.ascontiguousarray(block[:, :highest + 1].transpose(last))
-            self._evaluation = _Evaluator(list(block[..., np.newaxis]), own, stack,
-                                          [3, 0, highest])
-        return self._evaluation
-
-    def _eval_sorted(self, srt: np.ndarray, pieces: _Evaluator | None = None) -> np.ndarray:
+    def _eval_sorted(self, srt: np.ndarray) -> np.ndarray:
         """Values at the sorted 1-d points ``srt``, all inside the domain,
-        shape ``vshape + srt.shape``.  ``pieces``, the function's
-        ``_evaluator()``, hands the pieces to ``_poly.horner`` directly;
-        without it they go through ``_poly.polyval``.  Every route gives
-        each point the bits of its own piece's ``polyval``."""
+        shape ``vshape + srt.shape``.  Every route gives each point the bits
+        of its own piece's ``polyval``."""
         # grid point k owns srt[lo[k]:hi[k]], piece j owns srt[hi[j]:lo[j + 1]]
         lo = srt.searchsorted(self.grid, side="left")
         hi = srt.searchsorted(self.grid, side="right")
         touched = (lo[1:] > hi[:-1]).nonzero()[0]
         vals = np.empty(self.vshape + srt.shape)
-        stack = None if pieces is None else pieces.stack
-        if stack is not None:
-            # every piece Horner-safe: one pass from the highest degree, which
-            # saves a pass per piece once there are three or more
-            stacked = 2 < touched.size and srt.size < _FEW_POINTS * touched.size
-        else:
-            # more touched pieces than points per piece: one stacked polyval,
-            # which applies the per-piece call's operations element by element
-            stacked = touched.size**2 > srt.size
-        if stacked:
-            # write every grid hit at once and evaluate each interior point
-            # as its own row; with many points per piece the loop's
-            # contiguous slices are cheaper than the gather
+        if touched.size**2 > srt.size:
+            # more touched pieces than points per piece: write every grid hit
+            # at once and evaluate each interior point as its own row; with
+            # many points per piece the loop's contiguous slices are cheaper
+            # than the gather
             at = self.grid.searchsorted(srt, side="right") - 1
             on = self.grid[at] == srt
             last = tuple(range(1, vals.ndim)) + (0,)  # the point axis last
             vals[..., on] = self.nodes[at[on]].transpose(last)
             j, off = at[~on], srt[~on]
-            if stack is not None:
-                rows = np.empty(self.vshape + off.shape)
-                _poly.horner(stack[..., j], off, pieces.from_top, rows)
+            one = self._one_pass
+            if one is None:  # one stacked polyval, grouped by pattern
+                rows = _poly.polyval(self._block[j], off[:, np.newaxis], self._pattern[j])[..., 0]
             else:
-                rows = _poly.polyval(self._block[j], off[:, np.newaxis],
-                                     self._pattern[j])[..., 0].transpose(last)
-            vals[..., ~on] = rows
+                rows = np.empty(off.shape + self.vshape)
+                _poly.horner(self._block[j, :one[2] + 1].swapaxes(0, 1),
+                             off.reshape((-1,) + (1,) * len(self.vshape)), one, rows)
+            vals[..., ~on] = rows.transpose(last)
             return vals
         hits = (hi > lo).nonzero()[0].tolist()
         lo, hi = lo.tolist(), hi.tolist()  # Python ints slice faster
         for k in hits:
             vals[..., lo[k]:hi[k]] = self.nodes[k][..., np.newaxis]
-        for j in touched.tolist():
+        for j, pattern in zip(touched.tolist(), self._pattern[touched].tolist()):
             span = slice(hi[j], lo[j + 1])
-            if pieces is None:
-                self._polyval(j, srt[span], out=vals[..., span])
-            else:
-                _poly.horner(pieces.cols[j], srt[span], pieces.patterns[j], vals[..., span])
+            _poly.horner(self._block[j][..., np.newaxis], srt[span], pattern, vals[..., span])
         return vals
 
     def limit_right(self, t: float) -> np.ndarray:

@@ -236,6 +236,14 @@ class TestGolden:
                   for line in body if line.startswith("n=")]
         assert errors == [1.0, 0.5, 0.25, 0.125]
 
+    def test_converge_spike_center_outside(self, specs, capsys):
+        """A spike center off the domain exits 3, with the domain error."""
+        for center in ("2", "-0.5"):
+            assert main(["converge", "F_ramp.json", "--family", "spike",
+                         "--center", center, "--height", "1", "--ns", "1,2",
+                         "--threshold", "1"]) == 3
+            assert "is not inside [0.0, 1.0]" in capsys.readouterr().err
+
     def test_successive_calls_share_one_parser(self, specs, capsys):
         """The parser is built once per process and left as it was by every
         parse: calls in a row, a bad ``--set`` among them, each print their

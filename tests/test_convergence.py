@@ -5,7 +5,7 @@ import pytest
 
 import corpus
 from kstieltjes import _poly
-from kstieltjes import (HypothesisViolationError, Interval, PiecewiseFunction,
+from kstieltjes import (DomainError, HypothesisViolationError, Interval, PiecewiseFunction,
                         SequenceFamily, break_truncate, constant, ks_dFg, lincomb,
                         polynomial, realize, run_bounded_convergence, scaled_identity,
                         step, sup_norm, verify_break_limit)
@@ -51,6 +51,16 @@ class TestRealize:
             realize(fam, 0)
         with pytest.raises(ValueError):
             SequenceFamily.spike((0.0, 1.0), 2.0, 1.0)
+
+    def test_spike_center_outside_the_domain(self):
+        """``step`` rejects the spike's point: a center off the domain with
+        ``DomainError``, a non-finite one as an invalid interval."""
+        for center in (2.0, -1e-300, np.nextafter(1.0, 2.0)):
+            with pytest.raises(DomainError, match=r"is not inside \[0\.0, 1\.0\]"):
+                SequenceFamily.spike((0.0, 1.0), center, 1.0)
+        for center in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="interval endpoints must be finite"):
+                SequenceFamily.spike((0.0, 1.0), center, 1.0)
 
     def test_bool_rejected(self):
         # as in run_bounded_convergence: True is no index, though an int subclass

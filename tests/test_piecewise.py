@@ -124,16 +124,17 @@ def _same(got, ref):
 
 
 def _count_routes(monkeypatch) -> list[str]:
-    """Record each ``_poly.polyval`` call as ``"stacked"`` (a pattern per
-    row) or ``"piece"`` (one pattern)."""
+    """Record each ``_poly.horner`` call as ``"stacked"`` (points gathered
+    as rows, one or more per point) or ``"piece"`` (one piece on its own
+    1-d slice of the points)."""
     routes = []
-    polyval = _poly.polyval
+    horner = _poly.horner
 
-    def counted(c, t, pattern=None, out=None):
-        routes.append("stacked" if np.ndim(pattern) == 2 else "piece")
-        return polyval(c, t, pattern, out)
+    def counted(cols, ts, pattern, out):
+        routes.append("stacked" if np.ndim(ts) > 1 else "piece")
+        return horner(cols, ts, pattern, out)
 
-    monkeypatch.setattr(_poly, "polyval", counted)
+    monkeypatch.setattr(_poly, "horner", counted)
     return routes
 
 
@@ -181,12 +182,13 @@ class TestEvalReference:
                 del routes[:]
                 for pts in (inside, rng.permutation(inside)):
                     _same(f.eval_many(pts), _masked_eval_many(f, pts))
-                assert routes == ["stacked", "stacked"]
+                assert set(routes) == {"stacked"}
                 # every point is a grid point: no polynomial is evaluated
+                del routes[:]
                 on_grid = rng.permutation(np.concatenate([f.grid, f.grid[::3]]))
                 for pts in (on_grid, np.sort(on_grid)):
                     _same(f.eval_many(pts), _masked_eval_many(f, pts))
-                assert routes == ["stacked", "stacked"]
+                assert routes == []
 
     def test_points_outside_the_domain(self, rng, monkeypatch):
         """The domain is checked on the ends of the sorted points, where NaN
@@ -217,10 +219,6 @@ class TestEvalReference:
             c = corpus.random_coeffs(rng, vshape)
             ts = rng.uniform(-3.0, 3.0, size=int(rng.integers(0, 40)))
             _same(_poly.polyval(c, ts), _step_horner(c, ts))
-            # a strided view as out receives the same bits
-            view = np.full(vshape + (ts.size + 2,), np.nan)[..., 1:-1]
-            assert _poly.polyval(c, ts, None, view) is view
-            _same(view, _step_horner(c, ts))
             t = float(rng.uniform(-3.0, 3.0))
             _same(_poly.polyval(c, t), _step_horner(c, t))
 
@@ -250,34 +248,13 @@ def _monomial_function(rng, kind, dim, a, b):
     return PiecewiseFunction(f.grid, coeffs, f.nodes)
 
 
-def _count_horner(monkeypatch, f) -> list[str]:
-    """Record each ``_poly.horner`` call as ``"piece"`` (a piece's kept
-    coefficients) or ``"stacked"`` (rows gathered per point)."""
-    routes, horner = [], _poly.horner
-    kept = {id(c) for c in f._evaluator().cols}
+class TestSortedPoints:
+    """``_eval_sorted``, which the Riemann-Stieltjes sums call on a
+    division's sorted points and tags and ``eval_many`` calls after its
+    checks and sort, equals the reference loops byte for byte."""
 
-    def counted(cols, ts, pattern, out):
-        routes.append("piece" if id(cols) in kept else "stacked")
-        return horner(cols, ts, pattern, out)
-
-    monkeypatch.setattr(_poly, "horner", counted)
-    return routes
-
-
-class TestSortedEvaluator:
-    """The kept evaluator of the Riemann-Stieltjes sums, called on sorted
-    points inside the domain, equals ``eval_many`` byte for byte."""
-
-    def check(self, f, ts, monkeypatch, seen):
-        with monkeypatch.context() as patch:
-            routes = _count_horner(patch, f)
-            got = f._eval_sorted(ts, f._evaluator())
-        _same(got, f.eval_many(ts))
-        seen.update(routes)
-        return routes
-
-    def test_matches_eval_many(self, rng, monkeypatch):
-        seen = set()
+    def test_matches_the_reference(self, rng, monkeypatch):
+        routes = _count_routes(monkeypatch)
         for a, b in ((0.0, 1.0), (-3.5, -1.25), (1e3, 1e3 + 2.0)):
             for kind in ("vector", "operator"):
                 for dim in (1, 2, 3):
@@ -286,51 +263,79 @@ class TestSortedEvaluator:
                     safe = PiecewiseFunction(
                         grid, [_safe_coeffs(rng, vshape) for _ in range(grid.size - 1)],
                         rng.uniform(-1.0, 1.0, size=(grid.size,) + vshape))
-                    assert safe._evaluator().stack is not None
+                    assert safe._one_pass is not None
                     mixed = _random_function(rng, kind, dim, 6, a, b)
                     monomial = _monomial_function(rng, kind, dim, a, b)
-                    assert monomial._evaluator().stack is None
+                    assert monomial._one_pass is None
                     for f in (safe, mixed, monomial):
                         # the oracle's divisions of the function's grid
                         plan = gauges._ForcedSet(f.grid)
+                        points = []
                         for level in range(17):
                             d = gauges._forced_fine_division(plan, level, 1 << 21)
-                            for ts in (d.points, d.tags):
-                                self.check(f, ts, monkeypatch, seen)
+                            points += [d.points, d.tags]
                         # grid nodes only, repeated; one point per piece;
                         # many random points, some repeated
                         inside = np.sort(rng.uniform(a, b, 300))
-                        for ts in (np.sort(np.concatenate([f.grid, f.grid[::2]])),
+                        points += [np.sort(np.concatenate([f.grid, f.grid[::2]])),
                                    rng.uniform(f.grid[:-1], f.grid[1:]),
                                    np.sort(np.concatenate([inside, inside[::7], f.grid])),
-                                   np.array([a]), np.array([]), np.array([b, b])):
-                            self.check(f, ts, monkeypatch, seen)
-        assert seen == {"piece", "stacked"}
+                                   np.array([a]), np.array([]), np.array([b, b])]
+                        for ts in points:
+                            _same(f._eval_sorted(ts), _masked_eval_many(f, ts))
+        assert set(routes) == {"piece", "stacked"}
 
     def test_routes(self, rng, monkeypatch):
-        """A Horner-safe function takes one stacked pass for few points
-        per piece and one pass per piece for many; with a -0.0 entry it has
-        no stack and goes through its pieces, or ``polyval``'s stack when
-        the pieces outnumber the points per piece, with the same bits."""
+        """A Horner-safe function takes one pass from its highest degree for
+        few points per piece, decided once, and one pass per piece for many;
+        a -0.0 entry of the same value makes it take ``polyval``'s grouped
+        stack instead, with the same bits; pieces of one pattern take one
+        pass by it."""
         grid = np.linspace(0.0, 1.0, 9)
         coeffs = [_safe_coeffs(rng, (2, 2)) for _ in range(8)]
         coeffs[3] = rng.uniform(-1.0, 1.0, size=(4, 2, 2))
+        coeffs[3][1, 0, 0] = 0.0
         f = PiecewiseFunction(grid, coeffs, rng.uniform(-1.0, 1.0, size=(9, 2, 2)))
-        few = np.sort(rng.uniform(0.0, 1.0, 64))
+        few = np.sort(rng.uniform(0.0, 1.0, 40))
         many = np.sort(rng.uniform(0.0, 1.0, 4096))
-        seen = set()
-        assert self.check(f, few, monkeypatch, seen) == ["stacked"]
-        routes = self.check(f, many, monkeypatch, seen)
-        assert set(routes) == {"piece"} and len(routes) == 8
-        coeffs[3] = np.where(np.arange(4)[:, None, None] == 1, -0.0, coeffs[3])
+        seen, decided = [], []
+        horner, horner_safe = _poly.horner, _poly.horner_safe
+
+        def counted(cols, ts, pattern, out):
+            seen.append(("stacked" if np.ndim(ts) > 1 else "piece", list(pattern)))
+            return horner(cols, ts, pattern, out)
+
+        def safe_once(c, pattern):
+            decided.append(len(c))
+            return horner_safe(c, pattern)
+
+        monkeypatch.setattr(_poly, "horner", counted)
+        monkeypatch.setattr(_poly, "horner_safe", safe_once)
+        top = max(len(c) for c in coeffs if np.any(c)) - 1
+        for _ in range(2):
+            _same(f._eval_sorted(few), _masked_eval_many(f, few))
+        assert f._one_pass == [3, 0, top]
+        assert seen == [("stacked", [3, 0, top])] * 2 and decided == [8]
+        del seen[:]
+        _same(f._eval_sorted(many), _masked_eval_many(f, many))
+        assert [route for route, _ in seen] == ["piece"] * 8
+        assert [pattern for _, pattern in seen] == f._pattern.tolist()
+        coeffs[3][1, 0, 0] = -0.0
         g = PiecewiseFunction(grid, coeffs, f.nodes)
-        assert g._evaluator().stack is None
-        assert set(self.check(g, many, monkeypatch, seen)) == {"piece"}
-        # more pieces than points per piece: polyval's stack, grouped
-        for ts in (few, f.grid[1:-1] + 1e-3):
-            self.check(g, ts, monkeypatch, seen)
-        # the kept evaluator is built once
-        assert g._evaluator() is g._evaluator()
+        assert g._one_pass is None
+        del seen[:]
+        got = g._eval_sorted(few)
+        _same(got, _masked_eval_many(g, few))
+        _same(got, f._eval_sorted(few))
+        assert len(seen) > 1 and {route for route, _ in seen} == {"stacked"}
+        # pieces of one pattern, not Horner-safe: one pass by that pattern
+        monomials = np.where(rng.random((8, 3, 2, 2)) < 0.3, -0.0, 0.0)
+        monomials[:, 2] = rng.uniform(0.5, 1.0, (8, 2, 2))
+        h = PiecewiseFunction(grid, list(monomials), f.nodes)
+        assert h._one_pass == [1, 2, 2]
+        del seen[:]
+        _same(h._eval_sorted(few), _masked_eval_many(h, few))
+        assert seen == [("stacked", [1, 2, 2])]
 
 
 def _mixed_jumps(rng, f):

@@ -283,3 +283,30 @@ class TestPolyvalStack:
                 for i in range(n):
                     row = _poly.polyval(block[i], ts[i], pattern[i])
                     assert stacked[i].tobytes() == row.tobytes()
+
+
+class TestHornerTwoTerms:
+    """``horner``'s one- and two-term path writes the top term first and
+    takes no ``t**0`` or ``t**1``; it still has the bits of the sum
+    ``0.0 + c[low] t**low (+ c[top] t**top)`` with every power taken, byte
+    for byte, -0.0 entries, signed zeros and underflow included."""
+
+    def test_matches_the_sum_of_powers(self, rng):
+        k = 7
+        tiny = 1e-200  # its powers, and its products with tiny entries, underflow
+        ts = np.array([-0.0, 0.0, -1.75, -3e-5, 2.5, tiny, -tiny, 1e-160])
+        for count, low, top in ((1, 0, 0), (1, 1, 1), (1, k, k), (2, 0, 1), (2, 0, k),
+                                (2, 1, k)):
+            for vshape in ((), (3,), (2, 2)):
+                for scale in (1.0, 1e-300):
+                    for _ in range(10):
+                        c = np.zeros((top + 1,) + vshape)
+                        c[[low, top]] = scale * rng.uniform(-2.0, 2.0, (2,) + vshape)
+                        c = np.where(rng.random(c.shape) < 0.3, -0.0, c)
+                        cols = c[..., np.newaxis]
+                        ref = 0.0 + cols[low] * ts**low
+                        if count == 2:
+                            ref = ref + cols[top] * ts**top
+                        out = np.empty(vshape + ts.shape)
+                        _poly.horner(cols, ts, [count, low, top], out)
+                        assert out.tobytes() == ref.tobytes()

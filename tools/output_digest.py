@@ -14,8 +14,11 @@ points, the empty set) and over each of their parts, with their errors
 (kind ``elementary``).  It also digests the oracle's fine divisions at
 levels 0-16, ``oracle_integral`` on small pairs with its levels, budget and
 tolerance varied, both Riemann-Stieltjes sums on the oracle's divisions and
-on ``cousin_partition`` divisions (kind ``rs_sum``), and the forcing,
-constant and minimum gauges.  It prints
+on ``cousin_partition`` divisions (kind ``rs_sum``), evaluation and both
+sums of functions whose pieces are all Horner-safe, with and without a
+-0.0 entry, mostly constants and dense linears, or of one degree pattern
+(kind ``safe_eval``),
+and the forcing, constant and minimum gauges.  It prints
 one line per output kind: the number of items and a sha256 over their
 bytes.  Two trees that print the same lines computed the
 same bits, so a change meant to keep every output bitwise is checked with
@@ -426,6 +429,69 @@ def digest_rs_sum(ks, seed, out: Digest):
                 out.add("rs_sum", lambda: [ks.rs_sum_dFg(F, g, d), ks.rs_sum_Fdg(F, g, d)])
 
 
+def safe_coeffs(rng, vshape, style):
+    """One piece: dense up to degree 5, a dense linear, a constant or zero
+    (style ``"safe"``), mostly constants, dense linears and ``c t`` (style
+    ``"flat"``), or ``c t**2`` with -0.0 entries below it (style ``"one"``,
+    so that every piece has one degree pattern)."""
+    if style == "one":
+        c = np.where(rng.random((3,) + vshape) < 0.3, -0.0, 0.0)
+        c[2] = rng.uniform(0.5, 1.0, size=vshape)
+        return c
+    pick = rng.integers(4) if style == "safe" else rng.choice([1, 1, 2, 2, 0, 4])
+    if pick == 0:
+        return rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 7)),) + vshape)
+    if pick == 1:
+        return rng.uniform(0.5, 1.0, size=(2,) + vshape) * rng.choice([-1.0, 1.0])
+    if pick == 2:
+        return rng.uniform(-1.0, 1.0, size=(1,) + vshape)
+    if pick == 3:
+        return np.zeros((int(rng.integers(1, 4)),) + vshape)
+    c = np.zeros((2,) + vshape)
+    c[1] = rng.uniform(-1.0, 1.0, size=vshape)
+    return c
+
+
+def safe_function(ks, rng, kind, dim, a, b, style, negative_zero):
+    """3-40 pieces of ``safe_coeffs``; with ``negative_zero``, one zero
+    entry (a zero piece's, or a dense piece's set to zero) is -0.0."""
+    vshape = (dim,) if kind == "vector" else (dim, dim)
+    grid = np.unique(np.concatenate([[a], rng.uniform(a, b, int(rng.integers(2, 40))), [b]]))
+    coeffs = [safe_coeffs(rng, vshape, style) for _ in range(grid.size - 1)]
+    if negative_zero:
+        j = int(rng.integers(len(coeffs)))
+        coeffs[j] = np.array(coeffs[j])
+        coeffs[j].reshape(-1)[int(rng.integers(coeffs[j].size))] = -0.0
+    nodes = rng.uniform(-1.0, 1.0, size=(grid.size,) + vshape)
+    return ks.PiecewiseFunction(grid, coeffs, nodes)
+
+
+def digest_safe_eval(ks, seed, out: Digest):
+    """Functions whose pieces Horner from the highest degree evaluates with
+    their own bits, the same with one -0.0 entry, functions mostly of
+    constants and dense linears, and functions of one degree pattern:
+    ``eval_many`` at 1-2000 points per piece,
+    sorted and shuffled, and both Riemann-Stieltjes sums on the oracle's
+    divisions of their grids, from a few points per piece to many."""
+    gauges = ks.gauges
+    rng = np.random.default_rng([seed, 41])
+    for a, b in DOMAINS:
+        for style, negative_zero in (("safe", False), ("safe", True), ("flat", False),
+                                     ("flat", True), ("one", False)):
+            dim = int(rng.integers(1, 4))
+            F = safe_function(ks, rng, "operator", dim, a, b, style, negative_zero)
+            g = safe_function(ks, rng, "vector", dim, a, b, style, negative_zero)
+            for f in (F, g):
+                for per_piece in (1, 8, 40, 63, 200, 2000):
+                    ts = np.sort(rng.uniform(a, b, per_piece * f.npieces))
+                    out.add("safe_eval", lambda: f.eval_many(ts))
+                    out.add("safe_eval", lambda: f.eval_many(rng.permutation(ts)))
+            plan = gauges._ForcedSet(np.concatenate([F.grid, g.grid]))
+            for level in (1, 3, 5, 8, 12):
+                d = gauges._forced_fine_division(plan, level, 1 << 21)
+                out.add("safe_eval", lambda: [ks.rs_sum_dFg(F, g, d), ks.rs_sum_Fdg(F, g, d)])
+
+
 def digest_gauges(ks, seed, out: Digest):
     """Forcing gauges of the forced sets above, with and without the ends,
     and their minimum with the oracle's constant gauge, at the oracle's
@@ -471,6 +537,7 @@ def main(argv=None):
             digest_oracle(ks, seed, out)
             digest_gauges(ks, seed, out)
             digest_rs_sum(ks, seed, out)
+            digest_safe_eval(ks, seed, out)
             digest_members(ks, seed, out)
             digest_step(ks, seed, out)
             digest_elementary(ks, seed, out)
