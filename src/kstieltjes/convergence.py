@@ -5,11 +5,12 @@ variation, the integrands ``g_n`` converge pointwise to ``g`` and are
 uniformly bounded in the sup norm, then the integrals converge to the
 integral of the limit.  The harness realises concrete sequences, verifies
 the two hypotheses as far as finite data allows, computes every integral
-through the closed-form engine and reports the error curve.  The members
-are handled as one stack from end to end: realised in one vectorised step
-per family kind, their sup norms taken in one pass, their jump tables
-built in one ``polyval`` and, with the limit, their integrals computed in
-one kernel pass, each with the bits of a member handled on its own.
+through the closed-form engine and reports the error curve.  The members,
+of the limit's domain and value shape, are one stack from end to end: built
+together by the stacked builders behind ``step`` and ``break_truncate``,
+their sup norms taken in one pass, their jump tables built in one
+``polyval`` and, with the limit, their integrals computed in one kernel
+pass, each with the bits of a member handled on its own.
 
 Built-in families:
 
@@ -37,6 +38,7 @@ necessary condition — finite data cannot prove it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +48,7 @@ from .errors import HypothesisViolationError
 from .integrate import _engine, check_pair, ks_dFg
 from .intervals import Interval
 from .piecewise import (PiecewiseFunction, _break_truncations, _Columns, _jump_tables,
-                        _sup_norms, jordan_decompose, step)
+                        _steps, _sup_norms, jordan_decompose, step)
 
 #: Size of the deterministic sample grid for the pointwise check.
 SAMPLE_GRID_SIZE = 210
@@ -86,14 +88,11 @@ class SequenceFamily:
         enumeration order (default: increasing location)."""
         rows = break_function._jump_rows()
         points = break_function.grid[rows].tolist()
-        if jump_order is None:
-            order = tuple(points)
-        else:
-            order = tuple(float(t) for t in jump_order)
-            known = set(points)
-            for t in order:
-                if t not in known:
-                    raise ValueError(f"{t} is not a jump of the break function")
+        order = tuple(points) if jump_order is None else tuple(map(float, jump_order))
+        known = set(points)
+        for t in order:
+            if t not in known:
+                raise ValueError(f"{t} is not a jump of the break function")
         table = break_function._jump_table()
         # in record order from 0.0, as a loop over the records adds them
         bound = float(_poly.running_sum(table.norm_minus[rows] + table.norm_plus[rows]))
@@ -119,10 +118,10 @@ def realize(family: SequenceFamily, n: int) -> PiecewiseFunction:
 
 
 def _members(family: SequenceFamily, ns: list[int]) -> list[PiecewiseFunction]:
-    """The members ``ns`` (sorted positive ints) of the family, realised in
-    one vectorised step per kind: each one byte for byte what its public
-    builder gives, ``polynomial``, ``step`` or ``break_truncate``, and
-    handed to the constructor with its degree patterns."""
+    """The members ``ns`` (sorted positive ints) of the family, built
+    together: each one byte for byte what its public builder gives,
+    ``polynomial``, ``step`` or ``break_truncate``, and handed to the
+    constructor with its degree patterns."""
     if family.kind == "power":
         return _powers(ns)
     if family.kind == "spike":
@@ -152,31 +151,12 @@ def _powers(ns: list[int]) -> list[PiecewiseFunction]:
 
 def _spikes(family: SequenceFamily, ns: list[int]) -> list[PiecewiseFunction]:
     """``step(domain, [c, min(c + 1/n, b)], K)`` for every ``n`` (the point
-    ``c`` where the interval collapses), laid end to end: the same grid
-    points, node values and pieces as ``step`` builds one at a time."""
-    a, b, c = family.limit.a, family.limit.b, family.center
-    value = np.atleast_1d(np.asarray(family.height, dtype=float))
-    his = np.minimum(c + 1.0 / np.array(ns, dtype=float), b)
-    # np.unique of [a, b, c, hi] keeps the first of equal points, as a
-    # stable sort of that row followed by dropping repeats does
-    rows = np.sort(np.stack(np.broadcast_arrays(a, b, c, his), axis=1), axis=1, kind="stable")
-    new = np.ones(rows.shape, dtype=bool)
-    new[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    grid, sizes = rows[new], new.sum(axis=1)
-    # nodes: value + 0.0 inside the support, value itself at a and b
-    inside = (grid >= c) & (grid <= np.repeat(his, sizes))
-    nodes = np.where(((grid == a) | (grid == b))[:, np.newaxis], value, value + 0.0)
-    nodes = np.where(inside[:, np.newaxis], nodes, 0.0)
-    last = np.cumsum(sizes)
-    mids = np.delete(0.5 * (grid[:-1] + grid[1:]), last[:-1] - 1)
-    kept = (mids >= c) & (mids <= np.repeat(his, sizes - 1))
-    block = np.where(kept[:, np.newaxis, np.newaxis], value, 0.0)
-    pattern = _poly.degree_patterns(block)
-    return [PiecewiseFunction(grid[stop - m:stop],
-                              _Columns(block[cut - m + 1:cut], np.ones(m - 1, dtype=int),
-                                       pattern[cut - m + 1:cut]), nodes[stop - m:stop])
-            for m, stop, cut in zip(sizes.tolist(), last.tolist(),
-                                    np.cumsum(sizes - 1).tolist())]
+    ``c`` where the interval collapses): one closed part per member, inside
+    the domain as the limit's point ``c`` is."""
+    his = np.minimum(family.center + 1.0 / np.array(ns, dtype=float), family.limit.b)
+    parts = np.stack(np.broadcast_arrays(family.center, his, 1.0, 1.0), axis=1)
+    return _steps(family.limit.a, family.limit.b, parts[:, np.newaxis],
+                  np.atleast_1d(np.asarray(family.height, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -200,11 +180,17 @@ class ConvergenceReport:
         return [e.error for e in self.entries]
 
 
+@lru_cache(maxsize=16)
+def _chebyshev(a: float, b: float, n: int) -> np.ndarray:
+    """``n`` Chebyshev points on ``[a, b]``, ends included; kept read-only."""
+    cheb = a + (b - a) * 0.5 * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
+    cheb.setflags(write=False)
+    return cheb
+
+
 def _sample_grid(a: float, b: float, jump_points: Sequence[float]) -> np.ndarray:
     special = np.asarray(sorted(set(jump_points)), dtype=float)
-    n_cheb = max(SAMPLE_GRID_SIZE - special.size, 2)
-    theta = np.pi * np.arange(n_cheb) / (n_cheb - 1)
-    cheb = a + (b - a) * 0.5 * (1.0 - np.cos(theta))
+    cheb = _chebyshev(a, b, max(SAMPLE_GRID_SIZE - special.size, 2))
     return np.unique(np.concatenate([cheb, special]))
 
 
@@ -242,7 +228,8 @@ def run_bounded_convergence(F: PiecewiseFunction, family: SequenceFamily,
     apply.  ``passed`` reflects the error at the largest ``n``.  Every
     entry of ``ns`` must be a positive ``int`` or ``np.integer`` (not a
     ``bool``), and ``threshold`` and the family's bound must be finite,
-    or ``ValueError`` is raised.
+    or ``ValueError`` is raised.  A custom member unfit for ``F`` raises
+    ``DimensionMismatchError`` before the hypothesis checks.
     """
     check_pair(F, family.limit)
     ns = list(ns)
@@ -256,6 +243,9 @@ def run_bounded_convergence(F: PiecewiseFunction, family: SequenceFamily,
         if not np.isfinite(value):
             raise ValueError(f"the {name} must be finite, got {value!r}")
     members = _members(family, ns)
+    if family.kind == "custom":  # built-in members share the limit's domain and shape
+        for member in members:
+            check_pair(F, member)
     for n, actual in zip(ns, _sup_norms(members)):
         if actual > family.bound:
             raise HypothesisViolationError(
@@ -287,7 +277,7 @@ def verify_break_limit(F: PiecewiseFunction,
     check_pair(F, g)
     _, f_break = jordan_decompose(F)
     engine_value = ks_dFg(f_break, g).value
-    total = np.zeros(g.vshape)
-    for rec in F.jumps():
-        total = total + rec.jump_full @ g(rec.t)
-    return engine_value, total
+    rows, table = F._jump_rows(), F._jump_table()
+    # contiguous values, one matmul per jump as the engine's, added in turn
+    vals = np.ascontiguousarray(g.eval_many(F.grid[rows]).T)[..., np.newaxis]
+    return engine_value, _poly.running_sum(((table.minus[rows] + table.plus[rows]) @ vals)[..., 0])

@@ -34,7 +34,7 @@ from . import _poly
 from .errors import DimensionMismatchError, DomainError
 from .intervals import ElementarySet, Interval
 from .norms import norm_of
-from .piecewise import PiecewiseFunction, _joined, _stacked
+from .piecewise import PiecewiseFunction, _joined, _parts_table, _stacked
 from .variation import var_elementary, var_interval
 
 
@@ -75,24 +75,25 @@ def check_pair(f_op: PiecewiseFunction, g_vec: PiecewiseFunction):
         raise DimensionMismatchError("functions live on different domains")
 
 
-# The (left, right) jump weights of a part's three end terms, by its closure code: the
-# kernel's at ``hi`` where the next part starts, then the closure rule's at ``lo`` and ``hi``.
+# The (left, right) jump weights of a part's three end terms, by its closure code
+# ``lo_closed + 2 hi_closed`` (7 for a point): the kernel's at ``hi`` where the next
+# part starts, then the closure rule's at ``lo`` and ``hi``.
 _END_WEIGHTS = np.array([[[1, 0], [0, -1], [-1, 0]], [[1, 0], [1, 0], [-1, 0]],
                          [[1, 0], [0, -1], [0, 1]], [[1, 0], [1, 0], [0, 1]]]
                         + [[[0, 0]] * 3] * 3 + [[[0, 0], [1, 1], [0, 0]]], float).transpose(1, 0, 2)
 
 
 def _closure_jumps(H: PiecewiseFunction, bounds: np.ndarray):
-    """The jumps of ``H`` over the parts ``bounds`` (rows ``lo``, ``hi`` and
-    the closure code ``lo_closed + 2 hi_closed``, 7 for a point), or ``None``
-    if none counts: their points and values, the number of kernel terms on
-    each part and where the ``(3, parts)`` end terms are (``None`` for none,
-    as over the domain, where ``a`` and ``b`` have no outer jump).  Kernel
+    """The jumps of ``H`` over the parts ``bounds`` (a ``_parts_table``), or
+    ``None`` if none counts: their points and values, the number of kernel
+    terms on each part and where the ``(3, parts)`` end terms are (``None``
+    for none, as over the domain, where ``a`` and ``b`` have no outer
+    jump).  Kernel
     terms come first, in grid order: on each part both jumps inside, ``0.0
     +`` the right jump at ``lo`` and the left jump ``+ 0.0`` at ``hi``,
     unless the next part starts at ``hi``: that one is an end term."""
     minus, plus, norm_minus, norm_plus = H._jump_table()
-    lo, hi, code = bounds[:, 0], bounds[:, 1], bounds[:, 2]
+    lo, hi, lo_closed, hi_closed = bounds.T
     span = H._grid_slice(lo[0], hi[-1])
     t = H.grid[span]
     part = lo.searchsorted(t, "right") - 1  # the last part starting at or before t
@@ -102,13 +103,13 @@ def _closure_jumps(H: PiecewiseFunction, bounds: np.ndarray):
     rows, live, axes = span.start + at, None, (-1,) + (1,) * len(H.vshape)
     jump = (np.where(left[at].reshape(axes), minus[rows], 0.0)
             + np.where(right[at].reshape(axes), plus[rows], 0.0))
-    if not (lo.size == 1 and code[0] == 3 and lo[0] == H.a and hi[0] == H.b):
+    if not (lo.size == 1 and lo_closed[0] and hi_closed[0] and lo[0] == H.a and hi[0] == H.b):
         ends = H.grid.searchsorted(bounds[:, 1::-1].T)  # at hi, then lo
         on = H.grid[ends] == bounds[:, 1::-1].T
         live = np.zeros(3 * lo.size, dtype=bool)  # no end on the grid, no end term
         if on.any():
             ends, on = ends[[0, 1, 0]].ravel(), on[[0, 1, 0], :, np.newaxis]
-            weights = _END_WEIGHTS[:, code.astype(int)] * on
+            weights = _END_WEIGHTS[:, (lo_closed + 2 * hi_closed + 4 * (lo == hi)).astype(int)] * on
             weights[0] *= np.append(hi[:-1] == lo[1:], False)[:, np.newaxis]
             wl, wr = weights.reshape(-1, 2).T
             live = wl * norm_minus[ends] + wr * norm_plus[ends] != 0.0
@@ -132,12 +133,7 @@ def _engine(F: PiecewiseFunction, gs, orientation: str, parts) -> list[IntegralR
     n, vshape, P = len(gs), gs[0].vshape, len(parts)
     if not parts:
         return [IntegralResult(np.zeros(vshape), np.zeros(vshape), np.zeros(vshape)) for _ in gs]
-    a, b = F.a, F.b
-    if parts[0].lo < a or parts[-1].hi > b:  # the parts are sorted
-        part = next(p for p in parts if p.lo < a or p.hi > b)
-        raise DomainError(f"{part} is not inside [{a}, {b}]")
-    bounds = np.array([(p.lo, p.hi, p.lo_closed + 2 * p.hi_closed + 4 * (p.lo == p.hi))
-                       for p in parts])
+    bounds = _parts_table(parts, F.a, F.b)
     cuts = bounds[:, :2].ravel()
     head = np.concatenate([cuts, F.grid[F._grid_slice(cuts[0], cuts[-1])]])
     los, his, mids, rows = [], [], [], []

@@ -113,6 +113,17 @@ def _domain_pair(domain) -> tuple[float, float]:
     return a, b
 
 
+def _parts_table(parts: Sequence[Interval], a: float, b: float) -> np.ndarray:
+    """The sorted disjoint intervals ``parts`` as a ``(P, 4)`` table of
+    ``(lo, hi, lo_closed, hi_closed)`` rows; raises ``DomainError`` naming
+    the first part not inside ``[a, b]``."""
+    table = np.array([(p.lo, p.hi, p.lo_closed, p.hi_closed) for p in parts]).reshape(-1, 4)
+    if parts and (table[0, 0] < a or table[-1, 1] > b):  # the parts are sorted
+        part = next(p for p in parts if p.lo < a or p.hi > b)
+        raise DomainError(f"{part} is not inside [{a}, {b}]")
+    return table
+
+
 class PiecewiseFunction:
     """Regulated function on a compact interval, piecewise polynomial."""
 
@@ -419,9 +430,7 @@ class PiecewiseFunction:
         on the region, zero off it, with endpoint openness honoured."""
         if isinstance(region, Interval):
             region = ElementarySet.of(region)
-        for part in region.parts:
-            if part.lo < self.a or part.hi > self.b:
-                raise DomainError(f"part {part} is not inside [{self.a}, {self.b}]")
+        _parts_table(region.parts, self.a, self.b)
         refined = self.refine(region.endpoints())
         grid, axes = refined.grid, (1,) * len(self.vshape)
         # a kept piece keeps its polynomial, a dropped one becomes the constant 0
@@ -501,11 +510,6 @@ def _ranges(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.arange(len(owner)) + (start - np.cumsum(counts) + counts)[owner], owner
 
 
-def _one_shape(fs) -> bool:
-    """Whether the functions ``fs`` share a value shape and so stack."""
-    return len({f.nodes.shape[1:] for f in fs}) == 1
-
-
 def _jump_tables(fs):
     """Build and keep the jump table of every function of ``fs``.
 
@@ -513,12 +517,7 @@ def _jump_tables(fs):
     ``polyval`` of the stacked blocks, which applies each row's own pattern
     operations, the one-sided limits' operations: every row equals the
     jumps taken from ``limit_left``/``limit_right`` bit for bit.  The
-    norms are taken row by row, in one ``row_norms``.  Functions of
-    several value shapes are stacked one at a time."""
-    if not _one_shape(fs):
-        for f in fs:
-            _jump_tables([f])
-        return
+    norms are taken row by row, in one ``row_norms``."""
     sizes = [f.grid.size for f in fs]
     grid, nodes = _joined([f.grid for f in fs]), _joined([f.nodes for f in fs])
     block = _stacked([f._block for f in fs])
@@ -544,25 +543,19 @@ def _jump_tables(fs):
 
 
 def _sup_norms(fs, region: ElementarySet | Interval | None = None) -> list[float]:
-    """``f.sup_norm(region)`` for every function of ``fs`` (``None``: each
-    one's domain).
+    """``f.sup_norm(region)`` for every function of ``fs``, which share a
+    domain (``None``: the domain).
 
     One ``row_norms`` pass takes, for all functions and parts at once, the
     node values in the region, the values at its points off the grid and
     the constant pieces meeting its interior; every other piece meeting a
     part's interior goes through ``sup_norm_on`` on their overlap.  A max
     is exact, so each function gets the bits of a max taken part by part.
-    Functions of several value shapes are stacked one at a time.
     """
-    if not _one_shape(fs):
-        return [norm for f in fs for norm in _sup_norms([f], region)]
-    if isinstance(region, Interval):
-        region = ElementarySet.of(region)
     if region is not None:
-        parts = region.parts
-        table = np.array([(p.lo, p.hi, p.lo_closed, p.hi_closed) for p in parts]).reshape(-1, 4).T
-        ends, (lo_closed, hi_closed) = table[:2], table[2:] == 1.0
-        lo, hi = ends
+        parts = region.parts if isinstance(region, ElementarySet) else [region]
+        table = _parts_table(parts, fs[0].a, fs[0].b).T
+        ends, (lo, hi), (lo_closed, hi_closed) = table[:2], table[:2], table[2:] == 1.0
         point = lo == hi
     zero = np.zeros((1,) + fs[0].vshape)  # the supremum over nothing
     values, firsts, curved, size = [], [], [], 0
@@ -571,10 +564,6 @@ def _sup_norms(fs, region: ElementarySet | Interval | None = None) -> list[float
         if region is None:
             rows, pieces, inner = slice(None), np.arange(f.npieces), (grid[:-1], grid[1:])
         else:
-            a, b = f.a, f.b
-            if parts and (parts[0].lo < a or parts[-1].hi > b):  # the parts are sorted
-                part = next(p for p in parts if p.lo < a or p.hi > b)
-                raise DomainError(f"part {part} is not inside [{a}, {b}]")
             (lo_left, hi_left), (lo_right, hi_right) = (grid.searchsorted(ends, side)
                                                         for side in ("left", "right"))
             rows = _ranges(np.where(lo_closed, lo_left, lo_right),
@@ -643,27 +632,49 @@ def zero_function(domain, kind: str = "vector", dim: int = 1) -> PiecewiseFuncti
 
 
 def step(domain, region: ElementarySet | Interval, value=1.0) -> PiecewiseFunction:
-    """``value`` times the indicator of ``region``, zero elsewhere: one
-    constructor call, byte for byte ``constant(domain, value).restrict(region)``,
-    whose refinement evaluates the constant as ``value + 0.0`` at the
-    region's inner endpoints."""
+    """``value`` times the indicator of ``region``, zero elsewhere: the
+    one-region case of ``_steps``, byte for byte
+    ``constant(domain, value).restrict(region)``, with its errors."""
     a, b = _domain_pair(domain)
     value = np.atleast_1d(np.asarray(value, dtype=float))
-    if isinstance(region, Interval):
-        region = ElementarySet.of(region)
-    grid = np.unique(np.concatenate([[a, b], region.endpoints()]))
-    axes = (1,) * value.ndim
-    kept = region.contains_many(0.5 * (grid[:-1] + grid[1:]))
-    nodes = np.broadcast_to(value + 0.0, grid.shape + value.shape).copy()
-    nodes[[0, -1]] = value
-    nodes = np.where(region.contains_many(grid).reshape((-1,) + axes), nodes, 0.0)
-    # the constructor checks the value first, as constant() does
-    f = PiecewiseFunction(grid, _Columns(np.where(kept.reshape((-1, 1) + axes), value, 0.0),
-                                         np.ones(grid.size - 1, dtype=int)), nodes)
-    for part in region.parts:
-        if part.lo < a or part.hi > b:
-            raise DomainError(f"part {part} is not inside [{a}, {b}]")
-    return f
+    try:
+        table = _parts_table(region.parts if isinstance(region, ElementarySet) else [region], a, b)
+    except DomainError:
+        constant((a, b), value)  # the value is checked first, as constant() does
+        raise
+    return _steps(a, b, table[np.newaxis], value)[0]
+
+
+def _steps(a: float, b: float, parts: np.ndarray, value: np.ndarray) -> list[PiecewiseFunction]:
+    """``value`` times the indicator of each region of ``parts``, an
+    ``(n, P, 4)`` stack of ``_parts_table`` rows inside ``[a, b]``, zero
+    elsewhere: each byte for byte ``constant((a, b), value).restrict(region)``,
+    whose refinement evaluates the constant as ``value + 0.0`` at the
+    region's inner endpoints.  The grids are built end to end."""
+    n, axes = len(parts), (1,) * value.ndim
+    # np.unique of each row [a, b, lo, hi, ...]: the default sort, which
+    # orders equal ±0 as np.unique's does, and the first of equal points
+    ends = np.concatenate([np.full((n, 2), [a, b]), parts[..., :2].reshape(n, -1)], 1)
+    ends.sort(axis=1)
+    new = np.concatenate([np.ones((n, 1), dtype=bool), ends[:, 1:] != ends[:, :-1]], 1)
+    # region.contains_many at the points of each row, then at their
+    # midpoints, where one after a repeat is that of the piece it ends
+    t = np.concatenate([ends, 0.5 * (ends[:, :-1] + ends[:, 1:])], 1)[..., np.newaxis]
+    lo, hi, lo_closed, hi_closed = parts.transpose(2, 0, 1)[:, :, np.newaxis]
+    inside = ((lo < t) & (t < hi) | (t == lo) & (lo_closed == 1.0)
+              | (t == hi) & (hi_closed == 1.0)).any(axis=2)
+    width = ends.shape[1]
+    grid, sizes, kept = ends[new], new.sum(axis=1), inside[:, width:][new[:, 1:]]
+    nodes = np.where(((grid == a) | (grid == b)).reshape((-1,) + axes), value, value + 0.0)
+    nodes = np.where(inside[:, :width][new].reshape((-1,) + axes), nodes, 0.0)
+    block = np.where(kept.reshape((-1, 1) + axes), value, 0.0)
+    pattern = np.zeros((len(block), 3), dtype=np.intp)  # as degree_patterns finds it
+    pattern[:, 0] = kept & (value != 0.0).any()
+    return [PiecewiseFunction(grid[stop - m:stop],
+                              _Columns(block[cut - m + 1:cut], np.ones(m - 1, dtype=int),
+                                       pattern[cut - m + 1:cut]), nodes[stop - m:stop])
+            for m, stop, cut in zip(sizes.tolist(), np.cumsum(sizes).tolist(),
+                                    np.cumsum(sizes - 1).tolist())]
 
 
 def scaled_identity(domain, scalar_coeffs, dim: int = 1) -> PiecewiseFunction:

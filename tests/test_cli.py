@@ -244,6 +244,25 @@ class TestGolden:
                          "--threshold", "1"]) == 3
             assert "is not inside [0.0, 1.0]" in capsys.readouterr().err
 
+    def test_converge_truncation(self, specs):
+        """Jumps 1 at 1/4 and 2 at 1/2 against ``t``: dropping the second
+        leaves 2 (1 - 1/2) of the limit's 1 (1 - 1/4) + 2 (1 - 1/2)."""
+        fb = ks.lincomb(1.0, ks.step((0.0, 1.0), Interval(0.25, 1.0, False, True), 1.0),
+                        1.0, ks.step((0.0, 1.0), Interval(0.5, 1.0, False, True), 2.0))
+        ks.save_function(fb, "fb.json")
+        rc, body, _ = run_cli(["converge", "F_ramp.json", "--family", "truncation",
+                               "--family-file", "fb.json", "--ns", "1,2", "--threshold", "0.5"])
+        assert rc == 0
+        assert "family=truncation" in body and "passed=true" in body
+        assert _value_line(body, "integral_limit")[0] == 1.75
+        errors = [float(line.rsplit("error=", 1)[1]) for line in body if line.startswith("n=")]
+        assert errors == [1.0, 0.0]
+
+    def test_converge_truncation_needs_a_file(self, specs, capsys):
+        assert main(["converge", "F_ramp.json", "--family", "truncation",
+                     "--ns", "1", "--threshold", "1"]) == 2
+        assert "the truncation family needs --family-file" in capsys.readouterr().err
+
     def test_successive_calls_share_one_parser(self, specs, capsys):
         """The parser is built once per process and left as it was by every
         parse: calls in a row, a bad ``--set`` among them, each print their

@@ -5,7 +5,8 @@ import pytest
 
 import corpus
 from kstieltjes import _poly
-from kstieltjes import (DomainError, HypothesisViolationError, Interval, PiecewiseFunction,
+from kstieltjes import (DimensionMismatchError, DomainError, HypothesisViolationError,
+                        Interval, PiecewiseFunction,
                         SequenceFamily, break_truncate, constant, ks_dFg, lincomb,
                         polynomial, realize, run_bounded_convergence, scaled_identity,
                         step, sup_norm, verify_break_limit)
@@ -44,6 +45,12 @@ class TestRealize:
         fam = SequenceFamily.truncation(fb)
         g2 = realize(fam, 2)
         assert [r.t for r in g2.jumps()] == list(fam.jump_order[:2])
+
+    def test_truncation_order_with_an_unknown_jump(self):
+        fb = corpus.dyadic_break_function(np.random.default_rng(7), "vector", 1, n_jumps=3)
+        points = [r.t for r in fb.jumps()]
+        with pytest.raises(ValueError, match=r"^0\.3 is not a jump of the break function$"):
+            SequenceFamily.truncation(fb, points[:1] + [0.3])
 
     def test_bad_inputs(self):
         fam = SequenceFamily.power()
@@ -326,6 +333,21 @@ class TestMemberStack:
             run_bounded_convergence(t_id, family, [4, 3, 2, 1], 1.0)
         assert calls == []
 
+    def test_custom_members_are_checked_first(self, t_id, monkeypatch):
+        """A custom member off the limit's domain, or of another dimension,
+        is refused as a mismatched pair before any hypothesis check."""
+        import kstieltjes.convergence as conv
+        limit = constant((0.0, 1.0), 0.0)
+        calls = []
+        for name in ("_sup_norms", "_check_pointwise", "_engine"):
+            monkeypatch.setattr(conv, name, lambda *a, name=name: calls.append(name))
+        for odd, message in ((constant((0.0, 2.0), 0.5), "different domains"),
+                             (constant((0.0, 1.0), [0.5, 0.5]), "dimension mismatch: 1 vs 2")):
+            family = SequenceFamily.custom([constant((0.0, 1.0), 1.0), odd], limit, bound=2.0)
+            with pytest.raises(DimensionMismatchError, match=message):
+                run_bounded_convergence(t_id, family, [1, 2], 1.0)
+        assert calls == []
+
     def test_realize_errors_come_first(self, t_id):
         members = [constant((0.0, 1.0), 5.0)] * 2
         family = SequenceFamily.custom(members, constant((0.0, 1.0), 0.0), bound=1.0)
@@ -354,6 +376,19 @@ class TestVerifyBreakLimit:
         g = constant((0.0, 1.0), 0.0)
         engine, total = verify_break_limit(F, g)
         assert engine[0] == 0.0 and total[0] == 0.0
+
+    def test_matches_the_record_loop(self, rng):
+        """The direct sum has the bits of a loop over the jump records,
+        added in turn from zero."""
+        for domain in ((0.0, 1.0), (-3.5, -1.25), (1e3, 1e3 + 2.0)):
+            for _ in range(20):
+                dim = int(rng.integers(1, 4))
+                F = corpus.random_piecewise(rng, "operator", dim, domain=domain, max_pieces=8)
+                g = corpus.random_piecewise(rng, "vector", dim, domain=domain)
+                total = np.zeros(g.vshape)
+                for rec in F.jumps():
+                    total = total + rec.jump_full @ g(rec.t)
+                assert verify_break_limit(F, g)[1].tobytes() == total.tobytes()
 
     def test_random_break_functions(self, rng):
         for _ in range(60):

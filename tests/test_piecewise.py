@@ -1175,6 +1175,17 @@ class TestSupNorm:
     def test_default_is_the_domain(self, ramp_with_nodes):
         assert ramp_with_nodes.sup_norm() == 5.0
 
+    def test_region_outside_the_domain(self, ramp_with_nodes):
+        """The first part outside the domain is named, as ``restrict`` and
+        the engine name it."""
+        region = ElementarySet.of(Interval.closed(0.25, 0.5), Interval.open(0.75, 1.5),
+                                  Interval.at(2.0))
+        for f in (ramp_with_nodes, ramp_with_nodes.restrict(Interval.closed(0.0, 0.5))):
+            with pytest.raises(DomainError, match=r"^\(0\.75,1\.5\) is not inside \[0\.0, 1\.0\]$"):
+                f.sup_norm(region)
+            with pytest.raises(DomainError, match=r"^\(0\.75,1\.5\) is not inside"):
+                f.restrict(region)
+
     @staticmethod
     def regions(rng, f):
         pts = np.concatenate([f.grid, rng.uniform(f.a, f.b, 6)])
@@ -1311,6 +1322,28 @@ class TestStepIsConstantRestricted:
             for value in (1.0, -0.0, [0.0, -0.0], [[1.0, -0.0], [0.0, 2.0]]):
                 _same_columns(step((0.0, 1.0), region, value),
                               constant((0.0, 1.0), value).restrict(region))
+
+    def test_signed_zero_ends(self):
+        """Regions of 8 to 12 parts on ``(-1, 1)`` with an end on ``0.0``
+        and one on ``-0.0``: past 16 points the sort behind ``np.unique``
+        does not keep the first of equal zeros, and ``step`` keeps the
+        zero it keeps."""
+        rng = np.random.default_rng(20)
+        ticks = np.linspace(-1.0, 1.0, 81)
+        for _ in range(60):
+            count = int(rng.integers(8, 13))
+            below = int(rng.integers(1, count))  # the parts below zero, one ending on it
+            left = np.sort(rng.choice(ticks[1:40], 2 * below - 1, False))
+            right = np.sort(rng.choice(ticks[41:80], 2 * (count - below) - 1, False))
+            zeros = [0.0, -0.0] if rng.random() < 0.5 else [-0.0, 0.0]
+            ends = np.concatenate([left, zeros, right]).reshape(-1, 2)
+            # the parts either side of zero leave it out, so they stay apart
+            parts = tuple(Interval(float(lo), float(hi), bool(lo != 0.0 and rng.random() < 0.5),
+                                   bool(hi != 0.0 and rng.random() < 0.5)) for lo, hi in ends)
+            region = ElementarySet(parts)
+            value = float(rng.choice([1.0, -0.0, -2.5]))
+            _same_columns(step((-1.0, 1.0), region, value),
+                          constant((-1.0, 1.0), value).restrict(region))
 
     def test_errors_as_constant_then_restrict(self):
         """The value is checked before the region, as ``constant`` runs
