@@ -64,7 +64,7 @@ def horner(cols, ts, pattern, out):
             out += cols[j]
 
 
-def polyval(c: np.ndarray, t, pattern=None) -> np.ndarray:
+def polyval(c: np.ndarray, t, pattern=None, safe=None) -> np.ndarray:
     """Evaluate the polynomial ``sum c[j] t**j`` at ``t``.
 
     ``t`` may be a scalar or a 1-d array; the result has shape
@@ -83,14 +83,14 @@ def polyval(c: np.ndarray, t, pattern=None) -> np.ndarray:
     shape ``(n, *vshape, p)``.  Arrays that share a pattern are evaluated
     together, by the same operations as one at a time; so are the arrays
     whose own operations Horner from the stack's highest degree repeats
-    bit for bit (see ``_polyval_stack``).
+    bit for bit (see ``_polyval_stack``); ``safe`` may give their ``horner_safe``.
     """
     c = np.asarray(c, dtype=float)
     if pattern is None:
         nz = np.flatnonzero(c.reshape(c.shape[0], -1).any(axis=1))
         pattern = (nz.size, int(nz[0]), int(nz[-1])) if nz.size else (0, 0, 0)
     elif np.ndim(pattern) == 2:
-        return _polyval_stack(c, np.asarray(t, dtype=float), pattern)
+        return _polyval_stack(c, np.asarray(t, dtype=float), pattern, safe)
     else:
         pattern = np.asarray(pattern).tolist()
     tarr = np.asarray(t, dtype=float)
@@ -114,9 +114,9 @@ def horner_safe(c: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     return safe
 
 
-def _polyval_stack(c: np.ndarray, t: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+def _polyval_stack(c: np.ndarray, t: np.ndarray, pattern: np.ndarray, safe) -> np.ndarray:
     """``polyval`` of a stack: one ``horner`` pass per group of rows that
-    take the same operations."""
+    take the same operations; ``safe`` is the rows' ``horner_safe`` or None."""
     n, p = t.shape
     ts = t.reshape((n,) + (1,) * (c.ndim - 2) + (p,))
     out = np.empty((n,) + c.shape[2:] + (p,))
@@ -124,7 +124,7 @@ def _polyval_stack(c: np.ndarray, t: np.ndarray, pattern: np.ndarray) -> np.ndar
         horner(c.swapaxes(0, 1)[..., np.newaxis], ts, pattern[0].tolist(), out)
         return out
     count, low, top = pattern.T
-    safe = horner_safe(c, pattern)
+    safe = horner_safe(c, pattern) if safe is None else safe
     from_top = [3, 0, int(np.max(top, where=safe & (count > 0), initial=0))]
     if safe.all():
         horner(c.swapaxes(0, 1)[..., np.newaxis], ts, from_top, out)

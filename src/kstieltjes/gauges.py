@@ -22,7 +22,9 @@ gauges are known in closed form, so each fine division is written down
 directly, with no gauge test while it is built: a uniform dyadic mesh,
 the forced points, and points graded geometrically toward each forced
 point down to its cap.  One fineness check against the level's gauge
-then guards the construction.
+then guards the construction.  A level's sum holds the points, the tags,
+the two ``einsum`` operands (``d**2 + d`` doubles per interval for a
+dim-``d`` pair) and one block of values (``_increments``).
 """
 
 from __future__ import annotations
@@ -245,28 +247,38 @@ def rs_sum_dFg(F: PiecewiseFunction, g: PiecewiseFunction,
                division: TaggedDivision) -> np.ndarray:
     """``sum_j [F(alpha_j) - F(alpha_{j-1})] g(tau_j)``."""
     check_pair(F, g)
-    _check_spans(F, division)
-    f_vals = F._eval_sorted(division.points)
-    increments = f_vals[..., 1:] - f_vals[..., :-1]
-    return np.einsum("ijm,jm->i", increments, g._eval_sorted(division.tags))
+    return np.einsum("ijm,jm->i", _increments(F, division), g._eval_sorted(division.tags))
 
 
 def rs_sum_Fdg(F: PiecewiseFunction, g: PiecewiseFunction,
                division: TaggedDivision) -> np.ndarray:
     """``sum_j F(tau_j) [g(alpha_j) - g(alpha_{j-1})]``."""
     check_pair(F, g)
-    _check_spans(F, division)
-    g_vals = g._eval_sorted(division.points)
-    increments = g_vals[..., 1:] - g_vals[..., :-1]
+    increments = _increments(g, division)  # first: its block is freed before F's tags
     return np.einsum("ijm,jm->i", F._eval_sorted(division.tags), increments)
 
 
-def _check_spans(f: PiecewiseFunction, division: TaggedDivision):
-    """A division's points and tags are sorted, so once it spans the domain
-    the sums evaluate them by ``_eval_sorted``, ``eval_many`` after its
-    checks and sort."""
-    if division.points[0] != f.a or division.points[-1] != f.b:
+#: Intervals per block: a dim-3 operator's block and its increments (1.1 MiB)
+#: fit a 2 MiB L2 cache; 4,096 ran a crossval cycle 1% slower, 16,384 no faster.
+_BLOCK = 8192
+
+
+def _increments(f: PiecewiseFunction, division: TaggedDivision) -> np.ndarray:
+    """``f(alpha_j) - f(alpha_{j-1})``, one C-contiguous ``vshape + (n,)``
+    array.  Once the division spans the domain its sorted points go to
+    ``_eval_sorted``, which keeps each point's bits on any slice, a block
+    of ``_BLOCK + 1`` at a time (blocks share an end), never all at once."""
+    points, n = division.points, division.count
+    if points[0] != f.a or points[-1] != f.b:
         raise ValueError("division does not span the functions' domain")
+    if n <= _BLOCK:
+        vals = f._eval_sorted(points)
+        return vals[..., 1:] - vals[..., :-1]
+    out = np.empty(f.vshape + (n,))
+    for lo in range(0, n, _BLOCK):
+        vals = f._eval_sorted(points[lo:lo + _BLOCK + 1])
+        np.subtract(vals[..., 1:], vals[..., :-1], out=out[..., lo:lo + _BLOCK])
+    return out
 
 
 def _forced_tags(points: np.ndarray, forced: np.ndarray) -> np.ndarray:
@@ -334,7 +346,9 @@ def _forced_fine_division(plan: _ForcedSet, level: int,
     windows = np.concatenate([[a], innermost, [b]])
     lo, hi = windows[:r.size + 1], windows[r.size + 1:]
     # np.linspace(a, b, 2**level + 1) bit for bit: h is its step
-    mesh = np.arange(2**level + 1) * h + a
+    mesh = np.arange(2**level + 1, dtype=float)
+    mesh *= h
+    mesh += a
     mesh[-1] = b
     # a window (lo, hi) is narrower than 2 base <= h: at most one mesh node
     node = mesh.searchsorted(lo, side="right")

@@ -238,10 +238,15 @@ class PiecewiseFunction:
         pattern = self._pattern
         if (pattern == pattern[0]).all():
             return pattern[0].tolist()
-        if not _poly.horner_safe(self._block, pattern).all():
+        if not self._safe.all():
             return None
         count, _, top = pattern.T
         return [3, 0, int(np.max(top, where=count > 0, initial=0))]
+
+    @cached_property
+    def _safe(self) -> np.ndarray:
+        """Each piece's ``_poly.horner_safe``, found on first use and kept."""
+        return _poly.horner_safe(self._block, self._pattern)
 
     # -- evaluation ------------------------------------------------------
 
@@ -293,7 +298,8 @@ class PiecewiseFunction:
             j, off = at[~on], srt[~on]
             one = self._one_pass
             if one is None:  # one stacked polyval, grouped by pattern
-                rows = _poly.polyval(self._block[j], off[:, np.newaxis], self._pattern[j])[..., 0]
+                rows = _poly.polyval(self._block[j], off[:, np.newaxis], self._pattern[j],
+                                     self._safe[j])[..., 0]
             else:
                 rows = np.empty(off.shape + self.vshape)
                 _poly.horner(self._block[j, :one[2] + 1].swapaxes(0, 1),

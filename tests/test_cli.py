@@ -263,6 +263,12 @@ class TestGolden:
                      "--ns", "1", "--threshold", "1"]) == 2
         assert "the truncation family needs --family-file" in capsys.readouterr().err
 
+    def test_converge_spike_needs_center_and_height(self, specs, capsys):
+        for given in (["--center", "0.5"], ["--height", "1"], []):
+            assert main(["converge", "F_ramp.json", "--family", "spike", *given,
+                         "--ns", "1", "--threshold", "1"]) == 2
+            assert "the spike family needs --center and --height" in capsys.readouterr().err
+
     def test_successive_calls_share_one_parser(self, specs, capsys):
         """The parser is built once per process and left as it was by every
         parse: calls in a row, a bad ``--set`` among them, each print their

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import corpus
 from kstieltjes import (Gauge, GaugeTooSmallError, OracleFailureError,
-                        TaggedDivision, constant, cousin_partition,
-                        is_delta_fine, ks_dFg, ks_Fdg, oracle_integral,
-                        polynomial, rs_sum_Fdg, rs_sum_dFg, scaled_identity,
-                        step)
+                        PiecewiseFunction, TaggedDivision, constant,
+                        cousin_partition, is_delta_fine, ks_dFg, ks_Fdg,
+                        oracle_integral, polynomial, rs_sum_Fdg, rs_sum_dFg,
+                        scaled_identity, step)
 from kstieltjes import gauges
 from kstieltjes.intervals import Interval
 from kstieltjes.norms import sup_norm
@@ -45,6 +47,10 @@ class TestGauge:
         g = Gauge.minimum(Gauge.constant(0.5), Gauge.forcing([0.5], base=1.0))
         assert g(0.5) == 0.5
         assert g(0.251) < 0.5
+
+    def test_minimum_of_nothing_rejected(self):
+        with pytest.raises(ValueError, match="at least one gauge"):
+            Gauge.minimum()
 
     def test_not_positive_rejected(self):
         for bad in (0.0, -1.0, float("nan")):
@@ -249,6 +255,11 @@ class TestCousin:
             with pytest.raises(ValueError, match="finite"):
                 cousin_partition(g, a, b)
 
+    def test_empty_or_reversed_ends_rejected(self):
+        for a, b in ((0.5, 0.5), (1.0, 0.0)):
+            with pytest.raises(ValueError, match="need a < b"):
+                cousin_partition(Gauge.constant(0.3), a, b)
+
     def test_forcing_property_on_corpus(self, rng):
         """Every fine division tags each forced point with itself."""
         for _ in range(60):
@@ -290,6 +301,14 @@ class TestIsDeltaFine:
             with pytest.raises(ValueError, match="finite"):
                 TaggedDivision(points, tags)
 
+    def test_shape_errors(self):
+        for points in ([0.0], [], [[0.0, 1.0]]):
+            with pytest.raises(ValueError, match="at least one subinterval"):
+                TaggedDivision(points, [0.0])
+        for tags in ([0.25], [0.25, 0.5, 0.75], [[0.25, 0.75]]):
+            with pytest.raises(ValueError, match="exactly one tag"):
+                TaggedDivision([0.0, 0.5, 1.0], tags)
+
 
 class TestRsSums:
     def test_telescoping(self, rng):
@@ -314,6 +333,89 @@ class TestRsSums:
         assert rs_sum_dFg(F, g, p)[0] == 2.0
         # F(a) [g(b) - g(a)]
         assert rs_sum_Fdg(F, g, p)[0] == 0.0
+
+    def test_division_must_span_the_domain(self):
+        F = scaled_identity((0.0, 1.0), [0.0, 1.0], dim=1)
+        g = polynomial((0.0, 1.0), [2.0])
+        for points in ([0.0, 0.5], [0.25, 1.0], [-1.0, 0.5, 1.0], [0.0, 2.0]):
+            p = TaggedDivision(points, points[:-1])
+            for rs_sum in (rs_sum_dFg, rs_sum_Fdg):
+                with pytest.raises(ValueError, match="does not span"):
+                    rs_sum(F, g, p)
+
+
+def _edge_division(rng, a, b, n):
+    """``n`` intervals on ``[a, b]``: jittered uniform points, each tag the
+    left end, the right end or a random inner point."""
+    points = np.linspace(a, b, n + 1)
+    points[1:-1] += rng.uniform(-0.25, 0.25, n - 1) * ((b - a) / n)
+    u, v = points[:-1], points[1:]
+    inner = np.minimum(u + rng.random(n) * (v - u), v)
+    return TaggedDivision(points, np.choose(rng.integers(3, size=n), [u, v, inner]))
+
+
+def _jumping_pair(rng, dim, grid, dense=False):
+    """An operator and a vector function on ``grid`` whose node values are
+    drawn apart from their pieces, so both jump at every grid point;
+    ``dense`` pieces are full cubics, otherwise ``corpus.random_coeffs``."""
+    def function(kind):
+        vshape = corpus.vshape_of(kind, dim)
+        coeffs = [rng.uniform(-1.0, 1.0, size=(4,) + vshape) if dense
+                  else corpus.random_coeffs(rng, vshape) for _ in range(grid.size - 1)]
+        return PiecewiseFunction(grid, coeffs, rng.uniform(-1.0, 1.0, (grid.size,) + vshape))
+    return function("operator"), function("vector")
+
+
+class TestBlockedSums:
+    """The sums difference the values of ``F`` (``dFg``) or ``g`` (``Fdg``)
+    a block of ``gauges._BLOCK`` intervals at a time."""
+
+    @staticmethod
+    def _unblocked(F, g, d):
+        f_vals, g_vals = F.eval_many(d.points), g.eval_many(d.points)
+        dFg = np.einsum("ijm,jm->i", f_vals[..., 1:] - f_vals[..., :-1], g.eval_many(d.tags))
+        Fdg = np.einsum("ijm,jm->i", F.eval_many(d.tags), g_vals[..., 1:] - g_vals[..., :-1])
+        return dFg, Fdg
+
+    def test_bits_match_the_unblocked_sums(self, rng):
+        """Levels of one block (at most ``_BLOCK`` intervals), of two (one
+        more, the second block a single interval), an exact multiple and
+        many blocks, on three domains, with grid points on every block
+        edge and next to it, and at random."""
+        B = gauges._BLOCK
+        for n in (B // 3, B, B + 1, 2 * B, 3 * B + 7):
+            for dim in (1, 2, 3):
+                a, b = [(0.0, 1.0), (-3.5, -1.25), (1e3, 1e3 + 2.0)][dim - 1]
+                d = _edge_division(rng, a, b, n)
+                edges = np.arange(B, n, B)
+                grid = np.unique(np.concatenate([[a, b], rng.uniform(a, b, 5),
+                                                 d.points[np.concatenate([edges, edges + 1])]]))
+                F, g = _jumping_pair(rng, dim, grid)
+                dFg, Fdg = self._unblocked(F, g, d)
+                assert rs_sum_dFg(F, g, d).tobytes() == dFg.tobytes()
+                assert rs_sum_Fdg(F, g, d).tobytes() == Fdg.tobytes()
+
+    def test_memory_per_interval(self, rng):
+        """A dim-3 sum over n = 2**16 intervals keeps the two ``einsum``
+        operands, (d**2 + d) n doubles, and at any time one block of the
+        differenced function's values, d**2 (_BLOCK + 1) doubles; 64 KiB
+        covers the grid-sized index arrays.  Differencing all the values
+        at once holds them all as well, 21 n doubles in ``dFg`` and 15 n
+        in ``Fdg``, over the bound.  Dense cubic pieces evaluate in place."""
+        d, n = 3, 2**16
+        bound = 8 * ((d * d + d) * n + d * d * (gauges._BLOCK + 1)) + 64 * 1024
+        division = _edge_division(rng, 0.0, 1.0, n)
+        F, g = _jumping_pair(rng, d, np.linspace(0.0, 1.0, 9), dense=True)
+        for rs_sum in (rs_sum_dFg, rs_sum_Fdg):
+            rs_sum(F, g, division)  # the functions' kept tables are built
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                rs_sum(F, g, division)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (rs_sum.__name__, peak, bound)
 
 
 class TestOracle:

@@ -60,6 +60,8 @@ class TestEngine:
             ks_dFg(t_id, polynomial((0.0, 2.0), [0.0, 1.0]))
         with pytest.raises(DimensionMismatchError):
             ks_dFg(t_vec, t_vec)
+        with pytest.raises(DimensionMismatchError, match="vector position"):
+            ks_dFg(t_id, t_id)
 
     def test_split_invariant(self, rng):
         for _ in range(100):
@@ -289,6 +291,11 @@ class TestSaks:
     def test_continuous(self, t_id, t_vec):
         r = saks_identity_report(t_id, t_vec, 0.25, 0.75)
         assert r.at_lower[0] == 0.0 and r.at_upper[0] == 0.0
+
+    def test_not_a_subinterval_rejected(self, t_id, t_vec):
+        for c, d in ((-0.25, 0.5), (0.5, 1.25), (0.75, 0.25)):
+            with pytest.raises(DomainError, match="is not a subinterval of"):
+                saks_identity_report(t_id, t_vec, c, d)
 
     def test_left_jump(self):
         one = constant((0.0, 1.0), 1.0)

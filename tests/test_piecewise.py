@@ -759,6 +759,11 @@ class TestColumnarReference:
             _same_ref(f.clip(c, d), _ref_clip(r, c, d))
             _same_ref(f.clip(f.a, f.b), _ref_clip(r, f.a, f.b))
 
+    def test_clip_outside_or_empty_rejected(self, ramp):
+        for c, d in ((-0.5, 0.5), (0.5, 1.5), (0.5, 0.5), (0.75, 0.25)):
+            with pytest.raises(DomainError, match="is not a subdomain of"):
+                ramp.clip(c, d)
+
     def test_restrict(self, rng):
         """One ``contains_many`` over the piece midpoints keeps the same
         pieces as one ``contains`` per piece, for sets with open, closed
@@ -1260,6 +1265,18 @@ class TestLincomb:
         assert s(0.25)[0] == 2.0 and s(0.5)[0] == 3.0 and s(0.75)[0] == 3.0
         (rec,) = s.jumps()
         assert rec.t == 0.5 and rec.jump_minus[0] == 1.0
+
+    def test_operators_are_lincomb(self, rng):
+        """``f + g`` and ``f - g`` are ``lincomb`` with weights 1 and +-1,
+        byte for byte."""
+        for _ in range(10):
+            f = corpus.random_piecewise(rng, "vector", 2)
+            g = corpus.random_piecewise(rng, "vector", 2)
+            for got, want in ((f + g, lincomb(1.0, f, 1.0, g)),
+                              (f - g, lincomb(1.0, f, -1.0, g))):
+                for x, y in ((got.grid, want.grid), (got.nodes, want.nodes),
+                             (got._block, want._block)):
+                    assert x.tobytes() == y.tobytes()
 
     def test_mismatches_rejected(self, ramp):
         from kstieltjes import DimensionMismatchError, scaled_identity

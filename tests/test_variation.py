@@ -123,6 +123,12 @@ class TestVarCompact:
 
 
 class TestVarInterval:
+    def test_outside_the_domain_rejected(self):
+        f = step((0.0, 1.0), Interval.closed(0.5, 1.0), 1.0)
+        for interval in (Interval.closed(-0.5, 0.5), Interval(0.5, 1.5, False, True)):
+            with pytest.raises(DomainError, match="is not inside"):
+                var_interval(f, interval)
+
     def test_indicator_halfopen_excludes_jump(self):
         f = step((0.0, 1.0), Interval.closed(0.5, 1.0), 1.0)
         assert var_interval(f, Interval(0.0, 0.5, True, False)).total == 0.0

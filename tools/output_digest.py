@@ -14,7 +14,10 @@ points, the empty set) and over each of their parts, with their errors
 (kind ``elementary``).  It also digests the oracle's fine divisions at
 levels 0-16, ``oracle_integral`` on small pairs with its levels, budget and
 tolerance varied, both Riemann-Stieltjes sums on the oracle's divisions and
-on ``cousin_partition`` divisions (kind ``rs_sum``), evaluation and both
+on ``cousin_partition`` divisions (kind ``rs_sum``) and on hand-made
+divisions of 2**12 to 2**15 intervals, one more and one fewer, with grid
+points at and next to every multiple of 2**12 (kind ``rs_sum.blocks``),
+evaluation and both
 sums of functions whose pieces are all Horner-safe, with and without a
 -0.0 entry, mostly constants and dense linears, or of one degree pattern
 (kind ``safe_eval``),
@@ -68,11 +71,13 @@ def random_coeffs(rng, vshape, top):
     return np.where(rng.random(c.shape) < 0.1, -0.0, c)
 
 
-def random_function(ks, rng, kind, dim, a, b):
-    """1-30 pieces; every node value is random or one of its limits."""
+def random_function(ks, rng, kind, dim, a, b, grid=None):
+    """1-30 pieces, or the pieces of ``grid``; every node value is random
+    or one of its limits."""
     vshape = (dim,) if kind == "vector" else (dim, dim)
     top = 64 if max(abs(a), abs(b)) < 100.0 else 16  # keep products finite
-    grid = np.unique(np.concatenate([[a], rng.uniform(a, b, int(rng.integers(0, 30))), [b]]))
+    if grid is None:
+        grid = np.unique(np.concatenate([[a], rng.uniform(a, b, int(rng.integers(0, 30))), [b]]))
     coeffs = [random_coeffs(rng, vshape, top) for _ in range(grid.size - 1)]
     nodes = rng.uniform(-1.0, 1.0, size=(grid.size,) + vshape)
     for k, t in enumerate(grid.tolist()):
@@ -429,6 +434,31 @@ def digest_rs_sum(ks, seed, out: Digest):
                 out.add("rs_sum", lambda: [ks.rs_sum_dFg(F, g, d), ks.rs_sum_Fdg(F, g, d)])
 
 
+def digest_blocks(ks, seed, out: Digest):
+    """Both Riemann-Stieltjes sums on hand-made divisions of 2**12 to 2**15
+    intervals, one fewer and one more: jittered uniform points, each tag
+    the left end, the right end or a random inner point.  The pair's grid
+    holds every division point whose index is within one of a multiple of
+    2**12, so a block of 2**12 to 2**14 intervals ends on a grid point or
+    next to one, where the node values mostly jump."""
+    rng = np.random.default_rng([seed, 43])
+    for a, b in DOMAINS:
+        for n in [2**k + e for k in range(12, 16) for e in (-1, 0, 1)]:
+            dim = int(rng.integers(1, 4))
+            points = np.linspace(a, b, n + 1)
+            points[1:-1] += rng.uniform(-0.25, 0.25, n - 1) * ((b - a) / n)
+            u, v = points[:-1], points[1:]
+            inner = np.minimum(u + rng.random(n) * (v - u), v)
+            tags = np.choose(rng.integers(3, size=n), [u, v, inner])
+            d = ks.TaggedDivision(points, tags)
+            edges = np.arange(2**12, n, 2**12)
+            grid = np.unique(np.concatenate([[a, b], rng.uniform(a, b, 4),
+                                             points[np.concatenate([edges - 1, edges, edges + 1])]]))
+            F = random_function(ks, rng, "operator", dim, a, b, grid)
+            g = random_function(ks, rng, "vector", dim, a, b, grid)
+            out.add("rs_sum.blocks", lambda: [ks.rs_sum_dFg(F, g, d), ks.rs_sum_Fdg(F, g, d)])
+
+
 def safe_coeffs(rng, vshape, style):
     """One piece: dense up to degree 5, a dense linear, a constant or zero
     (style ``"safe"``), mostly constants, dense linears and ``c t`` (style
@@ -538,6 +568,7 @@ def main(argv=None):
             digest_gauges(ks, seed, out)
             digest_rs_sum(ks, seed, out)
             digest_safe_eval(ks, seed, out)
+            digest_blocks(ks, seed, out)
             digest_members(ks, seed, out)
             digest_step(ks, seed, out)
             digest_elementary(ks, seed, out)
