@@ -368,7 +368,8 @@ def _jumping_pair(rng, dim, grid, dense=False):
 
 class TestBlockedSums:
     """The sums difference the values of ``F`` (``dFg``) or ``g`` (``Fdg``)
-    a block of ``gauges._BLOCK`` intervals at a time."""
+    a block of ``gauges._BLOCK`` values, ``_BLOCK // size`` intervals of a
+    function with ``size`` values per point, at a time."""
 
     @staticmethod
     def _unblocked(F, g, d):
@@ -378,32 +379,33 @@ class TestBlockedSums:
         return dFg, Fdg
 
     def test_bits_match_the_unblocked_sums(self, rng):
-        """Levels of one block (at most ``_BLOCK`` intervals), of two (one
-        more, the second block a single interval), an exact multiple and
-        many blocks, on three domains, with grid points on every block
-        edge and next to it, and at random."""
-        B = gauges._BLOCK
-        for n in (B // 3, B, B + 1, 2 * B, 3 * B + 7):
-            for dim in (1, 2, 3):
-                a, b = [(0.0, 1.0), (-3.5, -1.25), (1e3, 1e3 + 2.0)][dim - 1]
-                d = _edge_division(rng, a, b, n)
-                edges = np.arange(B, n, B)
-                grid = np.unique(np.concatenate([[a, b], rng.uniform(a, b, 5),
-                                                 d.points[np.concatenate([edges, edges + 1])]]))
-                F, g = _jumping_pair(rng, dim, grid)
-                dFg, Fdg = self._unblocked(F, g, d)
-                assert rs_sum_dFg(F, g, d).tobytes() == dFg.tobytes()
-                assert rs_sum_Fdg(F, g, d).tobytes() == Fdg.tobytes()
+        """For the differenced function of each sum: levels of one block
+        (at most ``B`` intervals), of two (one more, the second block a
+        single interval), an exact multiple and many blocks, on three
+        domains, with grid points on every block edge and next to it, and
+        at random."""
+        for dim in (1, 2, 3):
+            a, b = [(0.0, 1.0), (-3.5, -1.25), (1e3, 1e3 + 2.0)][dim - 1]
+            for which, size in ((0, dim * dim), (1, dim)):
+                B = gauges._BLOCK // size
+                for n in (B // 3, B, B + 1, 2 * B, 3 * B + 7):
+                    d = _edge_division(rng, a, b, n)
+                    edges = np.arange(B, n, B)
+                    grid = np.unique(np.concatenate([[a, b], rng.uniform(a, b, 5),
+                                                     d.points[np.concatenate([edges, edges + 1])]]))
+                    F, g = _jumping_pair(rng, dim, grid)
+                    rs_sum = (rs_sum_dFg, rs_sum_Fdg)[which]
+                    assert rs_sum(F, g, d).tobytes() == self._unblocked(F, g, d)[which].tobytes()
 
     def test_memory_per_interval(self, rng):
         """A dim-3 sum over n = 2**16 intervals keeps the two ``einsum``
         operands, (d**2 + d) n doubles, and at any time one block of the
-        differenced function's values, d**2 (_BLOCK + 1) doubles; 64 KiB
+        differenced function's values, at most _BLOCK + d**2 doubles; 64 KiB
         covers the grid-sized index arrays.  Differencing all the values
         at once holds them all as well, 21 n doubles in ``dFg`` and 15 n
         in ``Fdg``, over the bound.  Dense cubic pieces evaluate in place."""
         d, n = 3, 2**16
-        bound = 8 * ((d * d + d) * n + d * d * (gauges._BLOCK + 1)) + 64 * 1024
+        bound = 8 * ((d * d + d) * n + gauges._BLOCK + d * d) + 64 * 1024
         division = _edge_division(rng, 0.0, 1.0, n)
         F, g = _jumping_pair(rng, d, np.linspace(0.0, 1.0, 9), dense=True)
         for rs_sum in (rs_sum_dFg, rs_sum_Fdg):
