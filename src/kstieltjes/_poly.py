@@ -7,13 +7,12 @@ axes carry the value shape: ``()`` for scalars, ``(n,)`` for vectors and
 
 Everything here is closed form: definite integrals go through the
 antiderivative.  The norm of a polynomial's value (the max norm of a
-vector, the max-row-sum norm of an operator) is piecewise polynomial, and
-one kernel, ``_norm_pieces``, splits an interval at polynomial roots into
-segments on each of which it is a single scalar polynomial.
-``integral_of_norm`` and ``sup_norm_on`` are two reductions over those
-segments: the sum of ``defint`` and the largest ``max_abs_scalar``.  The
-only inexactness is floating-point rounding plus root placement, which the
-callers' tolerances absorb.
+vector, the max-row-sum norm of an operator) is piecewise polynomial:
+``_norm_pieces`` splits the spans of a stack of polynomials where it is
+one scalar polynomial, with the roots of all of them from one stacked
+finder, ``_roots`` (one ``eigvals`` per degree, Newton as array passes).
+The public helpers are the one-polynomial cases.  The only inexactness is
+rounding plus root placement, which the callers' tolerances absorb.
 """
 
 from __future__ import annotations
@@ -120,6 +119,8 @@ def _polyval_stack(c: np.ndarray, t: np.ndarray, pattern: np.ndarray, safe) -> n
     n, p = t.shape
     ts = t.reshape((n,) + (1,) * (c.ndim - 2) + (p,))
     out = np.empty((n,) + c.shape[2:] + (p,))
+    if not n:
+        return out
     if (pattern == pattern[0]).all():  # one piece, or pieces of one pattern
         horner(c.swapaxes(0, 1)[..., np.newaxis], ts, pattern[0].tolist(), out)
         return out
@@ -202,106 +203,140 @@ def defint(c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return running_sum(c * weights.reshape(weights.shape + (1,) * (c.ndim - 2)), axis=1)
 
 
-def is_zero_poly(c: np.ndarray) -> bool:
-    return not np.any(np.asarray(c))
+def _roots(c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Real roots of each scalar polynomial of a stack ``c`` ``(n, K)``,
+    row ``i``'s strictly inside ``(lo[i], hi[i])``, row by row ascending,
+    and the row of each.  A row is trimmed and ``t**k`` factored out (0 is
+    then a root); a linear rest has its root in closed form, the others
+    ``polyroots``' eigenvalues, one ``eigvals`` per degree.  Candidates get
+    up to six Newton steps and merge within ``_ROOT_MERGE``; a zero row has
+    none.  Each root has the bits its row alone gets."""
+    n, K = c.shape
+    nonzero = c != 0.0
+    low, top = nonzero.argmax(axis=1), K - 1 - nonzero[:, ::-1].argmax(axis=1)
+    degree = np.where(nonzero.any(axis=1), top - low, 0)
+    zero = np.flatnonzero((top > 0) & (low > 0) & (lo < 0.0) & (0.0 < hi))
+    cols = np.arange(degree.max(initial=1) + 1)
+    rem = np.where(cols <= degree[:, np.newaxis],  # c[i, low[i]:top[i] + 1], padded
+                   c[np.arange(n)[:, np.newaxis], np.minimum(low[:, np.newaxis] + cols, K - 1)], 0.0)
+    rows = [np.flatnonzero(degree == 1)]
+    xs = [-rem[rows[0], 0] / rem[rows[0], 1]]
+    for d in np.unique(degree[degree > 1]).tolist():
+        own = np.flatnonzero(degree == d)
+        unit = rem[own, :d + 1] / np.abs(rem[own, :d + 1]).max(axis=1, keepdims=True)
+        companion = np.zeros((len(own), d, d))
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        companion[:, :, -1] = 0.0 - unit[:, :-1] / unit[:, -1:]
+        w = np.sort(np.linalg.eigvals(companion), axis=-1)
+        real = np.abs(w.imag) <= 1e-8 * (1.0 + np.abs(w.real))
+        xs.append(w.real[real])
+        rows.append(np.repeat(own, real.sum(axis=1)))
+    x, row = np.concatenate(xs), np.concatenate(rows)
+    if len(x):
+        x = _newton(rem[row], x, (hi - lo)[row])
+    inside = (lo[row] < x) & (x < hi[row])
+    # zero roots first: of equal roots a stable sort keeps the first, as the list did
+    x, row = np.concatenate([np.zeros(len(zero)), x[inside]]), np.concatenate([zero, row[inside]])
+    order = np.lexsort((x, row))
+    x, row = x[order], row[order]
+    keep, near = np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
+    near[1:] = (row[1:] == row[:-1]) & ~(x[1:] - x[:-1] > _ROOT_MERGE * (1.0 + np.abs(x[1:])))
+    for k in np.flatnonzero(near).tolist():  # compare with the last root kept
+        j = k - 1 - np.argmax(keep[k - 1::-1])
+        keep[k] = x[k] - x[j] > _ROOT_MERGE * (1.0 + abs(x[k]))
+    return x[keep], row[keep]
+
+
+def _newton(p: np.ndarray, x: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Up to six Newton steps on each polynomial of a stack ``p`` from
+    ``x``, stopping at a zero derivative, a step longer than ``span``,
+    after a converged step, or before a step that raises ``|p|`` (at a
+    multiple root p and p' are rounding noise and can throw x off)."""
+    x, der = x.copy(), polyder(p, axis=1)
+    pattern, der_pattern = degree_patterns(p), degree_patterns(der)
+    px = polyval(p, x[:, np.newaxis], pattern)[:, 0]
+    live = np.arange(len(x))
+    for _ in range(6):
+        dpx = polyval(der[live], x[live, np.newaxis], der_pattern[live])[:, 0]
+        live, step = live[dpx != 0.0], px[live][dpx != 0.0] / dpx[dpx != 0.0]
+        live, step = live[~(np.abs(step) > span[live])], step[~(np.abs(step) > span[live])]
+        nx = x[live] - step
+        done = np.abs(step) < 1e-15 * (1.0 + np.abs(nx))
+        x[live[done]] = nx[done]
+        live, nx = live[~done], nx[~done]
+        npx = polyval(p[live], nx[:, np.newaxis], pattern[live])[:, 0]
+        better = ~(np.abs(npx) > np.abs(px[live]))
+        live = live[better]
+        x[live], px[live] = nx[better], npx[better]
+    return x
+
+
+def _one(lo, hi):
+    return np.array([lo], dtype=float), np.array([hi], dtype=float)
 
 
 def real_roots(c: np.ndarray, lo: float, hi: float) -> list[float]:
-    """Real roots of a scalar polynomial strictly inside ``(lo, hi)``.
-
-    Roots are found from the companion matrix, polished with a few Newton
-    steps and deduplicated.  The zero polynomial reports no roots (callers
-    must special-case it; for segment splitting that is what is wanted).
-    """
-    c = np.asarray(c, dtype=float).reshape(-1)
-    nz = np.flatnonzero(c)
-    if nz.size == 0 or nz[-1] == 0:
-        return []
-    c = c[:nz[-1] + 1]
-    # Factor out t**k so monomial-heavy polynomials stay cheap and
-    # well conditioned.
-    k0 = int(nz[0])
-    found = []
-    if k0 > 0 and lo < 0.0 < hi:
-        found.append(0.0)
-    rem = c[k0:]
-    if rem.shape[0] == 2:
-        cands = [-rem[0] / rem[1]]
-    elif rem.shape[0] > 2:
-        scale = np.max(np.abs(rem))
-        roots = np.polynomial.polynomial.polyroots(rem / scale)
-        cands = [float(r.real) for r in np.atleast_1d(roots)
-                 if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real))]
-    else:
-        cands = []
-    if cands:
-        der = polyder(rem)
-        span = hi - lo
-        for x in cands:
-            px = float(polyval(rem, x))
-            for _ in range(6):
-                dpx = float(polyval(der, x))
-                if dpx == 0.0:
-                    break
-                step = px / dpx
-                if abs(step) > span:
-                    break
-                nx = x - step
-                if abs(step) < 1e-15 * (1.0 + abs(nx)):
-                    x = nx
-                    break
-                # At a multiple root p and p' are both rounding noise and
-                # their ratio can throw x off the root: undo such a step.
-                npx = float(polyval(rem, nx))
-                if abs(npx) > abs(px):
-                    break
-                x, px = nx, npx
-            if lo < x < hi:
-                found.append(x)
-    found.sort()
-    merged: list[float] = []
-    for x in found:
-        if not merged or x - merged[-1] > _ROOT_MERGE * (1.0 + abs(x)):
-            merged.append(x)
-    return merged
+    """Real roots of a scalar polynomial strictly inside ``(lo, hi)``."""
+    return _roots(np.asarray(c, dtype=float).reshape(1, -1), *_one(lo, hi))[0].tolist()
 
 
-def _segments(lo: float, hi: float, cuts: list[float]):
-    pts = [lo] + [x for x in sorted(set(cuts)) if lo < x < hi] + [hi]
-    for u, v in zip(pts[:-1], pts[1:]):
-        if v > u:
-            yield u, v
+def _cut(lo: np.ndarray, hi: np.ndarray, x: np.ndarray, row: np.ndarray):
+    """Segments ``(u, v, row)`` of the spans ``[lo[i], hi[i]]`` cut at the
+    points ``x`` inside them, row by row in order; equal cuts count once."""
+    pts = np.concatenate([lo, x, hi])
+    owner = np.concatenate([np.arange(len(lo)), row, np.arange(len(lo))])
+    order = np.lexsort((pts, owner))
+    pts, owner = pts[order], owner[order]
+    fresh = np.concatenate([[True], (owner[1:] != owner[:-1]) | (pts[1:] != pts[:-1])])
+    pts, owner = pts[fresh], owner[fresh]
+    inner = np.flatnonzero(owner[1:] == owner[:-1])
+    return pts[inner], pts[inner + 1], owner[inner]
 
 
-def _norm_pieces(c: np.ndarray, lo: float, hi: float):
-    """Yield ``(u, v, q)`` covering ``[lo, hi]`` in order, where the scalar
-    polynomial ``q`` equals ``||p(t)||`` on ``[u, v]``.
+def _norm_pieces(c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """``(u, v, q, row)``: the scalar polynomial ``q[k]`` is ``||c[row[k]](t)||``
+    on ``[u[k], v[k]]``, for a stack ``c`` ``(n, K, *vshape)`` over the spans
+    ``[lo[i], hi[i]]``, row by row in order.  Scalars and vectors are
+    one-column operators (a column's max norm is its max-row-sum norm).
+    Spans are cut where an entry changes sign, so that each row sum of
+    ``|c|`` is a polynomial, then where the largest row sum, ``q``, changes
+    hands: two ``_roots`` calls in all."""
+    n, K = c.shape[:2]
+    ops = c.reshape((n, K) + (c.shape[2:3] or (1,)) + (-1,))
+    size, nrows = ops.shape[2] * ops.shape[3], ops.shape[2]
+    x, row = _roots(ops.reshape(n, K, size).transpose(0, 2, 1).reshape(-1, K),
+                    np.repeat(lo, size), np.repeat(hi, size))
+    u, v, seg = _cut(lo, hi, x, row // size)
+    mid = 0.5 * (u + v)
+    signs = polyval(ops[seg], mid[:, np.newaxis], degree_patterns(ops)[seg]) >= 0.0
+    rows = np.sum(ops[seg] * np.where(signs, 1.0, -1.0)[:, np.newaxis, ..., 0],
+                  axis=3).transpose(0, 2, 1)
+    sub = np.arange(len(u))
+    if nrows > 1:
+        i, j = np.triu_indices(nrows, 1)
+        x, row = _roots((rows[:, i] - rows[:, j]).reshape(-1, K),
+                        np.repeat(u, len(i)), np.repeat(v, len(i)))
+        u, v, sub = _cut(u, v, x, row // len(i))
+        mid = 0.5 * (u + v)
+    cands = rows[sub].reshape(-1, K)
+    vals = polyval(cands, np.repeat(mid, nrows)[:, np.newaxis], degree_patterns(cands))
+    return u, v, rows[sub, vals.reshape(-1, nrows).argmax(axis=1)], seg[sub]
 
-    Scalars and vectors are treated as one-column operators: the max norm
-    of a column is its max-row-sum norm, so one path serves all shapes.
-    The interval is first cut where an entry changes sign, so that every
-    row sum of ``|c|`` is a polynomial there, and then where the largest
-    row sum changes hands; ``q`` is the winning row sum.
-    """
-    c = np.asarray(c, dtype=float)
-    ops = c.reshape((c.shape[0],) + (c.shape[1:2] or (1,)) + (-1,))
-    cuts = [x for entry in ops.reshape(c.shape[0], -1).T
-            for x in real_roots(entry, lo, hi)]
-    for u, v in _segments(lo, hi, cuts):
-        signs = np.where(polyval(ops, 0.5 * (u + v)) >= 0.0, 1.0, -1.0)
-        rows = np.sum(ops * signs, axis=2).T
-        inner = [x for i in range(len(rows)) for j in range(i + 1, len(rows))
-                 for x in real_roots(rows[i] - rows[j], u, v)]
-        for uu, vv in _segments(u, v, inner):
-            mid = 0.5 * (uu + vv)
-            yield uu, vv, rows[int(np.argmax([float(polyval(r, mid)) for r in rows]))]
+
+def _max_abs(c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Largest ``|p(t)|`` on ``[lo[i], hi[i]]`` for each scalar ``p`` of a
+    stack ``c`` ``(n, K)``: at the ends and the derivative's roots."""
+    x, row = _roots(polyder(c, axis=1), lo, hi)
+    rows = np.concatenate([np.arange(len(c)), np.arange(len(c)), row])
+    vals = polyval(c[rows], np.concatenate([lo, hi, x])[:, np.newaxis], degree_patterns(c)[rows])
+    best = np.full(len(c), -np.inf)
+    np.maximum.at(best, rows, np.abs(vals[:, 0]))
+    return best
 
 
 def max_abs_scalar(c: np.ndarray, lo: float, hi: float) -> float:
     """Maximum of ``|p(t)|`` on ``[lo, hi]`` for a scalar polynomial."""
-    cands = np.array([lo, hi] + real_roots(polyder(c), lo, hi))
-    # one polyval gives each candidate the bits of its own, and a max is exact
-    return float(np.max(np.abs(polyval(c, cands))))
+    return float(_max_abs(np.asarray(c, dtype=float).reshape(1, -1), *_one(lo, hi))[0])
 
 
 def integral_of_abs_scalar(c: np.ndarray, lo: float, hi: float) -> float:
@@ -309,31 +344,37 @@ def integral_of_abs_scalar(c: np.ndarray, lo: float, hi: float) -> float:
     return integral_of_norm(c, lo, hi)
 
 
-def sup_norm_on(c: np.ndarray, lo: float, hi: float) -> float:
-    """Supremum of the norm of an array-valued polynomial on ``[lo, hi]``.
+def _sup_norms_on(c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``sup_norm_on`` of each polynomial of a stack ``c`` over
+    ``lo[i] < hi[i]``.  A single entry is its own norm piece up to sign:
+    ``_max_abs`` over the whole span gives the kernel's bits."""
+    n, K = c.shape[:2]
+    if c[0].size == K:
+        return _max_abs(c.reshape(n, K), lo, hi)
+    u, v, q, row = _norm_pieces(c, lo, hi)
+    return np.maximum.reduceat(_max_abs(q, u, v), np.searchsorted(row, np.arange(n)))
 
-    Vector values use the max norm, operator values the induced
-    max-row-sum norm: the largest ``max_abs_scalar`` of the norm pieces.
-    A single entry is its own norm piece up to sign, so it skips the
-    kernel: ``max_abs_scalar`` over ``[lo, hi]`` gives the same bits.
-    """
+
+def sup_norm_on(c: np.ndarray, lo: float, hi: float) -> float:
+    """Supremum of the norm of an array-valued polynomial on ``[lo, hi]``:
+    the max norm of vectors, the max-row-sum norm of operators."""
     if lo == hi or len(c) == 1:  # a point, or a constant
         return float(norm_of(polyval(c, lo)))
-    entries = np.asarray(c, dtype=float).reshape(len(c), -1)
-    if entries.shape[1] == 1:  # one entry: its absolute value is the norm
-        return max_abs_scalar(entries[:, 0], lo, hi)
-    return max((max_abs_scalar(q, u, v) for u, v, q in _norm_pieces(c, lo, hi)),
-               default=0.0)
+    return float(_sup_norms_on(np.asarray(c, dtype=float)[np.newaxis], *_one(lo, hi))[0])
+
+
+def integral_of_norms(c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``integral_of_norm`` of each nonzero polynomial of a stack ``c`` over
+    ``lo[i] < hi[i]``: ``defint`` over its norm pieces, added from 0.0."""
+    u, v, q, row = _norm_pieces(c, lo, hi)
+    return running_sum(defint(q, u, v), lengths=np.bincount(row, minlength=len(c)).tolist())
 
 
 def integral_of_norm(c: np.ndarray, lo: float, hi: float) -> float:
-    """Exact ``integral of ||p(t)|| dt`` over ``[lo, hi]``: the sum of
-    ``defint`` over the norm pieces, one stacked call added in order from
-    0.0."""
-    if hi <= lo or is_zero_poly(c):
+    """Exact ``integral of ||p(t)|| dt`` over ``[lo, hi]``."""
+    if hi <= lo or not np.any(c):
         return 0.0
-    us, vs, qs = zip(*_norm_pieces(c, lo, hi))
-    return float(running_sum(defint(np.array(qs), np.array(us), np.array(vs))))
+    return float(integral_of_norms(np.asarray(c, dtype=float)[np.newaxis], *_one(lo, hi))[0])
 
 
 def matvec_conv(ca: np.ndarray, cx: np.ndarray) -> np.ndarray:

@@ -189,12 +189,11 @@ def _build_family(args, F) -> SequenceFamily:
         if args.center is None or args.height is None:
             raise FunctionSpecError("the spike family needs --center and --height")
         return SequenceFamily.spike((F.a, F.b), args.center, args.height)
-    if args.family == "truncation":
-        if not args.family_file:
-            raise FunctionSpecError("the truncation family needs --family-file "
-                                    "(a break-function spec)")
-        return SequenceFamily.truncation(load_function(args.family_file))
-    raise FunctionSpecError(f"unknown family {args.family!r}")
+    # argparse's choices leave "truncation"
+    if not args.family_file:
+        raise FunctionSpecError("the truncation family needs --family-file "
+                                "(a break-function spec)")
+    return SequenceFamily.truncation(load_function(args.family_file))
 
 
 def cmd_converge(args) -> list[str]:

@@ -198,14 +198,15 @@ class PiecewiseFunction:
         for j, c in enumerate(self.coeffs):
             yield float(self.grid[j]), float(self.grid[j + 1]), c
 
-    def spans_within(self, c: float, d: float):
-        """Yield ``(lo, hi, coefficients)`` for each piece that meets
-        ``(c, d)``, in grid order, with ``(lo, hi)`` its overlap."""
-        j0, j1 = np.searchsorted(self.grid, [c, d])
-        for j in range(max(int(j0) - 1, 0), int(j1)):
-            lo, hi = max(float(self.grid[j]), c), min(float(self.grid[j + 1]), d)
-            if hi > lo:
-                yield lo, hi, self.coeffs[j]
+    def _spans(self, lo: np.ndarray, hi: np.ndarray):
+        """The pieces that meet the interior of each part ``[lo[k], hi[k]]``
+        (none for a point), part by part in grid order, as arrays: each
+        piece, its part and their overlap ``(u, v)``."""
+        grid = self.grid
+        start = grid.searchsorted(lo, "right") - 1
+        pieces, part = _ranges(start, np.where(lo == hi, start, grid.searchsorted(hi, "left")))
+        return (pieces, part, np.maximum(grid[pieces], lo[part]),
+                np.minimum(grid[pieces + 1], hi[part]))
 
     def __repr__(self) -> str:
         return (f"PiecewiseFunction({self.kind}, dim={self.dim}, "
@@ -550,12 +551,12 @@ def _jump_tables(fs):
 
 def _sup_norms(fs, region: ElementarySet | Interval | None = None) -> list[float]:
     """``f.sup_norm(region)`` for every function of ``fs``, which share a
-    domain (``None``: the domain).
+    domain and a value shape (``None``: the domain).
 
     One ``row_norms`` pass takes, for all functions and parts at once, the
     node values in the region, the values at its points off the grid and
-    the constant pieces meeting its interior; every other piece meeting a
-    part's interior goes through ``sup_norm_on`` on their overlap.  A max
+    the constant pieces meeting its interior; one ``_sup_norms_on`` takes
+    every other piece meeting a part's interior, on their overlap.  A max
     is exact, so each function gets the bits of a max taken part by part.
     """
     if region is not None:
@@ -568,16 +569,13 @@ def _sup_norms(fs, region: ElementarySet | Interval | None = None) -> list[float
     for i, f in enumerate(fs):
         grid, own = f.grid, [zero]
         if region is None:
-            rows, pieces, inner = slice(None), np.arange(f.npieces), (grid[:-1], grid[1:])
+            rows, pieces, u, v = slice(None), np.arange(f.npieces), grid[:-1], grid[1:]
         else:
             (lo_left, hi_left), (lo_right, hi_right) = (grid.searchsorted(ends, side)
                                                         for side in ("left", "right"))
             rows = _ranges(np.where(lo_closed, lo_left, lo_right),
                            np.where(hi_closed, hi_right, hi_left))[0]
-            # the pieces that meet each part's interior, as spans_within yields
-            # them, and their overlaps with it
-            pieces, part = _ranges(lo_right - 1, np.where(point, lo_right - 1, hi_left))
-            inner = (np.maximum(grid[pieces], lo[part]), np.minimum(grid[pieces + 1], hi[part]))
+            pieces, _, u, v = f._spans(lo, hi)
             off = point & (lo_left == lo_right)  # a point off the grid: its piece's value
             if off.any():
                 j = lo_right[off] - 1
@@ -588,13 +586,13 @@ def _sup_norms(fs, region: ElementarySet | Interval | None = None) -> list[float
         firsts.append(size)
         size += sum(map(len, own))
         values += own
-        curved += [(i, f._block[j, :f._lens[j]], u, v) for j, u, v in
-                   zip(pieces[~flat].tolist(), inner[0][~flat].tolist(),
-                       inner[1][~flat].tolist())]
-    best = np.maximum.reduceat(row_norms(np.concatenate(values)), firsts).tolist()
-    for i, c, u, v in curved:
-        best[i] = max(best[i], _poly.sup_norm_on(c, u, v))
-    return best
+        curved.append((f._block[pieces[~flat]], u[~flat], v[~flat], np.full(len(u) - flat.sum(), i)))
+    best = np.maximum.reduceat(row_norms(np.concatenate(values)), firsts)
+    blocks, us, vs, owner = zip(*curved)
+    block = _stacked(list(blocks))
+    if len(block):
+        np.maximum.at(best, _joined(owner), _poly._sup_norms_on(block, _joined(us), _joined(vs)))
+    return best.tolist()
 
 
 # -- factories ---------------------------------------------------------------

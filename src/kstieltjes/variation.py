@@ -30,10 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import _poly
 from .errors import DomainError
 from .intervals import ElementarySet, Interval
-from .piecewise import PiecewiseFunction
+from .piecewise import PiecewiseFunction, _parts_table
 
 
 @dataclass(frozen=True)
@@ -55,11 +57,15 @@ class VariationResult:
             self.jump_contribution + other.jump_contribution)
 
 
-def _continuous_part(f: PiecewiseFunction, c: float, d: float) -> float:
-    total = 0.0
-    for lo, hi, coeffs in f.spans_within(c, d):
-        total += _poly.integral_of_norm(_poly.polyder(coeffs), lo, hi)
-    return total
+def _continuous_parts(f: PiecewiseFunction, lo: np.ndarray, hi: np.ndarray) -> list[float]:
+    """The derivative's norm integrated over each part ``[lo[k], hi[k]]``:
+    one ``integral_of_norms`` for every non-constant piece meeting a part,
+    added in grid order from 0.0."""
+    pieces, part, u, v = f._spans(lo, hi)
+    der = _poly.polyder(f._block[pieces], axis=1)
+    live = der.any(axis=tuple(range(1, der.ndim)))
+    sums = _poly.integral_of_norms(der[live], u[live], v[live]) if live.any() else u[live]
+    return _poly.running_sum(sums, lengths=np.bincount(part[live], minlength=len(lo))).tolist()
 
 
 def _jump_part(f: PiecewiseFunction, part: Interval) -> float:
@@ -88,22 +94,29 @@ def var_interval(f: PiecewiseFunction, interval: Interval) -> VariationResult:
 
     Degenerate intervals give zero by convention.
     """
-    if interval.lo < f.a or interval.hi > f.b:
-        raise DomainError(f"{interval} is not inside [{f.a}, {f.b}]")
-    if interval.is_degenerate:
-        return VariationResult.zero()
-    cont = _continuous_part(f, interval.lo, interval.hi)
-    jump = _jump_part(f, interval)
-    return VariationResult(cont + jump, cont, jump)
+    return _variations(f, [interval])[0]
 
 
 def var_elementary(f: PiecewiseFunction, region: ElementarySet) -> VariationResult:
     """Variation over an elementary set: the sum over the parts of its
     minimal decomposition (zero for the empty set)."""
     result = VariationResult.zero()
-    for part in region.parts:
-        result = result + var_interval(f, part)
+    for part in _variations(f, region.parts) if region.parts else ():
+        result = result + part
     return result
+
+
+def _variations(f: PiecewiseFunction, parts) -> list[VariationResult]:
+    """``var_interval`` over each of the sorted disjoint ``parts``."""
+    lo, hi = _parts_table(parts, f.a, f.b).T[:2]
+    out = []
+    for part, cont in zip(parts, _continuous_parts(f, lo, hi)):
+        if part.is_degenerate:
+            out.append(VariationResult.zero())
+        else:
+            jump = _jump_part(f, part)
+            out.append(VariationResult(cont + jump, cont, jump))
+    return out
 
 
 def contracting_variation(f: PiecewiseFunction,

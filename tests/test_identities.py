@@ -38,7 +38,8 @@ import numpy as np
 import pytest
 
 import corpus
-from kstieltjes import ElementarySet, Interval, PiecewiseFunction, ks_Fdg, ks_dFg
+from kstieltjes import (ElementarySet, Interval, PiecewiseFunction, break_truncate,
+                        jordan_decompose, ks_Fdg, ks_dFg, verify_break_limit)
 from kstieltjes.integrate import _engine
 from kstieltjes.norms import norm_of, row_norms
 
@@ -171,3 +172,36 @@ def test_identity_over_sets_has_teeth(rng):
     assert norm_of(lhs - _by_parts_rhs_over(F, g, region)) <= _tolerance(F, g, 2)
     flipped = _by_parts_rhs_over(F, g, region, flip=True)
     assert norm_of(lhs - flipped) > 1e6 * _tolerance(F, g, 2)
+
+
+# -- the Jordan split and the break-limit lemma at scale ----------------------
+#
+# ``F = F_c + F_b`` makes ``int d[F] g`` linear in the split.  Each of the
+# three engine values is off by at most half of ``_tolerance`` for its own
+# integrator.  ``F_c``'s stored values are ``F``'s minus ``F_b``'s, one
+# rounding each, which moves ``int d[F_c] g`` by at most ``u N T``, below
+# that half again; so the residual is at most the sum of the three
+# ``_tolerance``s.  ``verify_break_limit`` adds the same jump terms as the
+# engine's ``int d[F_b] g``, each once, so the two agree within
+# ``_tolerance(F_b, g)``.  Both bounds were written down before measuring.
+
+
+@pytest.mark.parametrize("m", [5, 50, 1000])
+def test_jordan_split_is_linear(rng, m):
+    for F, g in _pairs(rng, m):
+        Fc, Fb = jordan_decompose(F)
+        residual = norm_of(ks_dFg(F, g).value - ks_dFg(Fc, g).value - ks_dFg(Fb, g).value)
+        assert residual <= _tolerance(F, g) + _tolerance(Fc, g) + _tolerance(Fb, g)
+        engine, direct = verify_break_limit(F, g)
+        assert norm_of(engine - direct) <= _tolerance(Fb, g)
+
+
+def test_jordan_split_check_has_teeth(rng):
+    """Dropping one jump of ``F_b`` breaks the identity by far more than
+    the bound."""
+    F, g = next(_pairs(rng, 50))
+    Fc, Fb = jordan_decompose(F)
+    kept = [rec.t for rec in Fb.jumps()][1:]
+    residual = norm_of(ks_dFg(F, g).value - ks_dFg(Fc, g).value
+                       - ks_dFg(break_truncate(Fb, kept), g).value)
+    assert residual > 1e6 * (_tolerance(F, g) + _tolerance(Fc, g) + _tolerance(Fb, g))

@@ -1233,16 +1233,18 @@ class TestSupNorm:
                             got, want = f.sup_norm(region), _sup_norm_reference(f, region)
                             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
-    def test_spans_within_match_the_clipped_pieces(self, rng):
+    def test_spans_match_the_clipped_pieces(self, rng):
+        """``_spans`` gives, part by part, the pieces meeting each part's
+        interior and their overlaps, as clipping every piece finds them;
+        a point meets none."""
         f = _random_function(rng, "vector", 1, 40, -3.5, -1.25)
         pts = np.concatenate([f.grid, rng.uniform(f.a, f.b, 30)])
         for _ in range(60):
-            c, d = sorted(float(x) for x in rng.choice(pts, 2))
-            want = [(max(u, c), min(v, d), coeffs) for u, v, coeffs in f.piece_spans()
-                    if min(v, d) > max(u, c)]
-            got = list(f.spans_within(c, d))
-            assert [(lo, hi) for lo, hi, _ in got] == [(lo, hi) for lo, hi, _ in want]
-            assert all(x is y for (_, _, x), (_, _, y) in zip(got, want))
+            ends = np.sort(rng.choice(pts, (int(rng.integers(1, 4)), 2)), axis=1)
+            want = [(k, j, max(u, c), min(v, d)) for k, (c, d) in enumerate(ends.tolist())
+                    for j, (u, v, _) in enumerate(f.piece_spans()) if min(v, d) > max(u, c)]
+            pieces, part, lo, hi = f._spans(ends[:, 0], ends[:, 1])
+            assert list(zip(part.tolist(), pieces.tolist(), lo.tolist(), hi.tolist())) == want
 
 
 class TestLincomb:

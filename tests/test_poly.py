@@ -218,8 +218,9 @@ class TestRealRoots:
 def _kernel_sup(c, lo, hi):
     """``sup_norm_on`` through the root-split kernel, as every non-constant
     polynomial went before single entries took their own path."""
-    return max((_poly.max_abs_scalar(q, u, v) for u, v, q in _poly._norm_pieces(c, lo, hi)),
-               default=0.0)
+    us, vs, qs, _ = _poly._norm_pieces(np.asarray(c, dtype=float)[np.newaxis],
+                                       np.array([lo]), np.array([hi]))
+    return max((_poly.max_abs_scalar(q, u, v) for u, v, q in zip(us, vs, qs)), default=0.0)
 
 
 class TestSupNormSingleEntry:
@@ -310,3 +311,34 @@ class TestHornerTwoTerms:
                         out = np.empty(vshape + ts.shape)
                         _poly.horner(cols, ts, [count, low, top], out)
                         assert out.tobytes() == ref.tobytes()
+
+
+class TestStackedEigenvalues:
+    """``_roots`` takes one ``eigvals`` of a stack of companion matrices
+    per degree where the scalar finder took ``polyroots`` of each row; a
+    numpy whose ``polyroots`` computes otherwise must fail here first."""
+
+    def test_matches_polyroots(self, rng):
+        for d in range(2, 9):
+            rows = rng.uniform(-2.0, 2.0, size=(400, d + 1))
+            rows[::5, 0] = 0.0  # zero low coefficients
+            rows[1::5, :2] = 0.0
+            rows[2::5] = np.polynomial.polynomial.polyfromroots([0.375] * 2 + [-0.5] * (d - 2))
+            unit = rows / np.abs(rows).max(axis=1, keepdims=True)
+            companion = np.zeros((len(rows), d, d))
+            companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+            companion[:, :, -1] = 0.0 - unit[:, :-1] / unit[:, -1:]
+            stacked = np.sort(np.linalg.eigvals(companion), axis=-1)
+            for row, got in zip(unit, stacked):
+                want = np.polynomial.polynomial.polyroots(row).astype(complex)
+                assert got.astype(complex).tobytes() == want.tobytes()
+
+    def test_stack_matches_one_row_at_a_time(self, rng):
+        """Every row of a mixed stack gets the roots ``real_roots`` finds
+        for it alone, -0.0 entries, monomials and linears included."""
+        c = np.stack([_stack_row(rng, (), 9) for _ in range(300)])
+        lo = rng.uniform(-3.0, 0.0, len(c))
+        hi = lo + rng.uniform(0.5, 4.0, len(c))
+        x, row = _poly._roots(c, lo, hi)
+        for i in range(len(c)):
+            assert x[row == i].tolist() == _poly.real_roots(c[i], lo[i], hi[i])

@@ -291,11 +291,20 @@ def _ref_jump_part(f, c, d, include_lo, include_hi):
     return plus + minus
 
 
+def _spans_within(f, c, d):
+    """Each piece that meets ``(c, d)``, in grid order, with ``(lo, hi)``
+    its overlap: one call per piece for the references below."""
+    for u, v, coeffs in f.piece_spans():
+        lo, hi = max(u, c), min(v, d)
+        if hi > lo:
+            yield lo, hi, coeffs
+
+
 def _ref_var_interval(f, part):
     if part.is_degenerate:
         return [0.0, 0.0, 0.0]
     cont = 0.0
-    for lo, hi, coeffs in f.spans_within(part.lo, part.hi):
+    for lo, hi, coeffs in _spans_within(f, part.lo, part.hi):
         cont += _poly.integral_of_norm(_poly.polyder(coeffs), lo, hi)
     jump = _ref_jump_part(f, part.lo, part.hi, part.lo_closed, part.hi_closed)
     return [cont + jump, cont, jump]
@@ -313,7 +322,7 @@ def _ref_sup_norm(f, region):
         k1 = np.searchsorted(f.grid, part.hi, "right" if part.hi_closed else "left")
         if k1 > k0:
             best = max(best, float(np.max(row_norms(f.nodes[k0:k1]))))
-        for lo, hi, c in f.spans_within(part.lo, part.hi):
+        for lo, hi, c in _spans_within(f, part.lo, part.hi):
             best = max(best, _poly.sup_norm_on(c, lo, hi))
     return best
 

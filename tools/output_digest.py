@@ -21,7 +21,10 @@ evaluation and both
 sums of functions whose pieces are all Horner-safe, with and without a
 -0.0 entry, mostly constants and dense linears, or of one degree pattern
 (kind ``safe_eval``),
-and the forcing, constant and minimum gauges.  It prints
+the root finder and the norm helpers on repeated and clustered roots,
+monomials up to degree 64, -0.0 entries, linear and constant rows, and
+variation and suprema of functions of 10**2 and 10**3 pieces (kind
+``roots``), and the forcing, constant and minimum gauges.  It prints
 one line per output kind: the number of items and a sha256 over their
 bytes.  Two trees that print the same lines computed the
 same bits, so a change meant to keep every output bitwise is checked with
@@ -522,6 +525,83 @@ def digest_safe_eval(ks, seed, out: Digest):
                 out.add("safe_eval", lambda: [ks.rs_sum_dFg(F, g, d), ks.rs_sum_Fdg(F, g, d)])
 
 
+def root_rows(rng, a, b):
+    """Scalar polynomials with roots in and near ``[a, b]``: ``(t - r)**k``
+    for k = 1-6, clusters 1e-9 and 1e-14 of the span apart, monomials
+    ``c t**k`` and binomials ``t**k - s`` up to degree 64, rows of degree
+    2-8 with -0.0 entries, linear rows and constants (0.0 and -0.0 too)."""
+    span, pfr = b - a, np.polynomial.polynomial.polyfromroots
+    r = a + span * rng.uniform(0.1, 0.9)
+    rows = [pfr([r] * k) for k in range(1, 7)]
+    rows += [pfr(r + span * gap * np.arange(4)) for gap in (1e-9, 1e-14)]
+    top = 64 if max(abs(a), abs(b)) < 100.0 else 16  # keep powers finite
+    for k in (1, 2, 3, 7, 16, 31, 64):
+        k = min(k, top)
+        mono = np.zeros(k + 1)
+        mono[k] = rng.uniform(-2.0, 2.0)
+        rows.append(mono)
+        binomial = mono.copy()
+        binomial[0] = -mono[k] * float(rng.uniform(a, b)) ** k
+        rows.append(binomial)
+    for deg in range(2, 9):
+        c = pfr(rng.uniform(a - span, b + span, deg)) * rng.uniform(-2.0, 2.0)
+        rows.append(np.where(rng.random(c.shape) < 0.2, -0.0, c))
+    rows += [np.array([-r, 1.0]), np.array([2.0 * r, -2.0]), np.array([0.0, -0.0, 1.5]),
+             np.array([0.75]), np.array([0.0]), np.array([-0.0, 0.0])]
+    return rows
+
+
+def digest_roots(ks, seed, out: Digest):
+    """``real_roots``, ``max_abs_scalar``, ``sup_norm_on`` and
+    ``integral_of_norm`` on ``root_rows`` over each domain, a random
+    subinterval and a tight span round a root, vector and operator
+    values stacked from those rows; then ``var_compact``,
+    ``var_elementary`` and ``sup_norm`` of functions of 10**2 and 10**3
+    pieces."""
+    poly = ks._poly
+    rng = np.random.default_rng([seed, 47])
+    for a, b in DOMAINS:
+        rows = root_rows(rng, a, b)
+        c, d = np.sort(rng.uniform(a, b, 2)).tolist()
+        r = float(rng.uniform(a, b))
+        spans = [(a, b), (c, d), (r - (b - a) * 1e-6, r + (b - a) * 1e-6)]
+        for row in rows:
+            for lo, hi in spans:
+                out.add("roots", lambda: [poly.real_roots(row, lo, hi),
+                                          poly.max_abs_scalar(row, lo, hi),
+                                          poly.sup_norm_on(row, lo, hi),
+                                          poly.integral_of_norm(row, lo, hi)])
+        width = max(len(row) for row in rows)
+        padded = np.array([np.pad(row, (0, width - len(row))) for row in rows])
+        for dim in (2, 3):
+            for shape in ((dim,), (dim, dim)):
+                for _ in range(6):
+                    pick = rng.choice(len(rows), size=int(np.prod(shape)))
+                    signs = rng.choice([-1.0, 1.0], size=len(pick))
+                    c = (padded[pick] * signs[:, np.newaxis]).T.reshape((width,) + shape)
+                    for lo, hi in spans:
+                        out.add("roots", lambda: [poly.sup_norm_on(c, lo, hi),
+                                                  poly.integral_of_norm(c, lo, hi)])
+        for m in (10**2, 10**3):
+            dim = int(rng.integers(1, 4))
+            grid = np.unique(np.concatenate([[a, b], rng.uniform(a, b, m - 1)]))
+            for kind in ("vector", "operator"):
+                if m == 100:
+                    f = random_function(ks, rng, kind, dim, a, b, grid)
+                else:  # degree at most 3, so that slower trees stay quick
+                    vshape = (dim,) if kind == "vector" else (dim, dim)
+                    coeffs = [rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 5)),) + vshape)
+                              for _ in range(grid.size - 1)]
+                    f = ks.PiecewiseFunction(grid, coeffs, rng.uniform(-1.0, 1.0,
+                                                                       (grid.size,) + vshape))
+                region = random_region(ks, rng, np.concatenate([grid, rng.uniform(a, b, 150)]))
+                c, d = np.sort(rng.uniform(a, b, 2)).tolist()
+                out.add("roots", lambda: [variation(ks.var_compact(f, a, b)),
+                                          variation(ks.var_compact(f, c, d)),
+                                          variation(ks.var_elementary(f, region)),
+                                          f.sup_norm(), f.sup_norm(region)])
+
+
 def digest_gauges(ks, seed, out: Digest):
     """Forcing gauges of the forced sets above, with and without the ends,
     and their minimum with the oracle's constant gauge, at the oracle's
@@ -572,6 +652,7 @@ def main(argv=None):
             digest_members(ks, seed, out)
             digest_step(ks, seed, out)
             digest_elementary(ks, seed, out)
+            digest_roots(ks, seed, out)
     print(f"# kstieltjes from {Path(ks.__file__).parent}")
     print("\n".join(out.lines()))
 
